@@ -2,13 +2,15 @@
 
 The pipeline for a presented variety X and a triangular point x:
 
-1. validate: the relations vanish at x, and the derivative matrix of the
-   point generators is invertible over the residue tower, so the g_i cut
+1. validate and divide: each relation f_i is divided once through the
+   triangular system, f_i = sum_j h_ij g_j + r_i.  The relation vanishes
+   at x when r_i = 0 (field base) or every coefficient of r_i is divisible
+   by p (over ZZ, where r_i = p*w_i).  The derivative matrix of the point
+   generators must be invertible over the residue tower, so the g_i cut
    out m_x/m_x^2 independently.
-2. divide: each relation f_i is written as sum_j h_ij g_j (+ p*w_i in the
-   arithmetic case) by triangular division; the h_ij reduced into the
-   residue field form the derivative-with-respect-to-generators matrix,
-   and the w_i form the extra column.
+2. reduce: the h_ij reduced into the residue field form the
+   derivative-with-respect-to-generators matrix, and the w_i form the
+   extra column.
 3. rank: regularity is rank = n - dim (field base) or rank of the
    augmented matrix = n + 1 - dim (over ZZ at a prime).
 
@@ -34,8 +36,8 @@ from .linalg import FieldMatrix
 from .poly import (
     MultiPoly,
     TriangularPoint,
+    _remainder_in_ideal,
     lift_int,
-    membership_certificate,
     partial_derivative,
     reduce_mod,
     triangular_divide,
@@ -103,6 +105,8 @@ class SpecialFiberReport:
 
 
 def _validated_context(X: PresentedVariety, point: TriangularPoint):
+    """(tower, generator derivative matrix, (quotients, remainder) of each
+    relation)."""
     point.check()
     if point.vars != X.vars:
         raise InvalidPoint(
@@ -111,9 +115,12 @@ def _validated_context(X: PresentedVariety, point: TriangularPoint):
         )
     if point.ring != X.ring:
         raise InvalidPoint("point generators are not over the variety's base ring")
+    divisions = []
     for f in X.relations:
-        if not membership_certificate(f, point):
+        quotients, rem = triangular_divide(f, point)
+        if not _remainder_in_ideal(rem, point.prime):
             raise PointNotOnVariety("relation %s does not vanish at the point" % f)
+        divisions.append((quotients, rem))
     tower = residue_field(point)
     n = X.n
     gmat = [
@@ -126,39 +133,28 @@ def _validated_context(X: PresentedVariety, point: TriangularPoint):
             "they are dependent modulo the square of the ideal; choose "
             "different generators"
         )
-    return tower, gmat
+    return tower, gmat, divisions
 
 
 def validate_point(X: PresentedVariety, point: TriangularPoint) -> ResidueTower:
     """Check the relations vanish at the point and the generators are
     independent there; returns the residue tower."""
-    tower, _ = _validated_context(X, point)
-    return tower
+    return _validated_context(X, point)[0]
 
 
 # ---- the derivative-with-respect-to-generators matrix -----------------
 
 
-def _jacobian(X: PresentedVariety, point: TriangularPoint, tower, gmat):
-    """Rows h-bar_ij and (arithmetic case) the extra column w-bar_i, with
-    the defining identity rechecked entrywise."""
+def _jacobian(X: PresentedVariety, point: TriangularPoint):
+    """(tower, rows h-bar_ij, and in the arithmetic case the extra column
+    w-bar_i, else None), with the defining identity rechecked entrywise."""
+    tower, gmat, divisions = _validated_context(X, point)
     p = point.prime
     n = X.n
     rows = []
     extra = []
-    for f in X.relations:
-        quotients, rem = triangular_divide(f, point)
-        if p is None:
-            if not rem.is_zero():
-                raise InternalConsistencyError(
-                    "division left a nonzero remainder after membership passed"
-                )
-        else:
-            if any(c % p for c in rem.terms.values()):
-                raise InternalConsistencyError(
-                    "division remainder not divisible by the prime after "
-                    "membership passed"
-                )
+    for f, (quotients, rem) in zip(X.relations, divisions):
+        if p is not None:
             w = MultiPoly(ZZ, f.vars, {e: c // p for e, c in rem.terms.items()})
             extra.append(tower_reduce(w, tower))
         row = [tower_reduce(h, tower) for h in quotients]
@@ -173,14 +169,13 @@ def _jacobian(X: PresentedVariety, point: TriangularPoint, tower, gmat):
                     % (f, j + 1)
                 )
         rows.append(row)
-    return rows, (extra if p is not None else None)
+    return tower, rows, (extra if p is not None else None)
 
 
 def generalized_jacobian(X: PresentedVariety, point: TriangularPoint) -> FieldMatrix:
     """The r x n matrix of derivatives of the relations with respect to the
     point generators, over the residue tower."""
-    tower, gmat = _validated_context(X, point)
-    rows, _ = _jacobian(X, point, tower, gmat)
+    tower, rows, _ = _jacobian(X, point)
     return FieldMatrix(tower, rows)
 
 
@@ -189,8 +184,7 @@ def arithmetic_jacobian(X: PresentedVariety, point: TriangularPoint):
     of relation remainders divided by the prime."""
     if point.prime is None:
         raise InvalidPoint("the augmented matrix needs an arithmetic point")
-    tower, gmat = _validated_context(X, point)
-    rows, extra = _jacobian(X, point, tower, gmat)
+    tower, rows, extra = _jacobian(X, point)
     return FieldMatrix(tower, rows), extra
 
 
@@ -224,48 +218,18 @@ def _resolve_dimension(X, point, dim_override):
 # ---- regularity checks ------------------------------------------------
 
 
-def check_geometric(
-    X: PresentedVariety, point: TriangularPoint, dim_override: int | None = None
-) -> RegularityReport:
-    """Regularity over a field base: regular iff rank = n - dim."""
-    if X.ring is ZZ:
-        raise ValueError("use check_arithmetic over ZZ")
-    tower, gmat = _validated_context(X, point)
-    rows, _ = _jacobian(X, point, tower, gmat)
+def _check(X, point, dim_override):
+    """Rank J over a field base, or J with the extra column appended over
+    ZZ, and compare the cotangent dimension with the local dimension."""
+    tower, rows, extra = _jacobian(X, point)
     jac = FieldMatrix(tower, rows)
-    rank = jac.rank()
+    if extra is None:
+        rank = jac.rank()
+        cotangent = X.n - rank
+    else:
+        rank = FieldMatrix(tower, [row + [e] for row, e in zip(rows, extra)]).rank()
+        cotangent = X.n + 1 - rank
     dim, provenance = _resolve_dimension(X, point, dim_override)
-    cotangent = X.n - rank
-    if cotangent < dim:
-        raise DimensionMismatch(
-            "cotangent dimension %d is below the local dimension %d (%s)"
-            % (cotangent, dim, provenance)
-        )
-    return RegularityReport(
-        tower=tower,
-        jacobian=jac,
-        extra_column=None,
-        rank=rank,
-        local_dimension=dim,
-        dimension_provenance=provenance,
-        regular=cotangent == dim,
-    )
-
-
-def check_arithmetic(
-    X: PresentedVariety, point: TriangularPoint, dim_override: int | None = None
-) -> RegularityReport:
-    """Regularity over ZZ at a prime: regular iff the augmented rank equals
-    n + 1 - dim."""
-    if X.ring is not ZZ or point.prime is None:
-        raise ValueError("check_arithmetic needs a ZZ base and a prime")
-    tower, gmat = _validated_context(X, point)
-    rows, extra = _jacobian(X, point, tower, gmat)
-    jac = FieldMatrix(tower, rows)
-    augmented = FieldMatrix(tower, [row + [e] for row, e in zip(rows, extra)])
-    rank = augmented.rank()
-    dim, provenance = _resolve_dimension(X, point, dim_override)
-    cotangent = X.n + 1 - rank
     if cotangent < dim:
         raise DimensionMismatch(
             "cotangent dimension %d is below the local dimension %d (%s)"
@@ -280,6 +244,25 @@ def check_arithmetic(
         dimension_provenance=provenance,
         regular=cotangent == dim,
     )
+
+
+def check_geometric(
+    X: PresentedVariety, point: TriangularPoint, dim_override: int | None = None
+) -> RegularityReport:
+    """Regularity over a field base: regular iff rank = n - dim."""
+    if X.ring is ZZ:
+        raise ValueError("use check_arithmetic over ZZ")
+    return _check(X, point, dim_override)
+
+
+def check_arithmetic(
+    X: PresentedVariety, point: TriangularPoint, dim_override: int | None = None
+) -> RegularityReport:
+    """Regularity over ZZ at a prime: regular iff the augmented rank equals
+    n + 1 - dim."""
+    if X.ring is not ZZ or point.prime is None:
+        raise ValueError("check_arithmetic needs a ZZ base and a prime")
+    return _check(X, point, dim_override)
 
 
 def check_point(

@@ -4,7 +4,8 @@ The main pipeline decides regularity from ranks of derivative matrices.
 This module answers the same question by brute force, straight from the
 definition: compute the length of m/(I + m^2) at the point and divide by
 the residue degree.  Nothing here shares code with the rank path beyond
-polynomial division, which makes it a meaningful cross-check.
+polynomial division (``poly.triangular_divide``), which makes it a
+meaningful cross-check.
 
 Over a field base the quotient is handled with a Groebner basis: the
 K-dimension of K[t]/(I + m^2) is the number of standard monomials, and
@@ -16,7 +17,9 @@ on the canonical monomials M of the triangular system together with the
 products M*g_k.  Freeness follows by counting: the triangular system is a
 regular sequence of monic polynomials, so the associated graded pieces
 m^0/m^1 and m^1/m^2 have the expected sizes and the spanning set cannot
-collapse.  The images of the relations and of p*g_j span the denominator
+collapse.  Normal forms in A* come from ``triangular_divide`` by the
+generators transported to Z/p^2 and interreduced (``normalized_generators``).
+The images of the relations and of p*g_j span the denominator
 of m/(I + m^2) inside A*; a two-phase elimination (unit pivots over
 Z/p^2, then an F_p rank of what remains, which is all divisible by p)
 counts the quotient exactly.
@@ -34,6 +37,7 @@ from .poly import (
     TriangularPoint,
     _divide_single,
     membership_certificate,
+    triangular_divide,
 )
 from .rings import ZZ, PrimeField
 
@@ -96,16 +100,6 @@ def normalized_generators(point: TriangularPoint, ring) -> list:
     return ghat
 
 
-def _nf1(h, ghat):
-    """Divide by the full triangular system; returns (quotients, canonical
-    remainder)."""
-    quotients = [None] * len(ghat)
-    rem = h
-    for j in reversed(range(len(ghat))):
-        quotients[j], rem = _divide_single(rem, ghat[j], j)
-    return quotients, rem
-
-
 def _canonical_monomials(degrees):
     return list(_iterproduct(*(range(d) for d in degrees)))
 
@@ -116,6 +110,7 @@ def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
     ring = _ModRing(m2)
     n = point.n
     ghat = normalized_generators(point, ring)
+    system = TriangularPoint(tuple(ghat))
     degrees = [g.degree_in(i) for i, g in enumerate(ghat)]
     monomials = _canonical_monomials(degrees)
     d_t = 1
@@ -125,12 +120,12 @@ def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
     width = (n + 1) * d_t
 
     def nf2_vector(h):
-        quotients, rem = _nf1(h, ghat)
+        quotients, rem = triangular_divide(h, system)
         vec = [0] * width
         for e, c in rem.terms.items():
             vec[index_of[e]] = c % m2
         for k, q in enumerate(quotients):
-            _, qrem = _nf1(q, ghat)
+            _, qrem = triangular_divide(q, system)
             for e, c in qrem.terms.items():
                 vec[(k + 1) * d_t + index_of[e]] = c % m2
         return vec
@@ -138,7 +133,7 @@ def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
     def layer_vector(h, layer):
         # h * (M * ghat_layer) reduces to NF(h*M) placed on that layer,
         # because all products ghat_j * ghat_k vanish in A*
-        _, rem = _nf1(h, ghat)
+        _, rem = triangular_divide(h, system)
         vec = [0] * width
         for e, c in rem.terms.items():
             vec[(layer + 1) * d_t + index_of[e]] = c % m2

@@ -261,6 +261,10 @@ def partial_derivative(f: MultiPoly, index: int) -> MultiPoly:
 
 _INT, _IDENT, _OP, _END = "int", "ident", "op", "end"
 
+# The parser recurses once per parenthesis level; deeper input is rejected
+# as a syntax error before it can exhaust the interpreter's stack.
+MAX_NESTING = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -297,6 +301,7 @@ class _Parser:
     def __init__(self, text, vars, ring):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.vars = tuple(vars)
         self.ring = ring
 
@@ -371,7 +376,13 @@ class _Parser:
                 raise PolySyntaxError("unknown variable %r" % text, pos)
             return MultiPoly.variable(self.ring, self.vars, self.vars.index(text))
         if kind == _OP and text == "(":
+            if self.depth == MAX_NESTING:
+                raise PolySyntaxError(
+                    "parentheses nested deeper than %d" % MAX_NESTING, pos
+                )
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             kind, text, pos = self.take()
             if not (kind == _OP and text == ")"):
                 raise PolySyntaxError("expected ')'", pos)
@@ -495,13 +506,18 @@ def triangular_divide(f: MultiPoly, point: TriangularPoint):
 
 
 def membership_certificate(f: MultiPoly, point: TriangularPoint) -> bool:
-    """Is f in the point's ideal?  Over a field that means remainder zero;
-    over ZZ with a prime p it means every remainder coefficient is divisible
-    by p."""
+    """Is f in the point's ideal?"""
     _, rem = triangular_divide(f, point)
-    if point.prime is None:
+    return _remainder_in_ideal(rem, point.prime)
+
+
+def _remainder_in_ideal(rem: MultiPoly, prime) -> bool:
+    """Does the triangular-division remainder of f put f in the point's
+    ideal?  Over a field that means remainder zero; over ZZ with a prime p
+    it means every remainder coefficient is divisible by p."""
+    if prime is None:
         return rem.is_zero()
-    return all(c % point.prime == 0 for c in rem.terms.values())
+    return all(c % prime == 0 for c in rem.terms.values())
 
 
 # ---- coefficient transport --------------------------------------------

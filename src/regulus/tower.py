@@ -16,7 +16,7 @@ defective tower computes sums and products happily until someone inverts.
 from __future__ import annotations
 
 from .errors import IdealNotMaximal
-from .poly import MultiPoly, format_terms, grlex_key
+from .poly import MultiPoly, _signed_split, format_terms, grlex_key
 from .rings import QQ, ZZ, Fraction, PrimeField
 
 
@@ -45,9 +45,13 @@ class ResidueTower:
             tuple((lv.var, lv.degree, lv.tail) for lv in self.levels),
         )
         deg = 1
+        zeros = [base.zero()]
         for lv in self.levels:
             deg *= lv.degree
+            zeros.append((zeros[-1],) * lv.degree)
         self.degree_over_base = deg
+        self._zeros = tuple(zeros)  # zero of each level; elements are canonical
+        self._split = _signed_split if base is QQ else None
 
     # ---- identity ------------------------------------------------------
 
@@ -63,22 +67,15 @@ class ResidueTower:
 
     # ---- nested-data primitives ---------------------------------------
 
-    def _zero(self, k):
-        if k == 0:
-            return self.base.zero()
-        return tuple(self._zero(k - 1) for _ in range(self.levels[k - 1].degree))
-
     def _embed(self, k, scalar):
         if k == 0:
             return scalar
-        low = self._embed(k - 1, scalar)
-        rest = tuple(self._zero(k - 1) for _ in range(self.levels[k - 1].degree - 1))
-        return (low,) + rest
+        return (self._embed(k - 1, scalar),) + (self._zeros[k - 1],) * (
+            self.levels[k - 1].degree - 1
+        )
 
     def _is_zero(self, k, a):
-        if k == 0:
-            return self.base.is_zero(a)
-        return all(self._is_zero(k - 1, c) for c in a)
+        return a == self._zeros[k]
 
     def _add(self, k, a, b):
         if k == 0:
@@ -97,7 +94,7 @@ class ResidueTower:
         if k == 0:
             return a * b
         d = self.levels[k - 1].degree
-        prod = [self._zero(k - 1) for _ in range(2 * d - 1)]
+        prod = [self._zeros[k - 1]] * (2 * d - 1)
         for i, ai in enumerate(a):
             if self._is_zero(k - 1, ai):
                 continue
@@ -133,8 +130,8 @@ class ResidueTower:
     def _uadd(self, k1, a, b):
         out = []
         for i in range(max(len(a), len(b))):
-            x = a[i] if i < len(a) else self._zero(k1)
-            y = b[i] if i < len(b) else self._zero(k1)
+            x = a[i] if i < len(a) else self._zeros[k1]
+            y = b[i] if i < len(b) else self._zeros[k1]
             out.append(self._add(k1, x, y))
         return self._utrim(k1, out)
 
@@ -144,7 +141,7 @@ class ResidueTower:
     def _umul(self, k1, a, b):
         if not a or not b:
             return []
-        out = [self._zero(k1) for _ in range(len(a) + len(b) - 1)]
+        out = [self._zeros[k1]] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] = self._add(k1, out[i + j], self._mul(k1, x, y))
@@ -153,7 +150,7 @@ class ResidueTower:
     def _udivmod(self, k1, num, den):
         lead_inv = self._inv(k1, den[-1])
         rem = list(num)
-        quo = [self._zero(k1)] * max(len(num) - len(den) + 1, 0)
+        quo = [self._zeros[k1]] * max(len(num) - len(den) + 1, 0)
         while len(rem) >= len(den):
             c = self._mul(k1, rem[-1], lead_inv)
             shift = len(rem) - len(den)
@@ -188,15 +185,16 @@ class ResidueTower:
             r0, s0, r1, s1 = r1, s1, r2, s2
         if not r1:
             # gcd has positive degree: a proper factor of the level polynomial
+            witness = self._witness_str(k, r0)
             raise IdealNotMaximal(
                 "the ideal is not maximal: %s has the proper factor %s"
-                % (self._level_poly_str(k), self._witness_str(k, r0)),
-                witness=self._witness_str(k, r0),
+                % (self._upoly_str(k, self._minpoly_dense(k)), witness),
+                witness=witness,
             )
         u_inv = self._inv(k1, r1[0])
         inv_poly = [self._mul(k1, c, u_inv) for c in s1]
         d = self.levels[k - 1].degree
-        inv_poly = inv_poly + [self._zero(k1)] * (d - len(inv_poly))
+        inv_poly = inv_poly + [self._zeros[k1]] * (d - len(inv_poly))
         return self._fold(k, inv_poly)
 
     def _witness_str(self, k, coeffs):
@@ -206,36 +204,34 @@ class ResidueTower:
             coeffs = [self._mul(k1, c, lead_inv) for c in coeffs]
         except IdealNotMaximal:
             pass  # deeper defect; print the factor unnormalized
-        var = self.levels[k - 1].var
-        items = []
-        for j in range(len(coeffs) - 1, -1, -1):
-            if not self._is_zero(k1, coeffs[j]):
-                items.append(((j,), coeffs[j]))
-        return format_terms(
-            items,
-            (var,),
-            lambda c: self._str_data(k1, c),
-            self._split_sign_fn(k1),
-        )
+        return self._upoly_str(k, coeffs)
 
-    def _level_poly_str(self, k):
-        var = self.levels[k - 1].var
-        dense = self._minpoly_dense(k)
-        items = []
-        for j in range(len(dense) - 1, -1, -1):
-            if not self._is_zero(k - 1, dense[j]):
-                items.append(((j,), dense[j]))
+    def _upoly_str(self, k, coeffs):
+        """Print a dense polynomial in the level-k variable whose
+        coefficients lie one level down.  Over QQ a coefficient that
+        flattens to one negative term prints as a subtraction."""
+        k1 = k - 1
+
+        def split(c):
+            if self.base is QQ:
+                flat = {}
+                self._flatten(k1, c, (), flat)
+                if len(flat) == 1 and min(flat.values()) < 0:
+                    return True, self._neg(k1, c)
+            return False, c
+
+        items = [
+            ((j,), c) for j, c in reversed(list(enumerate(coeffs)))
+            if not self._is_zero(k1, c)
+        ]
         return format_terms(
-            items,
-            (var,),
-            lambda c: self._str_data(k - 1, c),
-            self._split_sign_fn(k - 1),
+            items, (self.levels[k1].var,), lambda c: self._str_data(k1, c), split
         )
 
     # ---- public element interface -------------------------------------
 
     def zero(self):
-        return TowerElem(self, self._zero(len(self.levels)))
+        return TowerElem(self, self._zeros[-1])
 
     def one(self):
         return TowerElem(self, self._embed(len(self.levels), self.base.one()))
@@ -259,24 +255,12 @@ class ResidueTower:
     def gen(self, i):
         """The image of the i-th generator variable (0-based)."""
         d = self.levels[i].degree
-        coeffs = [self._zero(i) for _ in range(d + 1)]
+        coeffs = [self._zeros[i]] * (d + 1)
         coeffs[1] = self._embed(i, self.base.one())
         data = self._fold(i + 1, coeffs)
         for k in range(i + 1, len(self.levels)):
-            dk = self.levels[k].degree
-            data = (data,) + tuple(self._zero(k) for _ in range(dk - 1))
+            data = (data,) + (self._zeros[k],) * (self.levels[k].degree - 1)
         return TowerElem(self, data)
-
-    def reduce(self, expr: MultiPoly) -> "TowerElem":
-        """Canonical image of a polynomial in the tower, evaluated at the
-        level generators; the unique ring homomorphism fixing the base."""
-        if expr.vars != self.vars:
-            raise ValueError(
-                "expression variables (%s) do not match the tower (%s)"
-                % (", ".join(expr.vars), ", ".join(self.vars))
-            )
-        gens = [self.gen(i) for i in range(len(self.levels))]
-        return expr.evaluate(gens, self)
 
     # ---- canonical form, printing -------------------------------------
 
@@ -293,22 +277,16 @@ class ResidueTower:
         self._flatten(len(self.levels), a.data, (), out)
         return out
 
-    def _split_sign_fn(self, k):
-        if self.base is not QQ:
-            return None
-        if k == 0:
-            return lambda c: (c < 0, -c) if c < 0 else (False, c)
-        return None
+    def _flat_str(self, k, flat, compact=False):
+        """Print exponent-tuple -> base-scalar terms in the names of levels 1..k."""
+        items = sorted(flat.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        names = tuple(lv.display for lv in self.levels[:k])
+        return format_terms(items, names, self.base.elem_str, self._split, compact)
 
     def _str_data(self, k, data):
         out = {}
         self._flatten(k, data, (), out)
-        items = sorted(out.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-        names = tuple(lv.display for lv in self.levels[:k])
-        split = (
-            (lambda c: (c < 0, -c) if c < 0 else (False, c)) if self.base is QQ else None
-        )
-        return format_terms(items, names, self.base.elem_str, split)
+        return self._flat_str(k, out)
 
     def elem_str(self, a) -> str:
         return self._str_data(len(self.levels), a.data)
@@ -320,26 +298,10 @@ class ResidueTower:
         for k, lv in enumerate(self.levels, start=1):
             if lv.degree == 1:
                 continue
-            dense = self._minpoly_dense(k)
-            items = []
-            for j in range(len(dense) - 1, -1, -1):
-                if not self._is_zero(k - 1, dense[j]):
-                    items.append(((j,) + (0,) * (k - 1), dense[j]))
-            flat_items = []
-            for (j, *lower), c in items:
-                sub = {}
-                self._flatten(k - 1, c, (), sub)
-                for le, lc in sub.items():
-                    flat_items.append((le + (j,), lc))
-            flat_items.sort(key=lambda kv: grlex_key(kv[0]), reverse=True)
-            names = tuple(l.display for l in self.levels[: k - 1]) + (lv.display,)
-            split = (
-                (lambda c: (c < 0, -c) if c < 0 else (False, c))
-                if self.base is QQ
-                else None
-            )
-            body = format_terms(flat_items, names, self.base.elem_str, split, compact=True)
-            s += "[%s]/(%s)" % (lv.display, body)
+            flat = {}
+            for j, c in enumerate(self._minpoly_dense(k)):
+                self._flatten(k - 1, c, (j,), flat)
+            s += "[%s]/(%s)" % (lv.display, self._flat_str(k, flat, compact=True))
         return s
 
     def __repr__(self):
@@ -440,7 +402,7 @@ def build_tower(point, base_field) -> ResidueTower:
                     for e, c in coeff_poly.terms.items()
                 },
             )
-            tail.append(tower._neg(i, tower.reduce(shrunk).data))
+            tail.append(tower._neg(i, tower_reduce(shrunk, tower).data))
         level = TowerLevel(point.vars[i], _display_name(i), d, tuple(tail))
         tower = ResidueTower(base_field, tower.levels + (level,))
     return tower

@@ -157,6 +157,40 @@ def test_exit_code_2_for_point_off_variety(tmp_path):
     assert doc["error"]["kind"] == "point-not-on-variety"
 
 
+def test_exit_code_1_for_deep_parentheses(tmp_path):
+    nested = "(" * 5000 + "x" + ")" * 5000
+    text = CHECK_JOB.replace("relations = x^3 + x + 3", "relations = " + nested)
+    result = run_cli([write_job(tmp_path, text)])
+    assert result.returncode == 1
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["error"]["kind"] == "job-file"
+    assert "nested deeper than 100" in doc["error"]["message"]
+
+
+def test_level_two_witness_prints_subtraction(tmp_path):
+    # y^2 - 2 splits over QQ(sqrt 2), and y - x is the zero divisor found
+    text = """\
+[ring]
+vars = x, y
+base = QQ
+relations = (y - x)*(x^2 - 2), x^2 - 2
+
+[point]
+generators = x^2 - 2, y^2 - 2
+
+[task]
+kind = check
+dim = 0
+"""
+    result = run_cli([write_job(tmp_path, text)])
+    assert result.returncode == 2
+    assert result.stdout == (
+        '{"error":{"kind":"ideal-not-maximal","message":"the ideal is not '
+        'maximal: y^2 - 2 has the proper factor y - a","witness":"y - a"}}\n'
+    )
+
+
 def test_exit_code_3_for_resource_guard(tmp_path):
     path = write_job(tmp_path, GUARD_JOB)
     result = run_cli([path])

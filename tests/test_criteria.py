@@ -26,6 +26,7 @@ from regulus import (
     partial_derivative,
     special_fiber_verdict,
     tower_reduce,
+    triangular_divide,
     validate_point,
 )
 from regulus.poly import reduce_mod
@@ -193,6 +194,33 @@ def test_check_point_dispatches_on_prime():
     Xg = PresentedVariety(vars, QQ, (parse("x*y - 2", vars),))
     pg = TriangularPoint((parse("x - 2", vars), parse("y - 1", vars)))
     assert check_point(Xg, pg).regular
+
+
+@pytest.mark.parametrize(
+    "ring, relations, generators, prime",
+    [
+        (ZZ, ("x^2 + 1 - 3*y", "(y - x)*(x^2 + 1)"), ("x^2 + 1", "y - x"), 3),
+        (QQ, ("y^2 - x", "x^2 - 2", "(x*y - y)*(y^2 - x)"), ("x^2 - 2", "y^2 - x"), None),
+    ],
+)
+def test_check_divides_each_relation_once(monkeypatch, ring, relations, generators, prime):
+    import regulus.criteria
+    import regulus.poly
+
+    vars = ("x", "y")
+    X = PresentedVariety(vars, ring, tuple(parse(f, vars, ring) for f in relations))
+    point = TriangularPoint(tuple(parse(g, vars, ring) for g in generators), prime=prime)
+    calls = []
+
+    def counting_divide(f, pt):
+        calls.append(f)
+        return triangular_divide(f, pt)
+
+    # membership_certificate looks the division up in poly, so count there too
+    monkeypatch.setattr(regulus.poly, "triangular_divide", counting_divide)
+    monkeypatch.setattr(regulus.criteria, "triangular_divide", counting_divide)
+    check_point(X, point)
+    assert calls == list(X.relations)
 
 
 def test_arithmetic_singular_point():

@@ -15,7 +15,7 @@ from regulus import (
     partial_derivative,
     triangular_divide,
 )
-from regulus.poly import lift_int, rationalize, reduce_mod
+from regulus.poly import MAX_NESTING, lift_int, rationalize, reduce_mod
 
 from helpers import (
     VAR_POOL,
@@ -120,6 +120,18 @@ def test_parse_parens_and_explicit_products():
     with pytest.raises(PolySyntaxError):
         # products need an explicit star
         parse_poly("2 x", ("x",), QQ)
+
+
+def test_parse_nesting_limit():
+    vars = ("x",)
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert P(deepest, vars) == P("x", vars)
+    # the depth is per level, not per pair, so siblings at the limit parse
+    assert P("%s*%s" % (deepest, deepest), vars) == P("x^2", vars)
+    with pytest.raises(PolySyntaxError, match="nested deeper than %d" % MAX_NESTING):
+        P("(%s)" % deepest, vars)
+    with pytest.raises(PolySyntaxError):
+        P("(" * 5000 + "x" + ")" * 5000, vars)
 
 
 def test_parser_roundtrip_random():

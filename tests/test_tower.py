@@ -101,6 +101,32 @@ def test_inverting_zero_divisor_reports_witness():
     assert "x - 2" in info.value.message
 
 
+def test_level_two_printers():
+    vars = ("x", "y")
+    point = TriangularPoint((parse("x^2 - 1/2", vars), parse("y^2 + 1/3*x*y - 3/2", vars)))
+    tower = residue_field(point)
+    assert tower.describe() == "QQ[a]/(a^2-1/2)[b]/(1/3*a*b+b^2-3/2)"
+    # b carries the multi-term coefficient a - 1
+    elem = tower_reduce(parse("(x - 1)*y - 2/3*x + 5", vars), tower)
+    assert tower.elem_str(elem) == "a*b - 2/3*a - b + 5"
+    assert tower.elem_str(-elem) == "-a*b + 2/3*a + b - 5"
+
+
+def test_level_two_witness_over_finite_field():
+    # y^2 - 3 splits over GF(7)[a]/(a^2 - 3) as (y - a)(y + a)
+    vars = ("x", "y")
+    F = PrimeField(7)
+    point = TriangularPoint((parse_poly("x^2 - 3", vars, F), parse_poly("y^2 - 3", vars, F)))
+    tower = residue_field(point)
+    assert tower.describe() == "GF(7)[a]/(a^2+4)[b]/(b^2+4)"
+    with pytest.raises(IdealNotMaximal) as info:
+        tower_invert(tower_reduce(parse_poly("y - x", vars, F), tower))
+    assert info.value.witness == "y + 6*a"
+    assert info.value.message == (
+        "the ideal is not maximal: y^2 + 4 has the proper factor y + 6*a"
+    )
+
+
 def test_inverting_zero_raises():
     tower = residue_field(gf9_point())
     with pytest.raises(ZeroDivisionError):
