@@ -13,6 +13,8 @@ tuple order realizes the monomial order.
 
 from __future__ import annotations
 
+import heapq
+
 from .errors import EmptyVariety, InternalConsistencyError, OracleResourceError
 from .poly import MultiPoly
 
@@ -40,14 +42,6 @@ def _divides(ea, eb) -> bool:
     return all(x <= y for x, y in zip(ea, eb))
 
 
-def _monic(f: MultiPoly, key) -> MultiPoly:
-    _, c = leading_term(f, key)
-    ring = f.ring
-    if c == ring.one():
-        return f
-    return f.scale(ring.inv(c))
-
-
 def normal_form(f: MultiPoly, basis, key) -> MultiPoly:
     """Remainder of f under full division by the basis: no remainder term
     is divisible by any basis leading term."""
@@ -72,14 +66,12 @@ def normal_form(f: MultiPoly, basis, key) -> MultiPoly:
     return MultiPoly(ring, f.vars, rem)
 
 
-def _s_polynomial(f: MultiPoly, g: MultiPoly, key) -> MultiPoly:
-    ring = f.ring
-    ef, cf = leading_term(f, key)
-    eg, cg = leading_term(g, key)
+def _s_polynomial(f: MultiPoly, ef, g: MultiPoly, eg) -> MultiPoly:
+    """S-polynomial of monic f and g with leading exponents ef and eg."""
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    left = f.shift(tuple(a - b for a, b in zip(lcm, ef))).scale(ring.inv(cf))
-    right = g.shift(tuple(a - b for a, b in zip(lcm, eg))).scale(ring.inv(cg))
-    return left - right
+    return f.shift(tuple(a - b for a, b in zip(lcm, ef))) - g.shift(
+        tuple(a - b for a, b in zip(lcm, eg))
+    )
 
 
 def _guard(polys):
@@ -108,69 +100,53 @@ def groebner_basis(gens, order: str = "grevlex"):
         raise ValueError("basis computation needs field coefficients")
     _guard(inputs)
 
-    basis = [_monic(f, key) for f in inputs]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # lts[k] is the leading exponent of basis[k]; the pair heap is keyed by
+    # (key(lcm), i, j), which never changes once the pair is formed
+    basis, lts, pairs = [], [], []
+
+    def add(f):
+        e, c = leading_term(f, key)
+        if c != ring.one():
+            f = f.scale(ring.inv(c))
+        for i, ei in enumerate(lts):
+            lcm = tuple(max(a, b) for a, b in zip(ei, e))
+            heapq.heappush(pairs, (key(lcm), i, len(basis)))
+        basis.append(f)
+        lts.append(e)
+
+    for f in inputs:
+        add(f)
     processed = 0
-
-    def pair_key(p):
-        i, j = p
-        ei, _ = leading_term(basis[i], key)
-        ej, _ = leading_term(basis[j], key)
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        return (key(lcm), i, j)
-
     while pairs:
         processed += 1
         if processed > PAIR_BUDGET:
             raise OracleResourceError(
                 "basis computation exceeded the pair budget (%d)" % PAIR_BUDGET
             )
-        best = min(pairs, key=pair_key)
-        pairs.discard(best)
-        i, j = best
-        ei, _ = leading_term(basis[i], key)
-        ej, _ = leading_term(basis[j], key)
-        if all(min(a, b) == 0 for a, b in zip(ei, ej)):
+        _, i, j = heapq.heappop(pairs)
+        if all(min(a, b) == 0 for a, b in zip(lts[i], lts[j])):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        r = normal_form(_s_polynomial(basis[i], basis[j], key), basis, key)
+        r = normal_form(_s_polynomial(basis[i], lts[i], basis[j], lts[j]), basis, key)
         if not r.is_zero():
-            basis.append(_monic(r, key))
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
+            add(r)
 
-    basis = _minimalize(basis, key)
-    basis = _interreduce(basis, key)
+    # Keep the minimal subset, then reduce each element once by the others.
+    # In a minimal basis no leading term divides another, so the reduction
+    # leaves every leading term and its coefficient 1 in place; one pass
+    # therefore gives the unique reduced basis (Cox, Little and O'Shea,
+    # Ideals, Varieties, and Algorithms, 2.7).
+    keep = []
+    for k in sorted(range(len(basis)), key=lambda k: key(lts[k])):
+        if not any(_divides(lts[m], lts[k]) for m in keep):
+            keep.append(k)
+    basis = [basis[k] for k in reversed(keep)]
+    basis = [normal_form(g, basis[:k] + basis[k + 1 :], key) for k, g in enumerate(basis)]
     for f in inputs:
         if not normal_form(f, basis, key).is_zero():
             raise InternalConsistencyError(
                 "computed basis fails to reduce an input generator to zero"
             )
-    basis.sort(key=lambda g: key(leading_term(g, key)[0]), reverse=True)
     return basis
-
-
-def _minimalize(basis, key):
-    ordered = sorted(basis, key=lambda g: key(leading_term(g, key)[0]))
-    keep = []
-    for f in ordered:
-        ef, _ = leading_term(f, key)
-        if not any(_divides(leading_term(g, key)[0], ef) for g in keep):
-            keep.append(f)
-    return keep
-
-
-def _interreduce(basis, key):
-    for _ in range(len(basis) + 5):
-        changed = False
-        for idx in range(len(basis)):
-            others = basis[:idx] + basis[idx + 1 :]
-            r = _monic(normal_form(basis[idx], others, key), key)
-            if r != basis[idx]:
-                basis[idx] = r
-                changed = True
-        if not changed:
-            return basis
-    raise InternalConsistencyError("interreduction failed to reach a fixpoint")
 
 
 def ideal_dimension(gens, order: str = "grevlex") -> int:

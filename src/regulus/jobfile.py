@@ -129,6 +129,15 @@ def _parse_vars(entry):
     return tuple(names)
 
 
+def _require_prime(line_no, field, p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:  # too large for the primality test
+        raise JobFileError("line %d: %s: %s" % (line_no, field, exc)) from None
+    if not prime:
+        raise JobFileError("line %d: %s: %d is not prime" % (line_no, field, p))
+
+
 def _parse_base(entry):
     line_no, value = entry
     if value == "ZZ":
@@ -140,8 +149,7 @@ def _parse_base(entry):
         if not body.isdigit():
             raise JobFileError("line %d: ring.base: bad prime in %r" % (line_no, value))
         p = int(body)
-        if not is_prime(p):
-            raise JobFileError("line %d: ring.base: %d is not prime" % (line_no, p))
+        _require_prime(line_no, "ring.base", p)
         return PrimeField(p)
     raise JobFileError(
         "line %d: ring.base must be ZZ, QQ, or GF(p), got %r" % (line_no, value)
@@ -208,10 +216,7 @@ def parse_job(text: str) -> Job:
         if prime_entry is None:
             raise JobFileError("point.prime is required over base ZZ")
         prime = _parse_nonneg(prime_entry, "point.prime")
-        if not is_prime(prime):
-            raise JobFileError(
-                "line %d: point.prime: %d is not prime" % (prime_entry[0], prime)
-            )
+        _require_prime(prime_entry[0], "point.prime", prime)
     else:
         if prime_entry is not None:
             raise JobFileError(

@@ -33,17 +33,10 @@ class FieldMatrix:
         self.nrows = len(rows)
         self.ncols = width
 
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        return cls(field, [[field.zero()] * ncols for _ in range(nrows)])
-
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(
             self.field, [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
         )
-
-    def entry(self, i, j):
-        return self.rows[i][j]
 
     def rank(self) -> int:
         field = self.field

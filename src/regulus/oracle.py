@@ -20,9 +20,11 @@ m^0/m^1 and m^1/m^2 have the expected sizes and the spanning set cannot
 collapse.  Normal forms in A* come from ``triangular_divide`` by the
 generators transported to Z/p^2 and interreduced (``normalized_generators``).
 The images of the relations and of p*g_j span the denominator
-of m/(I + m^2) inside A*; a two-phase elimination (unit pivots over
-Z/p^2, then an F_p rank of what remains, which is all divisible by p)
-counts the quotient exactly.
+of m/(I + m^2) inside A*, and one plain-int elimination with unit pivots
+(``_unit_sweep``) counts the quotient exactly.  It runs twice: over Z/p^2,
+which leaves rows that are all divisible by p, and then over Z/p on those
+rows divided by p, where every nonzero entry is a unit, so its pivot count
+is their F_p rank.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from itertools import product as _iterproduct
 
 from .errors import InternalConsistencyError, PointNotOnVariety
 from .groebner import groebner_basis, order_key, standard_monomial_count
-from .linalg import FieldMatrix
 from .poly import (
     MultiPoly,
     TriangularPoint,
@@ -39,7 +40,7 @@ from .poly import (
     membership_certificate,
     triangular_divide,
 )
-from .rings import ZZ, PrimeField
+from .rings import ZZ
 
 
 class _ModRing:
@@ -151,10 +152,8 @@ def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
             for layer in range(n):
                 rows.append(layer_vector(shifted, layer))
 
-    u, residual = _unit_sweep(rows, p)
-    field = PrimeField(p)
-    fp_rows = [[field.from_int(x // p) for x in r] for r in residual]
-    r_p = FieldMatrix(field, fp_rows).rank() if fp_rows else 0
+    u, residual = _unit_sweep(rows, p, m2)
+    r_p, _ = _unit_sweep([[x // p for x in r] for r in residual], p, p)
 
     log_quotient = 2 * width - (2 * u + r_p)
     log_residue = d_t  # [kappa : F_p] = product of level degrees
@@ -167,15 +166,14 @@ def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
     return s // d_t
 
 
-def _unit_sweep(rows, p):
-    """Eliminate over Z/p^2 using unit pivots only.
+def _unit_sweep(rows, p, m):
+    """Eliminate over Z/m, for m = p or p^2, using unit pivots only.
 
     Returns (u, residual): u unit-pivot steps were possible, and afterwards
     every entry of every remaining row is divisible by p."""
-    m2 = p * p
     pending = []
     for r in rows:
-        rr = [x % m2 for x in r]
+        rr = [x % m for x in r]
         if any(rr):
             pending.append(rr)
     u = 0
@@ -192,13 +190,13 @@ def _unit_sweep(rows, p):
             return u, pending
         ri, ci = hit
         row = pending.pop(ri)
-        inv = pow(row[ci], -1, m2)
-        row = [(x * inv) % m2 for x in row]
+        inv = pow(row[ci], -1, m)
+        row = [(x * inv) % m for x in row]
         nxt = []
         for other in pending:
             f = other[ci]
             if f:
-                other = [(a - f * b) % m2 for a, b in zip(other, row)]
+                other = [(a - f * b) % m for a, b in zip(other, row)]
             if any(other):
                 nxt.append(other)
         pending = nxt

@@ -57,6 +57,9 @@ def format_terms(ordered_terms, var_names, elem_str, split_sign=None, compact=Fa
             body = cs
         if k == 0:
             out.append("-" + body if neg else body)
+        elif body.startswith("-"):
+            # a constant tower coefficient that prints its own leading sign
+            out.append(minus + body[1:])
         else:
             out.append((minus if neg else plus) + body)
     return "".join(out)

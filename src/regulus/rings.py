@@ -16,19 +16,38 @@ from fractions import Fraction
 Rational = Fraction
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Miller-Rabin on the bases above is exact below this bound (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; inputs are desk scale by contract."""
+    """Deterministic Miller-Rabin; raises ValueError for n >= PRIME_BOUND,
+    where the test is no longer proven exact."""
+    if n >= PRIME_BOUND:
+        raise ValueError(
+            "%d is not below %d, the bound of the primality test" % (n, PRIME_BOUND)
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -272,11 +272,6 @@ class ResidueTower:
         for e, c in enumerate(data):
             self._flatten(k - 1, c, (e,) + prefix, out)
 
-    def elem_dict(self, a) -> dict:
-        out = {}
-        self._flatten(len(self.levels), a.data, (), out)
-        return out
-
     def _flat_str(self, k, flat, compact=False):
         """Print exponent-tuple -> base-scalar terms in the names of levels 1..k."""
         items = sorted(flat.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
@@ -356,9 +351,6 @@ class TowerElem:
 
     def is_zero(self) -> bool:
         return self.tower.is_zero(self)
-
-    def as_dict(self) -> dict:
-        return self.tower.elem_dict(self)
 
     def __eq__(self, other):
         return (

@@ -40,6 +40,25 @@ generators = x^2 - 4
 kind = check
 """
 
+# -1 is not a square modulo 10^18 + 3, which is 3 mod 4
+LARGE_PRIME_JOB = """\
+[ring]
+vars = x, y
+base = ZZ
+relations = x^2 + 1, x*y - 5
+
+[point]
+prime = 1000000000000000003
+generators = x^2 + 1, y + 5*x
+
+[task]
+kind = check
+"""
+
+# the first prime above 3317044064679887385961981, where the primality
+# test stops being proven exact
+PRIME_ABOVE_BOUND = "3317044064679887385962123"
+
 GUARD_JOB = """\
 [ring]
 vars = a, b, c, d, e
@@ -54,11 +73,12 @@ kind = oracle-crosscheck
 """
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "regulus.cli"] + args,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -148,6 +168,31 @@ def test_exit_code_1_for_parse_errors(tmp_path):
     assert "4 is not prime" in doc["error"]["message"]
 
 
+def test_large_prime_runs_in_seconds(tmp_path):
+    result = run_cli([write_job(tmp_path, LARGE_PRIME_JOB)], timeout=10)
+    assert result.returncode == 0
+    doc = json.loads(result.stdout)
+    assert doc["residue_field"] == "GF(1000000000000000003)[a]/(a^2+1)"
+    assert doc["regular"] is True
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (LARGE_PRIME_JOB.replace("1000000000000000003", PRIME_ABOVE_BOUND), "line 7: point.prime"),
+        (BAD_MAXIMALITY_JOB.replace("QQ", "GF(%s)" % PRIME_ABOVE_BOUND), "line 3: ring.base"),
+    ],
+    ids=["point.prime", "ring.base"],
+)
+def test_exit_code_1_for_prime_beyond_primality_bound(tmp_path, text, where):
+    result = run_cli([write_job(tmp_path, text)], timeout=10)
+    assert result.returncode == 1
+    doc = json.loads(result.stdout)
+    assert doc["error"]["kind"] == "job-file"
+    assert doc["error"]["message"].startswith(where + ": " + PRIME_ABOVE_BOUND)
+    assert "bound of the primality test" in doc["error"]["message"]
+
+
 def test_exit_code_2_for_point_off_variety(tmp_path):
     text = CHECK_JOB.replace("generators = x^2 + 1", "generators = x - 1")
     path = write_job(tmp_path, text)
@@ -188,6 +233,30 @@ dim = 0
     assert result.stdout == (
         '{"error":{"kind":"ideal-not-maximal","message":"the ideal is not '
         'maximal: y^2 - 2 has the proper factor y - a","witness":"y - a"}}\n'
+    )
+
+
+def test_level_two_witness_with_several_terms_prints_subtraction(tmp_path):
+    # y^2 - 2*x - 3 = (y - x - 1)(y + x + 1) over QQ(sqrt 2)
+    text = """\
+[ring]
+vars = x, y
+base = QQ
+relations = (y - x - 1)*(x^2 - 2), x^2 - 2
+
+[point]
+generators = x^2 - 2, y^2 - 2*x - 3
+
+[task]
+kind = check
+dim = 0
+"""
+    result = run_cli([write_job(tmp_path, text)])
+    assert result.returncode == 2
+    assert result.stdout == (
+        '{"error":{"kind":"ideal-not-maximal","message":"the ideal is not '
+        'maximal: y^2 - 2*a - 3 has the proper factor y - a - 1",'
+        '"witness":"y - a - 1"}}\n'
     )
 
 

@@ -181,3 +181,46 @@ def test_variable_guard():
 def test_degree_guard():
     with pytest.raises(OracleResourceError):
         groebner_basis([parse("x^7 - 1", ("x",))])
+
+
+def test_pair_budget_counts_every_pair_taken(monkeypatch):
+    # this ideal takes exactly 10 pairs, coprime-skipped ones included
+    vars = ("x", "y", "z")
+    gens = [parse(s, vars) for s in ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")]
+    monkeypatch.setattr("regulus.groebner.PAIR_BUDGET", 10)
+    assert len(groebner_basis(gens, "grevlex")) == 3
+    monkeypatch.setattr("regulus.groebner.PAIR_BUDGET", 9)
+    with pytest.raises(OracleResourceError):
+        groebner_basis(gens, "grevlex")
+
+
+def test_reduced_basis_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def monic_set(polys):
+        return {f.monic() for f in polys if not f.is_zero}
+
+    rng = random.Random(331)
+    done = 0
+    while done < 60:
+        ring = rng.choice((QQ, PrimeField(7)))
+        vars = VAR_POOL[: rng.randrange(2, 4)]
+        gens = [random_poly(ring, vars, rng, max_exp=2, terms=3) for _ in range(rng.randrange(2, 4))]
+        if all(g.is_zero() for g in gens):
+            continue
+        order = rng.choice(("lex", "grevlex"))
+        syms = sympy.symbols(vars)
+        if ring is QQ:
+            domain = {"domain": "QQ"}
+            coeff = lambda c: sympy.Rational(c.numerator, c.denominator)
+        else:
+            domain = {"modulus": 7}
+            coeff = lambda c: c.value
+
+        def to_sympy(f):
+            return sympy.Poly.from_dict({e: coeff(c) for e, c in f.terms.items()}, syms, **domain)
+
+        ours = monic_set(to_sympy(g) for g in groebner_basis(gens, order))
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *syms, order=order, **domain)
+        assert ours == monic_set(theirs.polys)
+        done += 1

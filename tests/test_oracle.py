@@ -14,6 +14,7 @@ from regulus import (
     cotangent_dimension,
     generalized_jacobian,
 )
+from regulus.oracle import _unit_sweep
 
 from helpers import (
     VAR_POOL,
@@ -128,3 +129,17 @@ def test_arithmetic_agreement_random():
         aug = FieldMatrix(J.field, [row + [e] for row, e in zip(J.rows, extra)])
         rank = aug.rank()
         assert n + 1 - rank == cotangent_dimension(point, list(rels))
+
+
+def test_unit_sweep_modulo_p_is_the_field_rank():
+    rng = random.Random(419)
+    for _ in range(80):
+        p = rng.choice((2, 3, 5, 13))
+        nrows, ncols, inner = rng.randrange(1, 7), rng.randrange(1, 7), rng.randrange(1, 5)
+        # a product through `inner` columns keeps the rank at most `inner`
+        a = [[rng.randrange(-p, 2 * p) for _ in range(inner)] for _ in range(nrows)]
+        b = [[rng.randrange(-p, 2 * p) for _ in range(ncols)] for _ in range(inner)]
+        rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] for r in a]
+        field = PrimeField(p)
+        expected = FieldMatrix(field, [[field.from_int(x) for x in r] for r in rows]).rank()
+        assert _unit_sweep(rows, p, p) == (expected, [])

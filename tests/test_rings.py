@@ -1,7 +1,7 @@
 import pytest
 
 from regulus import PrimeField, QQ, ZZ
-from regulus.rings import PrimeFieldElem, is_prime
+from regulus.rings import PRIME_BOUND, PrimeFieldElem, is_prime
 
 
 def test_is_prime_small():
@@ -10,6 +10,19 @@ def test_is_prime_small():
     assert not is_prime(1)
     assert not is_prime(0)
     assert not is_prime(-7)
+
+
+def test_is_prime_large():
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    # strong pseudoprime to the first twelve prime bases; the 13th catches it
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) * (10**9 + 7))
+    assert is_prime(3317044064679887385961813)  # the largest prime below the bound
+    with pytest.raises(ValueError):
+        is_prime(PRIME_BOUND)
 
 
 def test_prime_field_is_cached():
