@@ -7,6 +7,11 @@ into doubly-exponential territory.  Within that envelope it produces the
 unique reduced basis for the requested order and then re-verifies that
 every input generator reduces to zero against it.
 
+Reduction runs in place on a dict of terms, taking the largest monomial
+from a heap.  Each basis element's divisor data, its leading exponent and
+monic tail, is computed once when the element joins the basis, and each
+exponent's heap key once per basis computation.
+
 Orders are given by key functions on exponent tuples; comparing keys with
 tuple order realizes the monomial order.
 """
@@ -14,6 +19,7 @@ tuple order realizes the monomial order.
 from __future__ import annotations
 
 import heapq
+from operator import add, le, sub
 
 from .errors import EmptyVariety, InternalConsistencyError, OracleResourceError
 from .poly import MultiPoly
@@ -42,36 +48,103 @@ def _divides(ea, eb) -> bool:
     return all(x <= y for x, y in zip(ea, eb))
 
 
+def _descending(k):
+    """Key whose ascending tuple order is the descending order of the
+    order key ``k``, a tuple of ints and tuples of ints."""
+    return tuple(-x if isinstance(x, int) else _descending(x) for x in k)
+
+
+class _HeapEntries(dict):
+    """Max-heap entry ``(descending key, exponent)`` of each exponent,
+    computed once on first use."""
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, e):
+        entry = self[e] = (_descending(self.key(e)), e)
+        return entry
+
+
+def _divisor(terms: dict, ring, key):
+    """(leading exponent, monic tail) of the nonzero polynomial with these
+    terms: what a reduction step by it needs, with the tail as (exponent,
+    coefficient) pairs."""
+    e = max(terms, key=key)
+    inv = ring.inv(terms[e])
+    return e, [(x, v * inv) for x, v in terms.items() if x != e]
+
+
+def _reduce(work: dict, divisors, ring, entries) -> dict:
+    """Full reduction of the terms ``work`` by ``divisors``, in place.
+
+    The largest remaining monomial comes off a heap of ``entries``; an
+    exponent that has left ``work`` since it was pushed is skipped.  The
+    first divisor, in list order, whose leading exponent divides it is
+    subtracted; if none does, the term moves to the remainder, which is
+    returned in decreasing order.
+    """
+    is_zero = ring.is_zero
+    heap = [entries[e] for e in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        for ge, tail in divisors:
+            if all(map(le, ge, e)):
+                shift = tuple(map(sub, e, ge))
+                neg = -c
+                for te, tc in tail:
+                    m = tuple(map(add, te, shift))
+                    v = work.get(m)
+                    if v is None:
+                        work[m] = neg * tc
+                        heapq.heappush(heap, entries[m])
+                    else:
+                        v += neg * tc
+                        if is_zero(v):
+                            del work[m]
+                        else:
+                            work[m] = v
+                break
+        else:
+            rem[e] = c
+    return rem
+
+
 def normal_form(f: MultiPoly, basis, key) -> MultiPoly:
     """Remainder of f under full division by the basis: no remainder term
-    is divisible by any basis leading term."""
-    ring = f.ring
-    rem = {}
-    work = f
-    lts = [leading_term(g, key) for g in basis]
-    while not work.is_zero():
-        exps, coeff = leading_term(work, key)
-        hit = None
-        for g, (ge, gc) in zip(basis, lts):
-            if _divides(ge, exps):
-                hit = (g, ge, gc)
-                break
-        if hit is None:
-            rem[exps] = coeff
-            work = work - MultiPoly(ring, work.vars, {exps: coeff})
+    is divisible by any basis leading term.  Each step uses the first
+    basis element, in list order, whose leading term divides."""
+    divisors = [_divisor(g.terms, g.ring, key) for g in basis]
+    rem = _reduce(dict(f.terms), divisors, f.ring, _HeapEntries(key))
+    return MultiPoly(f.ring, f.vars, rem)
+
+
+def _s_polynomial(di, dj, ring) -> dict:
+    """Terms of the S-polynomial of two monic polynomials, given by their
+    divisor data: the leading terms cancel, so it is the first tail minus
+    the second, each shifted up to the lcm of the leading exponents."""
+    (ei, ti), (ej, tj) = di, dj
+    lcm = tuple(map(max, ei, ej))
+    si, sj = tuple(map(sub, lcm, ei)), tuple(map(sub, lcm, ej))
+    work = {tuple(map(add, x, si)): v for x, v in ti}
+    for x, v in tj:
+        m = tuple(map(add, x, sj))
+        w = work.get(m)
+        if w is None:
+            work[m] = -v
         else:
-            g, ge, gc = hit
-            shift = tuple(a - b for a, b in zip(exps, ge))
-            work = work - g.shift(shift).scale(coeff * ring.inv(gc))
-    return MultiPoly(ring, f.vars, rem)
-
-
-def _s_polynomial(f: MultiPoly, ef, g: MultiPoly, eg) -> MultiPoly:
-    """S-polynomial of monic f and g with leading exponents ef and eg."""
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    return f.shift(tuple(a - b for a, b in zip(lcm, ef))) - g.shift(
-        tuple(a - b for a, b in zip(lcm, eg))
-    )
+            w -= v
+            if ring.is_zero(w):
+                del work[m]
+            else:
+                work[m] = w
+    return work
 
 
 def _guard(polys):
@@ -100,22 +173,20 @@ def groebner_basis(gens, order: str = "grevlex"):
         raise ValueError("basis computation needs field coefficients")
     _guard(inputs)
 
-    # lts[k] is the leading exponent of basis[k]; the pair heap is keyed by
+    # divisors[k] is the leading exponent and monic tail of the k-th basis
+    # element, built once when it joins; the pair heap is keyed by
     # (key(lcm), i, j), which never changes once the pair is formed
-    basis, lts, pairs = [], [], []
+    divisors, pairs = [], []
+    entries = _HeapEntries(key)
 
-    def add(f):
-        e, c = leading_term(f, key)
-        if c != ring.one():
-            f = f.scale(ring.inv(c))
-        for i, ei in enumerate(lts):
-            lcm = tuple(max(a, b) for a, b in zip(ei, e))
-            heapq.heappush(pairs, (key(lcm), i, len(basis)))
-        basis.append(f)
-        lts.append(e)
+    def join(terms):
+        e, tail = _divisor(terms, ring, key)
+        for i, (ei, _) in enumerate(divisors):
+            heapq.heappush(pairs, (key(tuple(map(max, ei, e))), i, len(divisors)))
+        divisors.append((e, tail))
 
     for f in inputs:
-        add(f)
+        join(f.terms)
     processed = 0
     while pairs:
         processed += 1
@@ -124,11 +195,11 @@ def groebner_basis(gens, order: str = "grevlex"):
                 "basis computation exceeded the pair budget (%d)" % PAIR_BUDGET
             )
         _, i, j = heapq.heappop(pairs)
-        if all(min(a, b) == 0 for a, b in zip(lts[i], lts[j])):
+        if all(min(a, b) == 0 for a, b in zip(divisors[i][0], divisors[j][0])):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        r = normal_form(_s_polynomial(basis[i], lts[i], basis[j], lts[j]), basis, key)
-        if not r.is_zero():
-            add(r)
+        r = _reduce(_s_polynomial(divisors[i], divisors[j], ring), divisors, ring, entries)
+        if r:
+            join(r)
 
     # Keep the minimal subset, then reduce each element once by the others.
     # In a minimal basis no leading term divides another, so the reduction
@@ -136,13 +207,20 @@ def groebner_basis(gens, order: str = "grevlex"):
     # therefore gives the unique reduced basis (Cox, Little and O'Shea,
     # Ideals, Varieties, and Algorithms, 2.7).
     keep = []
-    for k in sorted(range(len(basis)), key=lambda k: key(lts[k])):
-        if not any(_divides(lts[m], lts[k]) for m in keep):
+    for k in sorted(range(len(divisors)), key=lambda k: key(divisors[k][0])):
+        if not any(_divides(divisors[m][0], divisors[k][0]) for m in keep):
             keep.append(k)
-    basis = [basis[k] for k in reversed(keep)]
-    basis = [normal_form(g, basis[:k] + basis[k + 1 :], key) for k, g in enumerate(basis)]
+    minimal = [divisors[k] for k in reversed(keep)]
+    vars = inputs[0].vars
+    basis = []
+    for n, (e, tail) in enumerate(minimal):
+        work = dict(tail)
+        work[e] = ring.one()
+        rem = _reduce(work, minimal[:n] + minimal[n + 1 :], ring, entries)
+        basis.append(MultiPoly(ring, vars, rem))
+    divisors = [_divisor(g.terms, ring, key) for g in basis]
     for f in inputs:
-        if not normal_form(f, basis, key).is_zero():
+        if _reduce(dict(f.terms), divisors, ring, entries):
             raise InternalConsistencyError(
                 "computed basis fails to reduce an input generator to zero"
             )

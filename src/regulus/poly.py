@@ -190,12 +190,12 @@ class MultiPoly:
         """Evaluate at the given ring elements, one per variable."""
         assert len(values) == len(self.vars)
         total = None
-        powers = [{0: None} for _ in values]
+        powers = [[None] for _ in values]  # powers[i][e] is values[i]^e, e >= 1
 
         def power(i, e):
             cache = powers[i]
-            if e not in cache:
-                cache[e] = values[i] if e == 1 else power(i, e - 1) * values[i]
+            while len(cache) <= e:
+                cache.append(values[i] if len(cache) == 1 else cache[-1] * values[i])
             return cache[e]
 
         for exps, coeff in self.sorted_terms():

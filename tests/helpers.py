@@ -9,7 +9,7 @@ that consume them never need to swallow library errors.
 import itertools
 from fractions import Fraction
 
-from regulus import MultiPoly, PrimeField, QQ, TriangularPoint, ZZ, parse_poly
+from regulus import MultiPoly, PrimeField, QQ, TriangularPoint, ZZ, leading_term, parse_poly
 from regulus.poly import lift_int
 from regulus.tower import residue_field, tower_reduce
 
@@ -293,3 +293,29 @@ def random_tower_element(tower, rng, depth=2):
     if depth and rng.randrange(3) == 0:
         elem = elem * random_tower_element(tower, rng, depth - 1)
     return elem
+
+
+def reference_normal_form(f, divisors, key):
+    """Remainder of f under full division by ``divisors``, the plain loop:
+    take the leading term of what is left, subtract a multiple of the
+    first divisor whose leading term divides it, else move it to the
+    remainder.  Any divisor list works, Groebner basis or not."""
+    ring = f.ring
+    rem = {}
+    work = f
+    lts = [leading_term(g, key) for g in divisors]
+    while not work.is_zero():
+        exps, coeff = leading_term(work, key)
+        hit = None
+        for g, (ge, gc) in zip(divisors, lts):
+            if all(a <= b for a, b in zip(ge, exps)):
+                hit = (g, ge, gc)
+                break
+        if hit is None:
+            rem[exps] = coeff
+            work = work - MultiPoly(ring, work.vars, {exps: coeff})
+        else:
+            g, ge, gc = hit
+            shift = tuple(a - b for a, b in zip(exps, ge))
+            work = work - g.shift(shift).scale(coeff * ring.inv(gc))
+    return MultiPoly(ring, f.vars, rem)

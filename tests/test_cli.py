@@ -213,6 +213,30 @@ def test_exit_code_1_for_deep_parentheses(tmp_path):
     assert "nested deeper than 100" in doc["error"]["message"]
 
 
+def test_high_degree_relation_evaluates(tmp_path):
+    # the derivative 1000*x^999 is evaluated at the point; its powers of x
+    # must not cost one stack frame per exponent
+    text = """\
+[ring]
+vars = x
+base = QQ
+relations = x^1000 - 1
+
+[point]
+generators = x - 1
+
+[task]
+kind = check
+dim = 0
+"""
+    result = run_cli([write_job(tmp_path, text)])
+    assert result.returncode == 0
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["regular"] is True
+    assert doc["jacobian"] == [["1000"]]
+
+
 def test_level_two_witness_prints_subtraction(tmp_path):
     # y^2 - 2 splits over QQ(sqrt 2), and y - x is the zero divisor found
     text = """\

@@ -16,7 +16,7 @@ from regulus import (
 )
 from regulus.groebner import standard_monomial_count
 
-from helpers import VAR_POOL, parse, random_poly
+from helpers import VAR_POOL, parse, random_poly, reference_normal_form
 
 
 def _is_reduced_basis(basis, key):
@@ -80,6 +80,37 @@ def test_basis_membership_by_normal_form():
     assert normal_form(combo, basis, key).is_zero()
     # 1 is not in this ideal
     assert not normal_form(parse("1", vars), basis, key).is_zero()
+
+
+def test_normal_form_matches_reference_division():
+    # division by a set that is not a Groebner basis depends on the order
+    # in which divisors are tried, so this pins the first-divisor rule
+    rng = random.Random(347)
+    for _ in range(400):
+        ring = rng.choice((QQ, PrimeField(7)))
+        vars = VAR_POOL[: rng.randrange(1, 4)]
+        key = order_key(rng.choice(("lex", "grlex", "grevlex")))
+        f = random_poly(ring, vars, rng, max_exp=3, terms=6)
+        divisors = [random_poly(ring, vars, rng, max_exp=2, terms=3) for _ in range(4)]
+        divisors = [g for g in divisors[: rng.randrange(5)] if not g.is_zero()]
+        assert normal_form(f, divisors, key) == reference_normal_form(f, divisors, key)
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("order", ["lex", "grlex", "grevlex"])
+def test_normal_form_edge_cases(ring, order):
+    vars = ("x", "y")
+    key = order_key(order)
+    f = parse("3*x^2*y - x*y + 2*y^2 - 5", vars, ring)
+    zero = MultiPoly.zero(ring, vars)
+    divisors = [parse("2*x*y - 1", vars, ring), parse("3*y^2 + x", vars, ring)]
+    constant = parse("4", vars, ring)
+    assert normal_form(zero, divisors, key) == zero
+    assert normal_form(f, [], key) == f
+    assert normal_form(f, [constant], key) == zero
+    assert normal_form(f, divisors + [constant], key) == zero
+    for basis in ([], divisors, divisors[::-1], [constant]):
+        assert normal_form(f, basis, key) == reference_normal_form(f, basis, key)
 
 
 def test_reduced_basis_properties_random():
@@ -183,15 +214,24 @@ def test_degree_guard():
         groebner_basis([parse("x^7 - 1", ("x",))])
 
 
+# each ideal takes exactly `pairs` pairs, coprime-skipped ones included:
+# the smallest PAIR_BUDGET with which its basis computation succeeds
+PAIR_COUNTS = [
+    (QQ, ("x", "y", "z"), ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1"), "grevlex", 10, 3),
+    (PrimeField(7), ("x", "y", "z"), ("x^2 + y*z - 1", "y^2 - x*z + 2", "z^2 + x*y + 3"), "grevlex", 21, 3),
+    (QQ, ("x", "y", "z"), ("x^2 + y^2 + z^2 - 1", "x*y - z", "x - y^2 + z"), "lex", 66, 3),
+    (QQ, ("x", "y"), ("x^2*y - y^3 + 1", "x*y^2 - x - 2"), "lex", 15, 2),
+]
+
+
 def test_pair_budget_counts_every_pair_taken(monkeypatch):
-    # this ideal takes exactly 10 pairs, coprime-skipped ones included
-    vars = ("x", "y", "z")
-    gens = [parse(s, vars) for s in ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")]
-    monkeypatch.setattr("regulus.groebner.PAIR_BUDGET", 10)
-    assert len(groebner_basis(gens, "grevlex")) == 3
-    monkeypatch.setattr("regulus.groebner.PAIR_BUDGET", 9)
-    with pytest.raises(OracleResourceError):
-        groebner_basis(gens, "grevlex")
+    for ring, vars, texts, order, pairs, size in PAIR_COUNTS:
+        gens = [parse(s, vars, ring) for s in texts]
+        monkeypatch.setattr("regulus.groebner.PAIR_BUDGET", pairs)
+        assert len(groebner_basis(gens, order)) == size
+        monkeypatch.setattr("regulus.groebner.PAIR_BUDGET", pairs - 1)
+        with pytest.raises(OracleResourceError):
+            groebner_basis(gens, order)
 
 
 def test_reduced_basis_matches_sympy():
