@@ -15,6 +15,7 @@ deterministic division that every downstream criterion builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import InvalidPoint, PolySyntaxError
 from .rings import QQ, ZZ, Fraction, PrimeField, PrimeFieldElem, is_prime
@@ -134,15 +135,19 @@ class MultiPoly:
         return MultiPoly(self.ring, self.vars, terms)
 
     def __pow__(self, n: int):
-        assert n >= 0
-        result = MultiPoly.constant(self.ring, self.vars, self.ring.one())
+        if n < 0:
+            raise ValueError("negative exponent %d" % n)
+        if n == 0:
+            return MultiPoly.constant(self.ring, self.vars, self.ring.one())
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def scale(self, coeff):
         return MultiPoly(
@@ -169,7 +174,7 @@ class MultiPoly:
         return self.terms.get((0,) * len(self.vars), self.ring.zero())
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def degree_in(self, index: int) -> int:
         return max((e[index] for e in self.terms), default=0)
@@ -268,6 +273,15 @@ _INT, _IDENT, _OP, _END = "int", "ident", "op", "end"
 # as a syntax error before it can exhaust the interpreter's stack.
 MAX_NESTING = 100
 
+# Every exponent, and the total degree of every polynomial the parser forms,
+# is at most MAX_DEGREE; every such polynomial has at most MAX_TERMS terms.
+# Products and powers are checked before they are expanded, against a bound
+# on the result; sums after, since they cost no more than their operands.
+# Larger input is a syntax error rather than unbounded work (division peels
+# one degree per step).
+MAX_DEGREE = 2000
+MAX_TERMS = 1000
+
 
 def _tokenize(text):
     tokens = []
@@ -307,6 +321,7 @@ class _Parser:
         self.depth = 0
         self.vars = tuple(vars)
         self.ring = ring
+        self.variables = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -328,19 +343,26 @@ class _Parser:
         while True:
             kind, text, _ = self.peek()
             if kind == _OP and text in "+-":
-                self.take()
+                _, _, pos = self.take()
                 rhs = self.term()
                 result = result + rhs if text == "+" else result - rhs
+                if len(result.terms) > MAX_TERMS:
+                    raise PolySyntaxError(
+                        "%d terms are above the limit of %d" % (len(result.terms), MAX_TERMS),
+                        pos,
+                    )
             else:
                 return result
 
     def term(self):
         result = self.factor()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == _OP and text == "*":
                 self.take()
-                result = result * self.factor()
+                rhs = self.factor()
+                self.check_size(((result, 1), (rhs, 1)), pos)
+                result = result * rhs
             else:
                 return result
 
@@ -352,8 +374,40 @@ class _Parser:
             kind, text, pos = self.take()
             if kind != _INT:
                 raise PolySyntaxError("expected a nonnegative integer exponent", pos)
-            return base ** int(text)
+            exponent = int(text)
+            if exponent > MAX_DEGREE:
+                raise PolySyntaxError(
+                    "exponent %d is above the limit of %d" % (exponent, MAX_DEGREE), pos
+                )
+            self.check_size(((base, exponent),), pos)
+            return base ** exponent
         return base
+
+    def check_size(self, factors, pos):
+        """Reject the product of ``factors``, (polynomial, exponent) pairs,
+        before it is formed if it could break a limit."""
+        degree, terms = 0, 1
+        for f, e in factors:
+            degree += e * f.total_degree()
+            terms *= len(f.terms) ** e
+        if degree > MAX_DEGREE:
+            raise PolySyntaxError(
+                "total degree %d is above the limit of %d" % (degree, MAX_DEGREE), pos
+            )
+        if terms <= MAX_TERMS:
+            return
+        # no more terms than monomials within the degree in each variable,
+        # or of at most the total degree in the variables that occur
+        box = [sum(e * f.degree_in(i) for f, e in factors) for i in range(len(self.vars))]
+        used = [d for d in box if d]
+        in_box = 1
+        for d in used:
+            in_box *= d + 1
+        terms = min(terms, in_box, comb(len(used) + degree, len(used)))
+        if terms > MAX_TERMS:
+            raise PolySyntaxError(
+                "%d terms are above the limit of %d" % (terms, MAX_TERMS), pos
+            )
 
     def base(self):
         kind, text, pos = self.take()
@@ -377,7 +431,11 @@ class _Parser:
         if kind == _IDENT:
             if text not in self.vars:
                 raise PolySyntaxError("unknown variable %r" % text, pos)
-            return MultiPoly.variable(self.ring, self.vars, self.vars.index(text))
+            if text not in self.variables:  # polynomials are never mutated
+                self.variables[text] = MultiPoly.variable(
+                    self.ring, self.vars, self.vars.index(text)
+                )
+            return self.variables[text]
         if kind == _OP and text == "(":
             if self.depth == MAX_NESTING:
                 raise PolySyntaxError(

@@ -1,10 +1,23 @@
 """Residue fields presented as towers of monogenic extensions.
 
 A tower starts from QQ or GF(p) and stacks one level per point generator:
-level i adjoins a root of g_i, read off the triangular system.  Elements are
-kept in canonical form as nested dense coefficient tuples, one layer per
-level, every exponent strictly below its level degree, so equality is
-structural and enumeration is finite over finite bases.
+level i adjoins a root of g_i, read off the triangular system.  An element
+is one flat vector of D integer leaves, D the product of the level degrees.
+Leaf r is the coefficient of the monomial whose exponents are the mixed-radix
+digits of r, level 1 least significant, every exponent strictly below its
+level degree.  So a level-k element is the first D_k leaves of a level-n one,
+and the i-th block of D_(k-1) leaves of a level-k element is its coefficient
+of x_k^i.  Over QQ the leaves are numerators over one common positive
+denominator, over GF(p) residues in [0, p) over denominator 1; every
+operation ends in one normalization (content removed, or residues taken), so
+the form is canonical and equality is structural.  Base scalars (Fraction,
+PrimeFieldElem) appear only on the way in (``coerce``) and out (printing).
+
+A product is formed densely in an extended layout, radix 2*d_k - 1 per
+level, where exponents add without carries, and then folded down in place
+from the top level with the level tails.  A tail with denominators scales
+the blocks not yet folded by a constant of its level, so the common
+denominator of a product is fixed by the tower alone.
 
 Whether the tower really is a field is *not* decided up front.  Inversion
 runs an extended gcd against the level polynomial; a nontrivial gcd proves
@@ -14,6 +27,8 @@ defective tower computes sums and products happily until someone inverts.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .errors import IdealNotMaximal
 from .poly import MultiPoly, _signed_split, format_terms, grlex_key
@@ -27,7 +42,7 @@ class TowerLevel:
         self.var = var          # generator variable, as the user wrote it
         self.display = display  # print name: 'a' for level 1, 'b' for level 2, ...
         self.degree = degree
-        self.tail = tail        # x^degree == sum_j tail[j] x^j, one level down
+        self.tail = tail        # x^degree == sum_j tail[j] x^j; (leaves, den) one level down
 
 
 def _display_name(i):
@@ -44,14 +59,42 @@ class ResidueTower:
             getattr(base, "name", repr(base)),
             tuple((lv.var, lv.degree, lv.tail) for lv in self.levels),
         )
-        deg = 1
-        zeros = [base.zero()]
-        for lv in self.levels:
-            deg *= lv.degree
-            zeros.append((zeros[-1],) * lv.degree)
-        self.degree_over_base = deg
-        self._zeros = tuple(zeros)  # zero of each level; elements are canonical
-        self._split = _signed_split if base is QQ else None
+        self._p = None if base is QQ else base.p
+        # per level k = 0..n: leaf count D_k, extended size E_k, the extended
+        # position of each leaf, and the exponent tuple of each leaf
+        sizes, ext_sizes = [1], [1]
+        ext, exps = [0], [()]
+        scales = [1]
+        # level k folds as (degree, block size, leaf positions of a block,
+        # sparse tails, scale factor, nearest level below that folds); a
+        # degree-1 level never overflows and is skipped
+        self._folds = [None]
+        below = 0
+        for k, lv in enumerate(self.levels, start=1):
+            d, width = lv.degree, ext_sizes[-1]
+            den = lcm(*(c[1] for c in lv.tail))
+            tails = [
+                [(ext[r], v * (den // c[1])) for r, v in enumerate(c[0]) if v]
+                for c in lv.tail
+            ]
+            factor = scales[-1] * den
+            if d > 1:
+                self._folds.append((d, width, ext, tails, factor, below))
+                below = k
+            else:
+                self._folds.append(self._folds[below])
+            scales.append(scales[-1] * factor ** (d - 1))
+            ext = [q + e * width for e in range(d) for q in ext]
+            exps = [x + (e,) for e in range(d) for x in exps]
+            sizes.append(sizes[-1] * d)
+            ext_sizes.append(width * (2 * d - 1))
+        self.degree_over_base = sizes[-1]
+        self._sizes = tuple(sizes)
+        self._ext_sizes = tuple(ext_sizes)
+        self._ext = ext
+        self._exps = exps
+        self._scales = tuple(scales)  # extra denominator of a folded level-k product
+        self._gens = tuple(self._gen_image(i) for i in range(len(self.levels)))
 
     # ---- identity ------------------------------------------------------
 
@@ -65,123 +108,169 @@ class ResidueTower:
     def vars(self):
         return tuple(lv.var for lv in self.levels)
 
-    # ---- nested-data primitives ---------------------------------------
+    # ---- flat-data primitives: (leaves, den) pairs at level k ----------
 
-    def _embed(self, k, scalar):
-        if k == 0:
-            return scalar
-        return (self._embed(k - 1, scalar),) + (self._zeros[k - 1],) * (
-            self.levels[k - 1].degree - 1
-        )
+    def _norm(self, leaves, den):
+        """Canonical (leaves, den): content removed over QQ, residues over
+        GF(p).  The only step besides the scalar inverse that depends on
+        the base."""
+        p = self._p
+        if p is not None:
+            return tuple([x % p for x in leaves]), 1
+        g = gcd(den, *leaves)
+        if g == 1:
+            return tuple(leaves), den
+        return tuple([x // g for x in leaves]), den // g
 
-    def _is_zero(self, k, a):
-        return a == self._zeros[k]
+    def _zero(self, k):
+        return (0,) * self._sizes[k], 1
 
-    def _add(self, k, a, b):
-        if k == 0:
-            return a + b
-        return tuple(self._add(k - 1, x, y) for x, y in zip(a, b))
+    def _embed(self, k, num, den=1):
+        return self._norm([num] + [0] * (self._sizes[k] - 1), den)
 
-    def _neg(self, k, a):
-        if k == 0:
-            return -a
-        return tuple(self._neg(k - 1, x) for x in a)
+    @staticmethod
+    def _is_zero(a):
+        return not any(a[0])
 
-    def _sub(self, k, a, b):
-        return self._add(k, a, self._neg(k, b))
+    def _add(self, a, b):
+        (xs, ad), (ys, bd) = a, b
+        if ad == bd:
+            return self._norm([x + y for x, y in zip(xs, ys)], ad)
+        return self._norm([x * bd + y * ad for x, y in zip(xs, ys)], ad * bd)
+
+    def _sub(self, a, b):
+        (xs, ad), (ys, bd) = a, b
+        if ad == bd:
+            return self._norm([x - y for x, y in zip(xs, ys)], ad)
+        return self._norm([x * bd - y * ad for x, y in zip(xs, ys)], ad * bd)
+
+    def _neg(self, a):
+        return self._norm([-x for x in a[0]], a[1])
 
     def _mul(self, k, a, b):
-        if k == 0:
-            return a * b
-        d = self.levels[k - 1].degree
-        prod = [self._zeros[k - 1]] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if self._is_zero(k - 1, ai):
-                continue
-            for j, bj in enumerate(b):
-                if self._is_zero(k - 1, bj):
-                    continue
-                prod[i + j] = self._add(k - 1, prod[i + j], self._mul(k - 1, ai, bj))
-        return self._fold(k, prod)
+        (xs, ad), (ys, bd) = a, b
+        if not any(ys[1:]):
+            xs, ys = ys, xs
+        if not any(xs[1:]):  # a base scalar times anything needs no fold
+            x = xs[0]
+            return self._norm([x * y for y in ys], ad * bd)
+        ext = self._ext
+        prod = [0] * self._ext_sizes[k]
+        ys = [(ext[j], y) for j, y in enumerate(ys) if y]
+        for i, x in enumerate(xs):
+            if x:
+                at = ext[i]
+                for q, y in ys:
+                    prod[at + q] += x * y
+        self._fold(k, prod, 0)
+        leaves = [prod[q] for q in ext[: self._sizes[k]]]
+        return self._norm(leaves, ad * bd * self._scales[k])
 
-    def _fold(self, k, coeffs):
-        """Reduce a dense coefficient list modulo the level-k polynomial."""
-        d = self.levels[k - 1].degree
-        tail = self.levels[k - 1].tail
-        for idx in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[idx]
-            if self._is_zero(k - 1, c):
-                continue
-            for j, t in enumerate(tail):
-                if self._is_zero(k - 1, t):
+    def _fold(self, k, prod, off):
+        """Reduce the extended levels-1..k block at ``prod[off:]`` in place
+        modulo the level polynomials.  Afterwards leaf r sits at
+        ``prod[off + ext[r]]``, multiplied by the level-k scale."""
+        if self._folds[k] is None:
+            return
+        d, width, low, tails, factor, below = self._folds[k]
+        for e in range(2 * d - 2, d - 1, -1):
+            top = off + e * width
+            if factor != 1:
+                for q in range(off, top):
+                    prod[q] *= factor
+            if below:
+                if not any(prod[top : top + width]):
                     continue
-                coeffs[idx - d + j] = self._add(
-                    k - 1, coeffs[idx - d + j], self._mul(k - 1, c, t)
-                )
-        return tuple(coeffs[:d])
+                self._fold(below, prod, top)
+            coeff = [(q, prod[top + q]) for q in low if prod[top + q]]
+            for j, tail in enumerate(tails):
+                at = top - (d - j) * width
+                for tq, v in tail:
+                    for q, c in coeff:
+                        prod[at + tq + q] += c * v
+        if below:
+            for e in range(d):
+                self._fold(below, prod, off + e * width)
+
+    def _blocks(self, k, a):
+        """The coefficients of a level-k element in x_k, one level down."""
+        size = self._sizes[k - 1]
+        xs, den = a
+        return [self._norm(xs[i : i + size], den) for i in range(0, len(xs), size)]
+
+    def _join(self, k, coeffs):
+        """The level-k element with the given coefficients in x_k."""
+        den = lcm(*(c[1] for c in coeffs))
+        leaves = []
+        for xs, cd in coeffs:
+            leaves.extend(x * (den // cd) for x in xs)
+        leaves.extend([0] * (self._sizes[k] - len(leaves)))
+        return self._norm(leaves, den)
+
+    def _scalar_inv(self, a):
+        (x,), den = a
+        if x == 0:
+            raise ZeroDivisionError("inverse of zero")
+        if self._p is not None:
+            return (pow(x, self._p - 2, self._p),), 1
+        return ((den,), x) if x > 0 else ((-den,), -x)
 
     # ---- univariate helpers over level k-1, for the extended gcd -------
 
-    def _utrim(self, k1, cs):
-        while cs and self._is_zero(k1, cs[-1]):
+    def _utrim(self, cs):
+        while cs and self._is_zero(cs[-1]):
             cs.pop()
         return cs
 
     def _uadd(self, k1, a, b):
         out = []
         for i in range(max(len(a), len(b))):
-            x = a[i] if i < len(a) else self._zeros[k1]
-            y = b[i] if i < len(b) else self._zeros[k1]
-            out.append(self._add(k1, x, y))
-        return self._utrim(k1, out)
-
-    def _uneg(self, k1, a):
-        return [self._neg(k1, x) for x in a]
+            x = a[i] if i < len(a) else self._zero(k1)
+            y = b[i] if i < len(b) else self._zero(k1)
+            out.append(self._add(x, y))
+        return self._utrim(out)
 
     def _umul(self, k1, a, b):
         if not a or not b:
             return []
-        out = [self._zeros[k1]] * (len(a) + len(b) - 1)
+        out = [self._zero(k1)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
-                out[i + j] = self._add(k1, out[i + j], self._mul(k1, x, y))
-        return self._utrim(k1, out)
+                out[i + j] = self._add(out[i + j], self._mul(k1, x, y))
+        return self._utrim(out)
 
     def _udivmod(self, k1, num, den):
         lead_inv = self._inv(k1, den[-1])
         rem = list(num)
-        quo = [self._zeros[k1]] * max(len(num) - len(den) + 1, 0)
+        quo = [self._zero(k1)] * max(len(num) - len(den) + 1, 0)
         while len(rem) >= len(den):
             c = self._mul(k1, rem[-1], lead_inv)
             shift = len(rem) - len(den)
-            quo[shift] = self._add(k1, quo[shift], c)
+            quo[shift] = self._add(quo[shift], c)
             for j, dj in enumerate(den):
-                rem[shift + j] = self._sub(k1, rem[shift + j], self._mul(k1, c, dj))
-            rem = self._utrim(k1, rem)
+                rem[shift + j] = self._sub(rem[shift + j], self._mul(k1, c, dj))
+            rem = self._utrim(rem)
             if not rem:
                 break
-        return self._utrim(k1, quo), rem
+        return self._utrim(quo), rem
 
     def _minpoly_dense(self, k):
         lv = self.levels[k - 1]
-        return [self._neg(k - 1, t) for t in lv.tail] + [self._embed(k - 1, self.base.one())]
+        return [self._neg(t) for t in lv.tail] + [self._embed(k - 1, 1)]
 
     def _inv(self, k, a):
         if k == 0:
-            if self.base.is_zero(a):
-                raise ZeroDivisionError("inverse of zero")
-            return self.base.inv(a)
-        if self._is_zero(k, a):
+            return self._scalar_inv(a)
+        if self._is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         k1 = k - 1
-        one = self._embed(k1, self.base.one())
         r0 = self._minpoly_dense(k)
-        r1 = self._utrim(k1, list(a))
-        s0, s1 = [], [one]
+        r1 = self._utrim(self._blocks(k, a))
+        s0, s1 = [], [self._embed(k1, 1)]
         # invariant: s_i * a == r_i modulo the level polynomial
         while r1 and len(r1) - 1 >= 1:
             q, r2 = self._udivmod(k1, r0, r1)
-            s2 = self._uadd(k1, s0, self._uneg(k1, self._umul(k1, q, s1)))
+            s2 = self._uadd(k1, s0, [self._neg(c) for c in self._umul(k1, q, s1)])
             r0, s0, r1, s1 = r1, s1, r2, s2
         if not r1:
             # gcd has positive degree: a proper factor of the level polynomial
@@ -192,37 +281,32 @@ class ResidueTower:
                 witness=witness,
             )
         u_inv = self._inv(k1, r1[0])
-        inv_poly = [self._mul(k1, c, u_inv) for c in s1]
-        d = self.levels[k - 1].degree
-        inv_poly = inv_poly + [self._zeros[k1]] * (d - len(inv_poly))
-        return self._fold(k, inv_poly)
+        # deg s1 < deg of the level polynomial, so nothing is left to fold
+        return self._join(k, [self._mul(k1, c, u_inv) for c in s1])
 
-    def _witness_str(self, k, coeffs):
+    def _witness_str(self, k, gcd_coeffs):
+        """The gcd made monic.  It was the divisor of the last Euclid step,
+        so inverting its leading coefficient has succeeded once already."""
         k1 = k - 1
-        try:
-            lead_inv = self._inv(k1, coeffs[-1])
-            coeffs = [self._mul(k1, c, lead_inv) for c in coeffs]
-        except IdealNotMaximal:
-            pass  # deeper defect; print the factor unnormalized
-        return self._upoly_str(k, coeffs)
+        lead_inv = self._inv(k1, gcd_coeffs[-1])
+        return self._upoly_str(k, [self._mul(k1, c, lead_inv) for c in gcd_coeffs])
 
     def _upoly_str(self, k, coeffs):
         """Print a dense polynomial in the level-k variable whose
         coefficients lie one level down.  Over QQ a coefficient that
-        flattens to one negative term prints as a subtraction."""
+        is one negative term prints as a subtraction."""
         k1 = k - 1
 
         def split(c):
-            if self.base is QQ:
-                flat = {}
-                self._flatten(k1, c, (), flat)
-                if len(flat) == 1 and min(flat.values()) < 0:
-                    return True, self._neg(k1, c)
+            if self._p is None:
+                terms = [x for x in c[0] if x]
+                if len(terms) == 1 and terms[0] < 0:
+                    return True, self._neg(c)
             return False, c
 
         items = [
             ((j,), c) for j, c in reversed(list(enumerate(coeffs)))
-            if not self._is_zero(k1, c)
+            if not self._is_zero(c)
         ]
         return format_terms(
             items, (self.levels[k1].var,), lambda c: self._str_data(k1, c), split
@@ -231,57 +315,62 @@ class ResidueTower:
     # ---- public element interface -------------------------------------
 
     def zero(self):
-        return TowerElem(self, self._zeros[-1])
+        return TowerElem(self, self._zero(len(self.levels)))
 
     def one(self):
-        return TowerElem(self, self._embed(len(self.levels), self.base.one()))
+        return TowerElem(self, self._embed(len(self.levels), 1))
 
     def from_int(self, n):
-        return TowerElem(self, self._embed(len(self.levels), self.base.from_int(n)))
+        return self.coerce(self.base.from_int(n))
 
     def coerce(self, c):
         if isinstance(c, TowerElem):
             if c.tower != self:
                 raise TypeError("element belongs to a different tower")
             return c
-        return TowerElem(self, self._embed(len(self.levels), self.base.coerce(c)))
+        c = self.base.coerce(c)
+        if self._p is None:
+            return TowerElem(self, self._embed(len(self.levels), c.numerator, c.denominator))
+        return TowerElem(self, self._embed(len(self.levels), c.value))
 
     def is_zero(self, a):
-        return self._is_zero(len(self.levels), a.data)
+        return self._is_zero(a.data)
 
     def inv(self, a):
         return TowerElem(self, self._inv(len(self.levels), a.data))
 
     def gen(self, i):
         """The image of the i-th generator variable (0-based)."""
-        d = self.levels[i].degree
-        coeffs = [self._zeros[i]] * (d + 1)
-        coeffs[1] = self._embed(i, self.base.one())
-        data = self._fold(i + 1, coeffs)
-        for k in range(i + 1, len(self.levels)):
-            data = (data,) + (self._zeros[k],) * (self.levels[k].degree - 1)
-        return TowerElem(self, data)
+        return self._gens[i]
 
-    # ---- canonical form, printing -------------------------------------
+    def _gen_image(self, i):
+        """x_i: one unit leaf, or its own tail when its level has degree 1."""
+        if self.levels[i].degree == 1:
+            leaves, den = self.levels[i].tail[0]
+        else:
+            leaves, den = (0,) * self._sizes[i] + (1,), 1
+        return TowerElem(self, (leaves + (0,) * (self._sizes[-1] - len(leaves)), den))
 
-    def _flatten(self, k, data, prefix, out):
-        if k == 0:
-            if not self.base.is_zero(data):
-                out[prefix] = data
-            return
-        for e, c in enumerate(data):
-            self._flatten(k - 1, c, (e,) + prefix, out)
+    # ---- printing ------------------------------------------------------
+
+    def _flatten(self, k, a, out, suffix=()):
+        """Exponent tuple (levels 1..k, then ``suffix``) -> base scalar."""
+        leaves, den = a
+        for r, x in enumerate(leaves):
+            if x:
+                scalar = Fraction(x, den) if self._p is None else self.base.from_int(x)
+                out[self._exps[r][:k] + suffix] = scalar
+        return out
 
     def _flat_str(self, k, flat, compact=False):
         """Print exponent-tuple -> base-scalar terms in the names of levels 1..k."""
         items = sorted(flat.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
         names = tuple(lv.display for lv in self.levels[:k])
-        return format_terms(items, names, self.base.elem_str, self._split, compact)
+        split = _signed_split if self._p is None else None
+        return format_terms(items, names, self.base.elem_str, split, compact)
 
-    def _str_data(self, k, data):
-        out = {}
-        self._flatten(k, data, (), out)
-        return self._flat_str(k, out)
+    def _str_data(self, k, a):
+        return self._flat_str(k, self._flatten(k, a, {}))
 
     def elem_str(self, a) -> str:
         return self._str_data(len(self.levels), a.data)
@@ -295,7 +384,7 @@ class ResidueTower:
                 continue
             flat = {}
             for j, c in enumerate(self._minpoly_dense(k)):
-                self._flatten(k - 1, c, (j,), flat)
+                self._flatten(k - 1, c, flat, (j,))
             s += "[%s]/(%s)" % (lv.display, self._flat_str(k, flat, compact=True))
         return s
 
@@ -304,7 +393,7 @@ class ResidueTower:
 
 
 class TowerElem:
-    """Element of a residue tower, in canonical nested form."""
+    """Element of a residue tower: ``data`` is the canonical (leaves, den)."""
 
     __slots__ = ("tower", "data")
 
@@ -313,18 +402,18 @@ class TowerElem:
         self.data = data
 
     def _compat(self, other):
-        if not isinstance(other, TowerElem) or other.tower != self.tower:
+        if not isinstance(other, TowerElem) or (
+            other.tower is not self.tower and other.tower != self.tower
+        ):
             raise TypeError("mixed towers in arithmetic")
 
     def __add__(self, other):
         self._compat(other)
-        t = self.tower
-        return TowerElem(t, t._add(len(t.levels), self.data, other.data))
+        return TowerElem(self.tower, self.tower._add(self.data, other.data))
 
     def __sub__(self, other):
         self._compat(other)
-        t = self.tower
-        return TowerElem(t, t._sub(len(t.levels), self.data, other.data))
+        return TowerElem(self.tower, self.tower._sub(self.data, other.data))
 
     def __mul__(self, other):
         self._compat(other)
@@ -332,11 +421,11 @@ class TowerElem:
         return TowerElem(t, t._mul(len(t.levels), self.data, other.data))
 
     def __neg__(self):
-        t = self.tower
-        return TowerElem(t, t._neg(len(t.levels), self.data))
+        return TowerElem(self.tower, self.tower._neg(self.data))
 
     def __pow__(self, n: int):
-        assert n >= 0
+        if n < 0:
+            raise ValueError("negative exponent %d; use inverse()" % n)
         result = self.tower.one()
         base = self
         while n:
@@ -394,7 +483,7 @@ def build_tower(point, base_field) -> ResidueTower:
                     for e, c in coeff_poly.terms.items()
                 },
             )
-            tail.append(tower._neg(i, tower_reduce(shrunk, tower).data))
+            tail.append(tower._neg(tower_reduce(shrunk, tower).data))
         level = TowerLevel(point.vars[i], _display_name(i), d, tuple(tail))
         tower = ResidueTower(base_field, tower.levels + (level,))
     return tower
@@ -426,8 +515,7 @@ def tower_reduce(expr: MultiPoly, tower: ResidueTower) -> TowerElem:
             % (", ".join(expr.vars), ", ".join(tower.vars))
         )
     if expr.ring is ZZ or expr.ring is QQ or isinstance(expr.ring, PrimeField):
-        gens = [tower.gen(i) for i in range(len(tower.levels))]
-        return expr.evaluate(gens, tower)
+        return expr.evaluate(tower._gens, tower)
     raise ValueError("unsupported coefficient ring %r" % (expr.ring,))
 
 

@@ -9,8 +9,17 @@ that consume them never need to swallow library errors.
 import itertools
 from fractions import Fraction
 
-from regulus import MultiPoly, PrimeField, QQ, TriangularPoint, ZZ, leading_term, parse_poly
-from regulus.poly import lift_int
+from regulus import (
+    IdealNotMaximal,
+    MultiPoly,
+    PrimeField,
+    QQ,
+    TriangularPoint,
+    ZZ,
+    leading_term,
+    parse_poly,
+)
+from regulus.poly import _signed_split, format_terms, grlex_key, lift_int
 from regulus.tower import residue_field, tower_reduce
 
 VAR_POOL = ("x", "y", "z", "w")
@@ -319,3 +328,245 @@ def reference_normal_form(f, divisors, key):
             shift = tuple(a - b for a, b in zip(exps, ge))
             work = work - g.shift(shift).scale(coeff * ring.inv(gc))
     return MultiPoly(ring, f.vars, rem)
+
+
+class ReferenceTower:
+    """The residue tower of a triangular point with nested elements: a
+    level-k element is a tuple of d_k level-(k-1) elements, base scalars at
+    level 0, every exponent below its level degree.  Arithmetic is the
+    plain recursion on that shape, and inversion the extended gcd over the
+    level below, step for step as ``regulus.tower`` runs it, so witness
+    texts can be compared.  ``unnormalized`` counts witnesses printed
+    without normalizing their leading coefficient (a deeper defect)."""
+
+    def __init__(self, point):
+        self.base = residue_field(point).base
+        self.vars = point.vars
+        self.names = tuple(chr(ord("a") + i) for i in range(len(self.vars)))
+        self.degrees = []
+        self.tails = []
+        self.zeros = [self.base.zero()]
+        self.unnormalized = 0
+        for i, g in enumerate(point.generators):
+            d = g.degree_in(i)
+            tail = [self._neg(i, self.reduce(g.coefficient_in(i, j), i)) for j in range(d)]
+            self.degrees.append(d)
+            self.tails.append(tuple(tail))
+            self.zeros.append((self.zeros[-1],) * d)
+
+    # ---- the nested recursion ------------------------------------------
+
+    def _embed(self, k, scalar):
+        if k == 0:
+            return scalar
+        return (self._embed(k - 1, scalar),) + (self.zeros[k - 1],) * (self.degrees[k - 1] - 1)
+
+    def _is_zero(self, k, a):
+        return a == self.zeros[k]
+
+    def _add(self, k, a, b):
+        if k == 0:
+            return a + b
+        return tuple(self._add(k - 1, x, y) for x, y in zip(a, b))
+
+    def _neg(self, k, a):
+        if k == 0:
+            return -a
+        return tuple(self._neg(k - 1, x) for x in a)
+
+    def _sub(self, k, a, b):
+        return self._add(k, a, self._neg(k, b))
+
+    def _mul(self, k, a, b):
+        if k == 0:
+            return a * b
+        d = self.degrees[k - 1]
+        prod = [self.zeros[k - 1]] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if self._is_zero(k - 1, ai):
+                continue
+            for j, bj in enumerate(b):
+                if self._is_zero(k - 1, bj):
+                    continue
+                prod[i + j] = self._add(k - 1, prod[i + j], self._mul(k - 1, ai, bj))
+        return self._fold(k, prod)
+
+    def _fold(self, k, coeffs):
+        """Reduce a dense coefficient list modulo the level-k polynomial."""
+        d = self.degrees[k - 1]
+        for idx in range(len(coeffs) - 1, d - 1, -1):
+            c = coeffs[idx]
+            if self._is_zero(k - 1, c):
+                continue
+            for j, t in enumerate(self.tails[k - 1]):
+                if self._is_zero(k - 1, t):
+                    continue
+                coeffs[idx - d + j] = self._add(
+                    k - 1, coeffs[idx - d + j], self._mul(k - 1, c, t)
+                )
+        return tuple(coeffs[:d])
+
+    def _utrim(self, k1, cs):
+        while cs and self._is_zero(k1, cs[-1]):
+            cs.pop()
+        return cs
+
+    def _uadd(self, k1, a, b):
+        out = []
+        for i in range(max(len(a), len(b))):
+            x = a[i] if i < len(a) else self.zeros[k1]
+            y = b[i] if i < len(b) else self.zeros[k1]
+            out.append(self._add(k1, x, y))
+        return self._utrim(k1, out)
+
+    def _umul(self, k1, a, b):
+        if not a or not b:
+            return []
+        out = [self.zeros[k1]] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self._add(k1, out[i + j], self._mul(k1, x, y))
+        return self._utrim(k1, out)
+
+    def _udivmod(self, k1, num, den):
+        lead_inv = self._inv(k1, den[-1])
+        rem = list(num)
+        quo = [self.zeros[k1]] * max(len(num) - len(den) + 1, 0)
+        while len(rem) >= len(den):
+            c = self._mul(k1, rem[-1], lead_inv)
+            shift = len(rem) - len(den)
+            quo[shift] = self._add(k1, quo[shift], c)
+            for j, dj in enumerate(den):
+                rem[shift + j] = self._sub(k1, rem[shift + j], self._mul(k1, c, dj))
+            rem = self._utrim(k1, rem)
+            if not rem:
+                break
+        return self._utrim(k1, quo), rem
+
+    def _minpoly_dense(self, k):
+        return [self._neg(k - 1, t) for t in self.tails[k - 1]] + [
+            self._embed(k - 1, self.base.one())
+        ]
+
+    def _inv(self, k, a):
+        if k == 0:
+            if self.base.is_zero(a):
+                raise ZeroDivisionError("inverse of zero")
+            return self.base.inv(a)
+        if self._is_zero(k, a):
+            raise ZeroDivisionError("inverse of zero")
+        k1 = k - 1
+        r0 = self._minpoly_dense(k)
+        r1 = self._utrim(k1, list(a))
+        s0, s1 = [], [self._embed(k1, self.base.one())]
+        while r1 and len(r1) - 1 >= 1:
+            q, r2 = self._udivmod(k1, r0, r1)
+            s2 = self._uadd(k1, s0, [self._neg(k1, c) for c in self._umul(k1, q, s1)])
+            r0, s0, r1, s1 = r1, s1, r2, s2
+        if not r1:
+            witness = self._witness_str(k, r0)
+            raise IdealNotMaximal(
+                "the ideal is not maximal: %s has the proper factor %s"
+                % (self._upoly_str(k, self._minpoly_dense(k)), witness),
+                witness=witness,
+            )
+        u_inv = self._inv(k1, r1[0])
+        inv_poly = [self._mul(k1, c, u_inv) for c in s1]
+        d = self.degrees[k - 1]
+        return self._fold(k, inv_poly + [self.zeros[k1]] * (d - len(inv_poly)))
+
+    # ---- printing ------------------------------------------------------
+
+    def _witness_str(self, k, coeffs):
+        k1 = k - 1
+        try:
+            lead_inv = self._inv(k1, coeffs[-1])
+            coeffs = [self._mul(k1, c, lead_inv) for c in coeffs]
+        except IdealNotMaximal:
+            self.unnormalized += 1
+        return self._upoly_str(k, coeffs)
+
+    def _upoly_str(self, k, coeffs):
+        k1 = k - 1
+
+        def split(c):
+            if self.base is QQ:
+                flat = self._flatten(k1, c, (), {})
+                if len(flat) == 1 and min(flat.values()) < 0:
+                    return True, self._neg(k1, c)
+            return False, c
+
+        items = [
+            ((j,), c) for j, c in reversed(list(enumerate(coeffs)))
+            if not self._is_zero(k1, c)
+        ]
+        return format_terms(items, (self.vars[k1],), lambda c: self._str_data(k1, c), split)
+
+    def _flatten(self, k, data, prefix, out):
+        if k == 0:
+            if not self.base.is_zero(data):
+                out[prefix] = data
+            return out
+        for e, c in enumerate(data):
+            self._flatten(k - 1, c, (e,) + prefix, out)
+        return out
+
+    def _str_data(self, k, data):
+        flat = self._flatten(k, data, (), {})
+        items = sorted(flat.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        split = _signed_split if self.base is QQ else None
+        return format_terms(items, self.names[:k], self.base.elem_str, split)
+
+    # ---- public interface, on top-level elements ------------------------
+
+    def reduce(self, f, k=None):
+        """Image of a polynomial in the first k point variables (all by
+        default): each term is its coefficient times generator powers."""
+        k = len(self.degrees) if k is None else k
+        total = self.zeros[k]
+        for exps, c in f.terms.items():
+            term = self._embed(k, self.base.coerce(c))
+            for i, e in enumerate(exps[:k]):
+                for _ in range(e):
+                    term = self._mul(k, term, self.gen(i, k))
+            total = self._add(k, total, term)
+        return total
+
+    def gen(self, i, k):
+        """Image at level k of the i-th generator variable (0-based)."""
+        coeffs = [self.zeros[i]] * (self.degrees[i] + 1)
+        coeffs[1] = self._embed(i, self.base.one())
+        data = self._fold(i + 1, coeffs)
+        for level in range(i + 1, k):
+            data = (data,) + (self.zeros[level],) * (self.degrees[level] - 1)
+        return data
+
+    def add(self, a, b):
+        return self._add(len(self.degrees), a, b)
+
+    def mul(self, a, b):
+        return self._mul(len(self.degrees), a, b)
+
+    def inv(self, a):
+        return self._inv(len(self.degrees), a)
+
+    def elem_str(self, a):
+        return self._str_data(len(self.degrees), a)
+
+
+def nested_data(elem):
+    """A flat tower element in the nested shape of ``ReferenceTower``: leaf
+    r, whose mixed-radix digits (level 1 least significant) are its
+    exponents, is the scalar at the matching nested position."""
+    tower = elem.tower
+    leaves, den = elem.data
+    degrees = [level.degree for level in tower.levels]
+
+    def build(k, off, size):
+        if k == 0:
+            x = leaves[off]
+            return Fraction(x, den) if tower.base is QQ else tower.base.from_int(x)
+        size //= degrees[k - 1]
+        return tuple(build(k - 1, off + i * size, size) for i in range(degrees[k - 1]))
+
+    return build(len(degrees), 0, len(leaves))

@@ -213,6 +213,26 @@ def test_exit_code_1_for_deep_parentheses(tmp_path):
     assert "nested deeper than 100" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "relation, message",
+    [
+        ("x^200000 - 1", "exponent 200000 is above the limit of 2000"),
+        ("x^1000*x^1001 - 1", "total degree 2001 is above the limit of 2000"),
+        ("(x + 1)^1500", "1501 terms are above the limit of 1000"),
+    ],
+)
+def test_exit_code_1_for_oversized_polynomials(tmp_path, relation, message):
+    # x^200000 - 1 used to run without output: division peels one degree
+    # per step
+    text = CHECK_JOB.replace("relations = x^3 + x + 3", "relations = " + relation)
+    result = run_cli([write_job(tmp_path, text)])
+    assert result.returncode == 1
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["error"]["kind"] == "job-file"
+    assert message in doc["error"]["message"]
+
+
 def test_high_degree_relation_evaluates(tmp_path):
     # the derivative 1000*x^999 is evaluated at the point; its powers of x
     # must not cost one stack frame per exponent

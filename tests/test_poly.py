@@ -15,7 +15,7 @@ from regulus import (
     partial_derivative,
     triangular_divide,
 )
-from regulus.poly import MAX_NESTING, lift_int, rationalize, reduce_mod
+from regulus.poly import MAX_DEGREE, MAX_NESTING, MAX_TERMS, lift_int, rationalize, reduce_mod
 
 from helpers import (
     VAR_POOL,
@@ -132,6 +132,48 @@ def test_parse_nesting_limit():
         P("(%s)" % deepest, vars)
     with pytest.raises(PolySyntaxError):
         P("(" * 5000 + "x" + ")" * 5000, vars)
+
+
+def test_parse_degree_limit():
+    vars = ("x", "y")
+    assert P("x^%d" % MAX_DEGREE, vars).total_degree() == MAX_DEGREE
+    assert P("x^1000*y^1000", vars).total_degree() == 2000 == MAX_DEGREE
+    with pytest.raises(PolySyntaxError, match="exponent 2001 is above the limit of 2000"):
+        P("x^2001", vars)
+    # a constant base is bounded by the exponent limit alone
+    with pytest.raises(PolySyntaxError, match="exponent 200000 is above"):
+        P("2^200000", vars)
+    # products and powers are checked before they are expanded
+    with pytest.raises(PolySyntaxError, match="total degree 2001 is above"):
+        P("x^1000*y^1001", vars)
+    with pytest.raises(PolySyntaxError, match="total degree 2002 is above"):
+        P("(x*y + 1)^1001", vars)
+
+
+def test_parse_term_limit():
+    vars = ("x", "y")
+    # (x + 1)^k has k + 1 terms, exactly the bound from the degree
+    assert len(P("(x + 1)^%d" % (MAX_TERMS - 1), vars).terms) == MAX_TERMS
+    with pytest.raises(PolySyntaxError, match="1001 terms are above the limit of 1000"):
+        P("(x + 1)^%d" % MAX_TERMS, vars)
+    # (x + y + 1)^60 has 1891 terms; the bound counts monomials of degree <= 60
+    with pytest.raises(PolySyntaxError, match="1891 terms are above"):
+        P("(x + y + 1)^60", vars)
+    # a product of few-term factors is bounded by the product of the counts
+    assert len(P("(x + 1)^499*(y + 1)", vars).terms) == MAX_TERMS
+    with pytest.raises(PolySyntaxError, match="1002 terms are above"):
+        P("(x + 1)^500*(y + 1)", vars)
+    # a sum is checked once formed
+    sum_text = " + ".join("x^%d" % e for e in range(MAX_TERMS + 1))
+    with pytest.raises(PolySyntaxError, match="1001 terms are above"):
+        P(sum_text, vars)
+    assert len(P(sum_text.rsplit(" + ", 1)[0], vars).terms) == MAX_TERMS
+
+
+def test_negative_exponent_raises():
+    f = P("x + 1", ("x",))
+    with pytest.raises(ValueError, match="negative exponent"):
+        f ** -1
 
 
 def test_parser_roundtrip_random():

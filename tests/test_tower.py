@@ -1,4 +1,8 @@
+import itertools
+import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +21,10 @@ from regulus import (
 from regulus.tower import build_tower
 
 from helpers import (
+    VAR_POOL,
+    ReferenceTower,
     enumerate_tower_elements,
+    nested_data,
     random_finite_tower,
     random_member,
     random_point,
@@ -255,3 +262,143 @@ def test_coerce_accepts_base_scalars():
     assert tower.coerce(QQ.fraction(3, 4)) == tower.from_int(3) * tower.coerce(QQ.fraction(1, 4))
     gf9 = residue_field(gf9_point())
     assert gf9.coerce(PrimeField(3).from_int(2)) == gf9.from_int(2)
+
+
+def test_negative_exponent_raises():
+    a = residue_field(gf9_point()).gen(0)
+    with pytest.raises(ValueError, match="negative exponent"):
+        a ** -1
+
+
+# ---- the flat layout against the nested reference ----------------------
+
+
+def _random_level_point(field, rng):
+    """Triangular point with random, not necessarily irreducible, levels of
+    degree 1 to 3 whose coefficients are random polynomials in the earlier
+    variables (rational over QQ), so tails carry denominators and degree-1
+    levels sit between the others."""
+    n = rng.randrange(2, 5)
+    vars = VAR_POOL[:n]
+    gens, degrees = [], []
+    for i in range(n):
+        d = rng.choice((1, 2, 2, 3)) if i else rng.choice((2, 3))
+        while d > 1 and math.prod(degrees) * d > 12:
+            d -= 1
+        lead = tuple(d if k == i else 0 for k in range(n))
+        terms = {lead: field.one()}
+        for j in range(d):
+            for _ in range(rng.randrange(3)):
+                e = tuple(j if k == i else rng.randrange(3) if k < i else 0 for k in range(n))
+                terms[e] = _scalar(field, rng)
+        gens.append(MultiPoly(field, vars, terms))
+        degrees.append(d)
+    return TriangularPoint(tuple(gens)), degrees
+
+
+def _scalar(field, rng):
+    if field is QQ:
+        return Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, 5)))
+    return field.from_int(rng.randrange(field.p))
+
+
+def _random_element_poly(field, vars, degrees, rng):
+    """Dense below the level degrees, plus a few terms that need reducing."""
+    ranges = [range(d) for d in degrees]
+    terms = {e: _scalar(field, rng) for e in itertools.product(*ranges) if rng.randrange(4)}
+    for _ in range(2):
+        terms[tuple(rng.randrange(d + 2) for d in degrees)] = _scalar(field, rng)
+    return MultiPoly(field, vars, terms)
+
+
+def _compare_inverse(tower, ref, u):
+    """Invert u in both representations; returns the level of the witness
+    (0 if u is a unit) after checking both agree."""
+    try:
+        expected = ref.inv(nested_data(u))
+    except IdealNotMaximal as exc:
+        with pytest.raises(IdealNotMaximal) as info:
+            u.inverse()
+        assert info.value.message == exc.message
+        assert info.value.witness == exc.witness
+        (var,) = set(re.findall(r"[a-z_]+", exc.witness)) & set(tower.vars)
+        return tower.vars.index(var) + 1
+    assert nested_data(u.inverse()) == expected
+    return 0
+
+
+def _reference_battery(field, rng, rounds):
+    point, degrees = _random_level_point(field, rng)
+    tower = residue_field(point)
+    ref = ReferenceTower(point)
+    witness_levels = []
+    for _ in range(rounds):
+        f = _random_element_poly(field, point.vars, degrees, rng)
+        g = _random_element_poly(field, point.vars, degrees, rng)
+        u, v = tower_reduce(f, tower), tower_reduce(g, tower)
+        nu, nv = ref.reduce(f), ref.reduce(g)
+        assert nested_data(u) == nu and nested_data(v) == nv
+        assert nested_data(u + v) == ref.add(nu, nv)
+        assert nested_data(u * v) == ref.mul(nu, nv)
+        assert str(u * v) == ref.elem_str(ref.mul(nu, nv))
+        assert str(u) == ref.elem_str(nu)
+        if not u.is_zero():
+            witness_levels.append(_compare_inverse(tower, ref, u))
+    return witness_levels, ref.unnormalized
+
+
+def test_flat_layout_matches_reference_over_rationals():
+    rng = random.Random(211)
+    levels, inverted = [], 0
+    for _ in range(30):
+        found, _ = _reference_battery(QQ, rng, 3)
+        levels += found
+        inverted += found.count(0)
+    assert inverted >= 60
+
+
+def test_flat_layout_matches_reference_over_prime_fields():
+    rng = random.Random(223)
+    levels, unnormalized = [], 0
+    for _ in range(60):
+        found, deeper = _reference_battery(PrimeField(rng.choice((2, 3, 5, 7))), rng, 3)
+        levels += found
+        unnormalized += deeper
+    # units, and witnesses at level 1 and at level 2 or higher
+    assert levels.count(0) >= 40
+    assert levels.count(1) >= 5
+    assert sum(1 for k in levels if k >= 2) >= 5
+    # the reference still has the branch that prints a witness unnormalized
+    # when its leading coefficient is no unit; it never runs, since the gcd
+    # was the divisor of the last Euclid step and its leading coefficient
+    # was inverted there
+    assert unnormalized == 0
+
+
+def test_non_maximal_witnesses_match_reference():
+    # level 1 over QQ, level 2 over QQ and GF(7) (the pinned examples above)
+    cases = [
+        (("x",), QQ, ("x^2 - 4",), "x - 2"),
+        (("x", "y"), QQ, ("x^2 - 2", "y^2 - 2"), "y - x"),
+        (("x", "y"), PrimeField(7), ("x^2 - 3", "y^2 - 3"), "y - x"),
+        (("x", "y", "z"), QQ, ("x^2 - 2", "y - 1/2*x", "z^2 - 1/2"), "z - y"),
+    ]
+    for vars, field, gens, elem in cases:
+        point = TriangularPoint(tuple(parse_poly(g, vars, field) for g in gens))
+        tower = residue_field(point)
+        u = tower_reduce(parse_poly(elem, vars, field), tower)
+        assert _compare_inverse(tower, ReferenceTower(point), u) == len(vars)
+
+
+def test_products_are_canonical_over_rationals():
+    vars = ("x", "y")
+    point = TriangularPoint((parse("x^2 - 1/2", vars), parse("y^2 + 1/3*x*y - 3/2", vars)))
+    tower = residue_field(point)
+    rng = random.Random(227)
+    for _ in range(20):
+        u, v, w = (
+            tower_reduce(_random_element_poly(QQ, vars, [2, 2], rng), tower) for _ in range(3)
+        )
+        left, right = (u * v) * w, u * (v * w)
+        assert left == right
+        assert hash(left) == hash(right)
