@@ -53,7 +53,7 @@ def main(argv=None) -> int:
         try:
             with open(args.job_file, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise JobFileError("cannot read job file: %s" % exc) from exc
         job = parse_job(text)
         report_path = args.report or job.report_path

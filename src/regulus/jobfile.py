@@ -38,7 +38,7 @@ from .criteria import (
 )
 from .errors import InternalConsistencyError, JobFileError, RegulusError
 from .oracle import cotangent_dimension
-from .poly import PolySyntaxError, TriangularPoint, parse_poly
+from .poly import MAX_DIGITS, PolySyntaxError, TriangularPoint, parse_poly
 from .rings import QQ, ZZ, PrimeField, is_prime
 
 TASKS = ("check", "base-change", "theorem-f", "oracle-crosscheck")
@@ -146,9 +146,9 @@ def _parse_base(entry):
         return QQ
     if value.startswith("GF(") and value.endswith(")"):
         body = value[3:-1].strip()
-        if not body.isdigit():
+        if not body.isdecimal():
             raise JobFileError("line %d: ring.base: bad prime in %r" % (line_no, value))
-        p = int(body)
+        p = _parse_nonneg((line_no, body), "ring.base")
         _require_prime(line_no, "ring.base", p)
         return PrimeField(p)
     raise JobFileError(
@@ -189,9 +189,14 @@ def _parse_bool(entry, field):
 
 def _parse_nonneg(entry, field):
     line_no, value = entry
-    if not value.isdigit():
+    if not value.isdecimal():
         raise JobFileError(
             "line %d: %s must be a nonnegative integer, got %r" % (line_no, field, value)
+        )
+    if len(value) > MAX_DIGITS:
+        raise JobFileError(
+            "line %d: %s: %d digits are above the limit of %d"
+            % (line_no, field, len(value), MAX_DIGITS)
         )
     return int(value)
 

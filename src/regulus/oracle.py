@@ -13,18 +13,31 @@ subtracting one copy of the residue field gives the cotangent dimension.
 
 Over ZZ the local ring is not a K-algebra, so instead we work in the
 finite ring A* = (Z/p^2)[t]/(gg products), which is a free Z/p^2-module
-on the canonical monomials M of the triangular system together with the
-products M*g_k.  Freeness follows by counting: the triangular system is a
-regular sequence of monic polynomials, so the associated graded pieces
-m^0/m^1 and m^1/m^2 have the expected sizes and the spanning set cannot
-collapse.  Normal forms in A* come from ``triangular_divide`` by the
-generators transported to Z/p^2 and interreduced (``normalized_generators``).
-The images of the relations and of p*g_j span the denominator
-of m/(I + m^2) inside A*, and one plain-int elimination with unit pivots
-(``_unit_sweep``) counts the quotient exactly.  It runs twice: over Z/p^2,
-which leaves rows that are all divisible by p, and then over Z/p on those
-rows divided by p, where every nonzero entry is a unit, so its pivot count
-is their F_p rank.
+on the canonical monomials M of the triangular system (layer 0) together
+with the products M*g_k (layer k + 1).  Freeness follows by counting: the
+triangular system is a regular sequence of monic polynomials, so the
+associated graded pieces m^0/m^1 and m^1/m^2 have the expected sizes and
+the spanning set cannot collapse.  The generators are transported to Z/p^2
+and interreduced (``normalized_generators``).
+
+The images rho*M and rho*M*g_k, for rho a relation or p*g_j, span the
+denominator of m/(I + m^2) inside A*.  Their coordinate rows come from a
+walk, as in FGLM (Faugere, Gianni, Lazard & Mora 1993), not from one
+division each.  Multiplication by x_i is block lower-triangular on A*:
+x_i*M is again a canonical monomial unless M sits at its top degree
+d_i - 1 in x_i, so only those d_t/d_i columns need a normal form from
+``triangular_divide``; every other column is an index shift, the same on
+every layer.  On layers 1..n a column keeps only its layer-0 part, because
+g_j*g_k = 0 in A*.  Each rho is divided once, the row of rho*M is the row
+of rho*M/x_i times x_i (i the last variable of M), and the row of
+rho*M*g_k is the layer-0 part of the row of rho*M moved to layer k + 1.
+A* being free, an element has one coordinate vector, so the walked rows
+equal those that dividing every rho*M would give, entry for entry mod p^2.
+
+One plain-int elimination with unit pivots (``_unit_sweep``) counts the
+quotient exactly.  It runs twice: over Z/p^2, which leaves rows that are
+all divisible by p, and then over Z/p on those rows divided by p, where
+every nonzero entry is a unit, so its pivot count is their F_p rank.
 """
 
 from __future__ import annotations
@@ -105,7 +118,9 @@ def _canonical_monomials(degrees):
     return list(_iterproduct(*(range(d) for d in degrees)))
 
 
-def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
+def _oracle_rows(point: TriangularPoint, relations) -> list:
+    """Coordinates in A*, reduced mod p^2, of rho*M and rho*M*ghat_k for
+    every generator rho of I + p*m, canonical monomial M and level k."""
     p = point.prime
     m2 = p * p
     ring = _ModRing(m2)
@@ -114,9 +129,7 @@ def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
     system = TriangularPoint(tuple(ghat))
     degrees = [g.degree_in(i) for i, g in enumerate(ghat)]
     monomials = _canonical_monomials(degrees)
-    d_t = 1
-    for d in degrees:
-        d_t *= d
+    d_t = len(monomials)
     index_of = {mono: k for k, mono in enumerate(monomials)}
     width = (n + 1) * d_t
 
@@ -131,26 +144,60 @@ def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
                 vec[(k + 1) * d_t + index_of[e]] = c % m2
         return vec
 
-    def layer_vector(h, layer):
-        # h * (M * ghat_layer) reduces to NF(h*M) placed on that layer,
-        # because all products ghat_j * ghat_k vanish in A*
-        _, rem = triangular_divide(h, system)
-        vec = [0] * width
-        for e, c in rem.terms.items():
-            vec[(layer + 1) * d_t + index_of[e]] = c % m2
-        return vec
+    # Multiplication by x_i on A*.  M[j] steps to M[j + strides[i]] unless it
+    # is at its top degree in x_i; then tops[i][j] lists the nonzero entries
+    # of x_i*M[j]: all of them on layer 0, only the M part on layers 1..n.
+    strides = [1] * n
+    for i in reversed(range(n - 1)):
+        strides[i] = strides[i + 1] * degrees[i + 1]
+    tops = []
+    for i, d in enumerate(degrees):
+        cols = [None] * d_t
+        for j, mono in enumerate(monomials):
+            if mono[i] == d - 1:
+                top = MultiPoly(ring, point.vars, {mono[:i] + (d,) + mono[i + 1 :]: 1})
+                full = [(k, a) for k, a in enumerate(nf2_vector(top)) if a]
+                cols[j] = (full, [(k, a) for k, a in full if k < d_t])
+        tops.append(cols)
 
+    def times(vec, i):
+        out = [0] * width
+        step, cols = strides[i], tops[i]
+        for j, c in enumerate(vec):
+            if c:
+                layer, r = divmod(j, d_t)
+                if cols[r] is None:
+                    out[j + step] += c
+                else:
+                    off = layer * d_t
+                    for k, a in cols[r][1] if layer else cols[r][0]:
+                        out[off + k] += c * a
+        return [x % m2 for x in out]
+
+    # every monomial but 1 is its predecessor times x_i, i its last variable
+    last = [max(i for i, e in enumerate(mono) if e) for mono in monomials[1:]]
     mod_relations = [f.convert(ring, ring.coerce) for f in relations]
-    row_gens = mod_relations + [g.scale(p) for g in ghat]
-
     rows = []
-    for rho in row_gens:
-        for mono in monomials:
-            mpoly = MultiPoly(ring, point.vars, {mono: 1})
-            rows.append(nf2_vector(rho * mpoly))
-            shifted = rho.shift(mono)
-            for layer in range(n):
-                rows.append(layer_vector(shifted, layer))
+    for rho in mod_relations + [g.scale(p) for g in ghat]:
+        walked = [nf2_vector(rho)]
+        for j, i in enumerate(last, 1):
+            walked.append(times(walked[j - strides[i]], i))
+        for vec in walked:
+            rows.append(vec)
+            # ghat_j * ghat_k vanishes in A*, so rho*M*ghat_(k-1) is the
+            # layer-0 part of rho*M moved to layer k
+            head = vec[:d_t]
+            for k in range(1, n + 1):
+                rows.append([0] * (k * d_t) + head + [0] * ((n - k) * d_t))
+    return rows
+
+
+def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
+    p = point.prime
+    m2 = p * p
+    rows = _oracle_rows(point, relations)
+    width = len(rows[0])
+    d_t = width // (point.n + 1)
 
     u, residual = _unit_sweep(rows, p, m2)
     r_p, _ = _unit_sweep([[x // p for x in r] for r in residual], p, p)

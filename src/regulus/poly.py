@@ -15,7 +15,7 @@ deterministic division that every downstream criterion builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm, log10
 
 from .errors import InvalidPoint, PolySyntaxError
 from .rings import QQ, ZZ, Fraction, PrimeField, PrimeFieldElem, is_prime
@@ -282,6 +282,14 @@ MAX_NESTING = 100
 MAX_DEGREE = 2000
 MAX_TERMS = 1000
 
+# Every integer literal has at most MAX_DIGITS decimal digits, and so do the
+# numerator and denominator of every ZZ or QQ coefficient the parser forms,
+# under the same rule: products and powers against a bound (the product of
+# the operands' L1 norms over a common denominator), sums after.  This keeps
+# every number well inside what CPython converts to and from text.
+MAX_DIGITS = 1000
+_DIGITS_BOUND = 10**MAX_DIGITS
+
 
 def _tokenize(text):
     tokens = []
@@ -291,10 +299,14 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise PolySyntaxError(
+                    "a literal of %d digits is above the limit of %d" % (j - i, MAX_DIGITS), i
+                )
             tokens.append((_INT, text[i:j], i))
             i = j
             continue
@@ -312,6 +324,18 @@ def _tokenize(text):
         raise PolySyntaxError("unexpected character %r" % ch, i)
     tokens.append((_END, "", n))
     return tokens
+
+
+def _coefficient_bound(f):
+    """The larger of f's common denominator D and the L1 norm of D*f.  The
+    bound of a product is at most the product of the factors' bounds, and
+    it bounds every numerator and denominator of the product."""
+    cs = f.terms.values()
+    if len(cs) == 1:
+        for c in cs:
+            return max(abs(c.numerator), c.denominator)
+    den = lcm(*[c.denominator for c in cs])
+    return max(den, sum([abs(c.numerator) * (den // c.denominator) for c in cs]))
 
 
 class _Parser:
@@ -351,6 +375,13 @@ class _Parser:
                         "%d terms are above the limit of %d" % (len(result.terms), MAX_TERMS),
                         pos,
                     )
+                if self.ring is ZZ or self.ring is QQ:
+                    for e in rhs.terms:
+                        c = result.terms.get(e)
+                        if c is not None and max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
+                            raise PolySyntaxError(
+                                "a coefficient is above the limit of %d digits" % MAX_DIGITS, pos
+                            )
             else:
                 return result
 
@@ -386,13 +417,22 @@ class _Parser:
     def check_size(self, factors, pos):
         """Reject the product of ``factors``, (polynomial, exponent) pairs,
         before it is formed if it could break a limit."""
-        degree, terms = 0, 1
+        degree, terms, digits = 0, 1, 0.0
+        numeric = self.ring is ZZ or self.ring is QQ
         for f, e in factors:
             degree += e * f.total_degree()
             terms *= len(f.terms) ** e
+            if numeric:
+                digits += e * log10(_coefficient_bound(f))
         if degree > MAX_DEGREE:
             raise PolySyntaxError(
                 "total degree %d is above the limit of %d" % (degree, MAX_DEGREE), pos
+            )
+        if digits > MAX_DIGITS:
+            raise PolySyntaxError(
+                "coefficients of up to %d digits are above the limit of %d"
+                % (int(digits) + 1, MAX_DIGITS),
+                pos,
             )
         if terms <= MAX_TERMS:
             return

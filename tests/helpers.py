@@ -19,7 +19,8 @@ from regulus import (
     leading_term,
     parse_poly,
 )
-from regulus.poly import _signed_split, format_terms, grlex_key, lift_int
+from regulus.oracle import _ModRing, _canonical_monomials, normalized_generators
+from regulus.poly import _signed_split, format_terms, grlex_key, lift_int, triangular_divide
 from regulus.tower import residue_field, tower_reduce
 
 VAR_POOL = ("x", "y", "z", "w")
@@ -570,3 +571,55 @@ def nested_data(elem):
         return tuple(build(k - 1, off + i * size, size) for i in range(degrees[k - 1]))
 
     return build(len(degrees), 0, len(leaves))
+
+
+def reference_oracle_rows(point, relations):
+    """The Z/p^2 oracle's rows the plain way: every (rho, M) row divides
+    rho*M, and every layer row divides it again and places the remainder
+    on its layer.  Same rows, in the same order, reduced mod p^2."""
+    p = point.prime
+    m2 = p * p
+    ring = _ModRing(m2)
+    n = point.n
+    ghat = normalized_generators(point, ring)
+    system = TriangularPoint(tuple(ghat))
+    degrees = [g.degree_in(i) for i, g in enumerate(ghat)]
+    monomials = _canonical_monomials(degrees)
+    d_t = 1
+    for d in degrees:
+        d_t *= d
+    index_of = {mono: k for k, mono in enumerate(monomials)}
+    width = (n + 1) * d_t
+
+    def nf2_vector(h):
+        quotients, rem = triangular_divide(h, system)
+        vec = [0] * width
+        for e, c in rem.terms.items():
+            vec[index_of[e]] = c % m2
+        for k, q in enumerate(quotients):
+            _, qrem = triangular_divide(q, system)
+            for e, c in qrem.terms.items():
+                vec[(k + 1) * d_t + index_of[e]] = c % m2
+        return vec
+
+    def layer_vector(h, layer):
+        # h * (M * ghat_layer) reduces to NF(h*M) placed on that layer,
+        # because all products ghat_j * ghat_k vanish in A*
+        _, rem = triangular_divide(h, system)
+        vec = [0] * width
+        for e, c in rem.terms.items():
+            vec[(layer + 1) * d_t + index_of[e]] = c % m2
+        return vec
+
+    mod_relations = [f.convert(ring, ring.coerce) for f in relations]
+    row_gens = mod_relations + [g.scale(p) for g in ghat]
+
+    rows = []
+    for rho in row_gens:
+        for mono in monomials:
+            mpoly = MultiPoly(ring, point.vars, {mono: 1})
+            rows.append(nf2_vector(rho * mpoly))
+            shifted = rho.shift(mono)
+            for layer in range(n):
+                rows.append(layer_vector(shifted, layer))
+    return rows

@@ -233,6 +233,38 @@ def test_exit_code_1_for_oversized_polynomials(tmp_path, relation, message):
     assert message in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        # both used to end in CPython's 4300-digit int-conversion traceback
+        (("relations = x^3 + x + 3", "relations = x - " + "9" * 5000),
+         "a literal of 5000 digits is above the limit of 1000"),
+        (("relations = x^3 + x + 3", "relations = (2^2000)^2000*(2^2000)^2000"),
+         "coefficients of up to 1204120 digits are above the limit of 1000"),
+        (("prime = 3", "prime = " + "7" * 1001), "1001 digits are above the limit of 1000"),
+        (("kind = check", "kind = check\ndim = \u00b2"), "must be a nonnegative integer"),
+    ],
+)
+def test_exit_code_1_for_oversized_numbers(tmp_path, replace, message):
+    result = run_cli([write_job(tmp_path, CHECK_JOB.replace(*replace))])
+    assert result.returncode == 1
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["error"]["kind"] == "job-file"
+    assert message in doc["error"]["message"]
+
+
+def test_exit_code_1_for_job_file_not_in_utf8(tmp_path):
+    path = tmp_path / "job.rg"
+    path.write_bytes(CHECK_JOB.encode("utf-8").replace(b"x^3", b"x\xff^3"))
+    result = run_cli([str(path)])
+    assert result.returncode == 1
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["error"]["kind"] == "job-file"
+    assert "cannot read job file" in doc["error"]["message"]
+
+
 def test_high_degree_relation_evaluates(tmp_path):
     # the derivative 1000*x^999 is evaluated at the point; its powers of x
     # must not cost one stack frame per exponent

@@ -14,15 +14,18 @@ from regulus import (
     cotangent_dimension,
     generalized_jacobian,
 )
-from regulus.oracle import _unit_sweep
+from regulus.oracle import _oracle_rows, _unit_sweep
+from regulus.poly import lift_int
 
 from helpers import (
     VAR_POOL,
+    irreducible_quadratic,
     parse,
     random_arithmetic_point,
     random_arithmetic_relation,
     random_member,
     random_point,
+    reference_oracle_rows,
 )
 
 
@@ -143,3 +146,68 @@ def test_unit_sweep_modulo_p_is_the_field_rank():
         field = PrimeField(p)
         expected = FieldMatrix(field, [[field.from_int(x) for x in r] for r in rows]).rank()
         assert _unit_sweep(rows, p, p) == (expected, [])
+
+
+def _sweep_invariants(rows, p):
+    u, residual = _unit_sweep(rows, p, p * p)
+    r_p, _ = _unit_sweep([[x // p for x in r] for r in residual], p, p)
+    return u, r_p
+
+
+def test_unit_sweep_invariants_ignore_row_order_and_repeats():
+    # u and the F_p rank of the residual over p describe the row module
+    # over Z/p^2, not the list that spans it
+    rng = random.Random(421)
+    for _ in range(120):
+        p = rng.choice((2, 3, 5))
+        m = p * p
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
+        rows = [
+            [rng.randrange(m) if rng.randrange(3) else p * rng.randrange(p) for _ in range(ncols)]
+            if rng.randrange(2)
+            else [p * rng.randrange(p) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        expected = _sweep_invariants(rows, p)
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert _sweep_invariants(shuffled, p) == expected
+        repeated = rows + [rows[rng.randrange(nrows)]]
+        rng.shuffle(repeated)
+        assert _sweep_invariants(repeated, p) == expected
+
+
+# ---- the walked rows match the divided rows ------------------------------
+
+
+def _quadratic_linear_quadratic(p, rng):
+    """Fiber over GF(p) and its integer lift with levels of degree 2, 1, 2.
+    The top level's tail mentions y, which ``normalized_generators`` reduces
+    by the linear level.  The rows need only a monic triangular system, so
+    the top level need not be irreducible."""
+    field = PrimeField(p)
+    vars = VAR_POOL[:3]
+    a, b = irreducible_quadratic(p, rng)
+    texts = [
+        "x^2 + %d*x + %d" % (a, b),
+        "y - %d*x - %d" % (rng.randrange(p), rng.randrange(p)),
+        "z^2 + %d*x*z + %d*y + %d" % (rng.randrange(p), rng.randrange(p), rng.randrange(p)),
+    ]
+    fiber = TriangularPoint(tuple(parse(t, vars, field) for t in texts))
+    lifted = TriangularPoint(tuple(lift_int(g) for g in fiber.generators), prime=p)
+    return fiber, lifted
+
+
+def test_oracle_rows_match_reference_rows():
+    rng = random.Random(431)
+    cases = []
+    for _ in range(30):
+        p = rng.choice((2, 3, 5))
+        n = rng.randrange(1, 4)
+        cases.append((p,) + random_arithmetic_point(VAR_POOL[:n], p, rng))
+    for p in (2, 3, 5):
+        cases.append((p,) + _quadratic_linear_quadratic(p, rng))
+    for p, fiber, point in cases:
+        for count in (0, 1, 2):
+            rels = [random_arithmetic_relation(fiber, p, rng) for _ in range(count)]
+            assert _oracle_rows(point, rels) == reference_oracle_rows(point, rels)

@@ -15,7 +15,15 @@ from regulus import (
     partial_derivative,
     triangular_divide,
 )
-from regulus.poly import MAX_DEGREE, MAX_NESTING, MAX_TERMS, lift_int, rationalize, reduce_mod
+from regulus.poly import (
+    MAX_DEGREE,
+    MAX_DIGITS,
+    MAX_NESTING,
+    MAX_TERMS,
+    lift_int,
+    rationalize,
+    reduce_mod,
+)
 
 from helpers import (
     VAR_POOL,
@@ -168,6 +176,29 @@ def test_parse_term_limit():
     with pytest.raises(PolySyntaxError, match="1001 terms are above"):
         P(sum_text, vars)
     assert len(P(sum_text.rsplit(" + ", 1)[0], vars).terms) == MAX_TERMS
+
+
+def test_parse_digit_limit():
+    vars = ("x",)
+    top = "9" * MAX_DIGITS
+    assert P("x - " + top, vars, ZZ) == P("x", vars, ZZ) - P(top, vars, ZZ)
+    with pytest.raises(PolySyntaxError, match="a literal of 1001 digits is above the limit of 1000"):
+        P("x - 1" + top, vars, ZZ)
+    # products and powers are checked against the product of the factors'
+    # coefficient sums before they are expanded: 2^2000 has 603 digits
+    assert P("2^2000", vars, ZZ).constant_value() == 2**2000
+    with pytest.raises(PolySyntaxError, match="coefficients of up to 1205 digits"):
+        P("(2^2000)^2", vars, ZZ)
+    with pytest.raises(PolySyntaxError, match="coefficients of up to 1205 digits"):
+        P("2^2000*x*2^2000", vars, ZZ)
+    with pytest.raises(PolySyntaxError, match="coefficients of up to 1204120 digits"):
+        P("(2^2000)^2000", vars, QQ)
+    # a sum is checked once formed: coprime denominators multiply
+    with pytest.raises(PolySyntaxError, match="a coefficient is above the limit of 1000 digits"):
+        P("1/1%s + 1/1%s1" % ("0" * 600, "0" * 599), vars, QQ)
+    # GF(p) coefficients never grow
+    F = PrimeField(7)
+    assert P("(2^2000)^2000", vars, F) == P(str(pow(2, 2000 * 2000, 7)), vars, F)
 
 
 def test_negative_exponent_raises():
