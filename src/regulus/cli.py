@@ -3,7 +3,7 @@
 The report document always goes to stdout; ``--report`` (or a ``report =``
 key in the job's [task] section, which the flag overrides) additionally
 writes it to a file.  Exit codes: 0 computed (regular or not), 1 usage or
-job-file problem, 2 mathematical rejection, 3 oracle resource exhaustion.
+job-file problem, 2 mathematical rejection, 3 resource exhaustion.
 """
 
 from __future__ import annotations

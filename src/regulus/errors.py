@@ -2,8 +2,8 @@
 
 Every error carries a stable machine-readable ``kind`` that appears in report
 documents, plus the process exit code the CLI maps it to: 1 for input that
-could not be read, 2 for mathematically rejected input, 3 for oracle resource
-exhaustion.
+could not be read, 2 for mathematically rejected input, 3 for resource
+exhaustion (oracle bounds, derived-number digits).
 """
 
 
@@ -83,8 +83,8 @@ class EmptyVariety(RegulusError):
 
 
 class OracleResourceError(RegulusError):
-    """Oracle guard tripped: too many variables, degree too high, or the
-    pair budget ran out."""
+    """Resource guard tripped: too many variables, degree too high, the
+    pair budget ran out, or a derived number passed its digit limit."""
 
     kind = "oracle-resource"
     exit_code = 3

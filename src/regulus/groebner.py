@@ -7,10 +7,27 @@ into doubly-exponential territory.  Within that envelope it produces the
 unique reduced basis for the requested order and then re-verifies that
 every input generator reduces to zero against it.
 
-Reduction runs in place on a dict of terms, taking the largest monomial
-from a heap.  Each basis element's divisor data, its leading exponent and
-monic tail, is computed once when the element joins the basis, and each
-exponent's heap key once per basis computation.
+Inside the engine every coefficient is a plain int; ``Fraction`` and
+``PrimeFieldElem`` are met only where polynomials come in and go out.  A
+basis element's divisor data, (leading exponent, leading coefficient,
+tail), is computed once when it joins: over QQ for its primitive integer
+multiple (denominators cleared, content divided out, leading coefficient
+positive), over GF(p) for it made monic, residues in [0, p).
+
+Reduction runs in place on a dict of integer terms, taking the largest
+monomial from a heap.  Over QQ it is fraction-free: a term c meets a
+divisor with leading coefficient a, g = gcd(a, c), and what is left is
+scaled by a/g before (c/g) times the shifted tail is subtracted; the
+product of the scalings is returned with the remainder.  Over GF(p) the
+divisors are monic, nothing is scaled, and residues are taken as terms
+leave the heap.  An S-polynomial is (a_j/g) times one shifted tail minus
+(a_i/g) times the other, g = gcd(a_i, a_j).
+
+Every remainder is thus a nonzero constant times the rational one, and a
+constant factor changes nothing the algorithm looks at: which terms are
+nonzero, so each leading exponent, each divisor a step uses, and whether a
+remainder vanishes.  Pairs, their order and their count, and the reduced
+basis, made monic once at the end, are those of rational arithmetic.
 
 Orders are given by key functions on exponent tuples; comparing keys with
 tuple order realizes the monomial order.
@@ -19,10 +36,12 @@ tuple order realizes the monomial order.
 from __future__ import annotations
 
 import heapq
+from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import EmptyVariety, InternalConsistencyError, OracleResourceError
 from .poly import MultiPoly
+from .rings import QQ
 
 MAX_VARIABLES = 4
 MAX_INPUT_DEGREE = 6
@@ -67,83 +86,127 @@ class _HeapEntries(dict):
         return entry
 
 
-def _divisor(terms: dict, ring, key):
-    """(leading exponent, monic tail) of the nonzero polynomial with these
-    terms: what a reduction step by it needs, with the tail as (exponent,
-    coefficient) pairs."""
+def _to_integers(f: MultiPoly, p):
+    """(d, terms): d times f has these integer coefficients; d is the
+    common denominator over QQ and 1 over GF(p)."""
+    if p:
+        return 1, {e: c.value for e, c in f.terms.items()}
+    d = lcm(*[c.denominator for c in f.terms.values()])
+    return d, {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}
+
+
+def _from_integers(ring, vars, terms, d) -> MultiPoly:
+    """The polynomial with integer ``terms`` divided by d, which is 1 over
+    GF(p): every divisor there is monic, so nothing is ever scaled."""
+    if ring is QQ:
+        return MultiPoly(ring, vars, {e: ring.fraction(c, d) for e, c in terms.items()})
+    return MultiPoly(ring, vars, {e: ring.from_int(c) for e, c in terms.items()})
+
+
+def _divisor(terms: dict, p, key):
+    """(leading exponent, leading coefficient, tail) of the nonzero integer
+    terms, made primitive with a positive leading coefficient over QQ and
+    monic over GF(p): what a reduction step by them needs, with the tail as
+    (exponent, coefficient) pairs."""
     e = max(terms, key=key)
-    inv = ring.inv(terms[e])
-    return e, [(x, v * inv) for x, v in terms.items() if x != e]
+    a = terms[e]
+    if p:
+        inv = pow(a, -1, p)
+        return e, 1, [(x, v * inv % p) for x, v in terms.items() if x != e]
+    g = gcd(*terms.values())
+    if a < 0:
+        g = -g
+    return e, a // g, [(x, v // g) for x, v in terms.items() if x != e]
 
 
-def _reduce(work: dict, divisors, ring, entries) -> dict:
-    """Full reduction of the terms ``work`` by ``divisors``, in place.
+def _reduce(work: dict, divisors, p, entries):
+    """Full reduction of the integer terms ``work`` by ``divisors``, in
+    place.  Returns (remainder, s): the remainder is s times the one
+    rational division gives, in decreasing order; s is 1 over GF(p).
 
     The largest remaining monomial comes off a heap of ``entries``; an
-    exponent that has left ``work`` since it was pushed is skipped.  The
-    first divisor, in list order, whose leading exponent divides it is
-    subtracted; if none does, the term moves to the remainder, which is
-    returned in decreasing order.
+    exponent that has left ``work`` since it was pushed is skipped, and so
+    is a zero residue.  The first divisor, in list order, whose leading
+    exponent divides it is subtracted; if none does, the term moves to the
+    remainder.
     """
-    is_zero = ring.is_zero
     heap = [entries[e] for e in work]
     heapq.heapify(heap)
     rem = {}
+    scale = 1
     while heap:
         e = heapq.heappop(heap)[1]
         c = work.pop(e, None)
         if c is None:
             continue
-        for ge, tail in divisors:
+        if p:
+            c %= p
+            if not c:
+                continue
+        for ge, a, tail in divisors:
             if all(map(le, ge, e)):
+                if a != 1:
+                    g = gcd(a, c)
+                    if g != a:
+                        s = a // g
+                        scale *= s
+                        for m in work:
+                            work[m] *= s
+                        for m in rem:
+                            rem[m] *= s
+                    c //= g
                 shift = tuple(map(sub, e, ge))
-                neg = -c
                 for te, tc in tail:
                     m = tuple(map(add, te, shift))
                     v = work.get(m)
                     if v is None:
-                        work[m] = neg * tc
+                        work[m] = -c * tc
                         heapq.heappush(heap, entries[m])
                     else:
-                        v += neg * tc
-                        if is_zero(v):
-                            del work[m]
-                        else:
+                        v -= c * tc
+                        if v:
                             work[m] = v
+                        else:
+                            del work[m]
                 break
         else:
             rem[e] = c
-    return rem
+    return rem, scale
 
 
 def normal_form(f: MultiPoly, basis, key) -> MultiPoly:
     """Remainder of f under full division by the basis: no remainder term
     is divisible by any basis leading term.  Each step uses the first
     basis element, in list order, whose leading term divides."""
-    divisors = [_divisor(g.terms, g.ring, key) for g in basis]
-    rem = _reduce(dict(f.terms), divisors, f.ring, _HeapEntries(key))
-    return MultiPoly(f.ring, f.vars, rem)
+    p = None if f.ring is QQ else f.ring.p
+    d, work = _to_integers(f, p)
+    divisors = [_divisor(_to_integers(g, p)[1], p, key) for g in basis]
+    rem, scale = _reduce(work, divisors, p, _HeapEntries(key))
+    return _from_integers(f.ring, f.vars, rem, d * scale)
 
 
-def _s_polynomial(di, dj, ring) -> dict:
-    """Terms of the S-polynomial of two monic polynomials, given by their
-    divisor data: the leading terms cancel, so it is the first tail minus
-    the second, each shifted up to the lcm of the leading exponents."""
-    (ei, ti), (ej, tj) = di, dj
-    lcm = tuple(map(max, ei, ej))
-    si, sj = tuple(map(sub, lcm, ei)), tuple(map(sub, lcm, ej))
-    work = {tuple(map(add, x, si)): v for x, v in ti}
+def _s_polynomial(di, dj) -> dict:
+    """Integer terms of a nonzero multiple of the S-polynomial of two
+    divisors: the leading terms cancel, so it is (a_j/g) times the first
+    tail minus (a_i/g) times the second, each shifted up to the lcm of the
+    leading exponents."""
+    (ei, ai, ti), (ej, aj, tj) = di, dj
+    top = tuple(map(max, ei, ej))
+    si, sj = tuple(map(sub, top, ei)), tuple(map(sub, top, ej))
+    g = gcd(ai, aj)
+    bi, bj = aj // g, ai // g
+    work = {tuple(map(add, x, si)): bi * v for x, v in ti}
     for x, v in tj:
         m = tuple(map(add, x, sj))
         w = work.get(m)
         if w is None:
-            work[m] = -v
+            work[m] = -bj * v
         else:
-            w -= v
-            if ring.is_zero(w):
-                del work[m]
-            else:
+            w -= bj * v
+            if w:
                 work[m] = w
+            else:
+                del work[m]
     return work
 
 
@@ -172,21 +235,23 @@ def groebner_basis(gens, order: str = "grevlex"):
     if not ring.is_field:
         raise ValueError("basis computation needs field coefficients")
     _guard(inputs)
+    p = None if ring is QQ else ring.p
+    ints = [_to_integers(f, p)[1] for f in inputs]
 
-    # divisors[k] is the leading exponent and monic tail of the k-th basis
-    # element, built once when it joins; the pair heap is keyed by
-    # (key(lcm), i, j), which never changes once the pair is formed
+    # divisors[k] is the divisor data of the k-th basis element, built once
+    # when it joins; the pair heap is keyed by (key(lcm), i, j), which never
+    # changes once the pair is formed
     divisors, pairs = [], []
     entries = _HeapEntries(key)
 
     def join(terms):
-        e, tail = _divisor(terms, ring, key)
-        for i, (ei, _) in enumerate(divisors):
-            heapq.heappush(pairs, (key(tuple(map(max, ei, e))), i, len(divisors)))
-        divisors.append((e, tail))
+        d = _divisor(terms, p, key)
+        for i, (ei, _, _) in enumerate(divisors):
+            heapq.heappush(pairs, (key(tuple(map(max, ei, d[0]))), i, len(divisors)))
+        divisors.append(d)
 
-    for f in inputs:
-        join(f.terms)
+    for terms in ints:
+        join(terms)
     processed = 0
     while pairs:
         processed += 1
@@ -197,30 +262,30 @@ def groebner_basis(gens, order: str = "grevlex"):
         _, i, j = heapq.heappop(pairs)
         if all(min(a, b) == 0 for a, b in zip(divisors[i][0], divisors[j][0])):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        r = _reduce(_s_polynomial(divisors[i], divisors[j], ring), divisors, ring, entries)
+        r = _reduce(_s_polynomial(divisors[i], divisors[j]), divisors, p, entries)[0]
         if r:
             join(r)
 
     # Keep the minimal subset, then reduce each element once by the others.
     # In a minimal basis no leading term divides another, so the reduction
-    # leaves every leading term and its coefficient 1 in place; one pass
-    # therefore gives the unique reduced basis (Cox, Little and O'Shea,
-    # Ideals, Varieties, and Algorithms, 2.7).
+    # leaves every leading term in place; one pass therefore gives the
+    # unique reduced basis once each element is made monic (Cox, Little and
+    # O'Shea, Ideals, Varieties, and Algorithms, 2.7).
     keep = []
     for k in sorted(range(len(divisors)), key=lambda k: key(divisors[k][0])):
         if not any(_divides(divisors[m][0], divisors[k][0]) for m in keep):
             keep.append(k)
     minimal = [divisors[k] for k in reversed(keep)]
     vars = inputs[0].vars
-    basis = []
-    for n, (e, tail) in enumerate(minimal):
+    basis, reduced = [], []
+    for n, (e, a, tail) in enumerate(minimal):
         work = dict(tail)
-        work[e] = ring.one()
-        rem = _reduce(work, minimal[:n] + minimal[n + 1 :], ring, entries)
-        basis.append(MultiPoly(ring, vars, rem))
-    divisors = [_divisor(g.terms, ring, key) for g in basis]
-    for f in inputs:
-        if _reduce(dict(f.terms), divisors, ring, entries):
+        work[e] = a
+        rem = _reduce(work, minimal[:n] + minimal[n + 1 :], p, entries)[0]
+        basis.append(_from_integers(ring, vars, rem, rem[e]))
+        reduced.append(_divisor(rem, p, key))
+    for terms in ints:
+        if _reduce(dict(terms), reduced, p, entries)[0]:
             raise InternalConsistencyError(
                 "computed basis fails to reduce an input generator to zero"
             )

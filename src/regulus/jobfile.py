@@ -18,7 +18,7 @@ plus optional ``dim`` (local-dimension override), repeatable
 run from ``#`` to end of line.  File-level problems (syntax, missing or
 contradictory keys) raise JobFileError and exit 1; mathematical rejections
 (point not on the variety, non-maximal ideal, ...) surface from the
-criteria with exit 2, and oracle resource exhaustion with exit 3.
+criteria with exit 2, and resource exhaustion with exit 3.
 
 ``run_job`` returns a plain document (nested dicts/lists/scalars) with a
 fixed key order, so serialized reports are byte-identical for identical

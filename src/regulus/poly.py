@@ -192,15 +192,18 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]), reverse=True)
 
     def evaluate(self, values, ring):
-        """Evaluate at the given ring elements, one per variable."""
-        assert len(values) == len(self.vars)
+        """Evaluate at the given ring elements, one per variable.  Each power
+        of a value is formed once, and checked with ``ring.bounded``."""
+        if len(values) != len(self.vars):
+            raise ValueError("%d values for %d variables" % (len(values), len(self.vars)))
         total = None
+        bounded = ring.bounded
         powers = [[None] for _ in values]  # powers[i][e] is values[i]^e, e >= 1
 
         def power(i, e):
             cache = powers[i]
             while len(cache) <= e:
-                cache.append(values[i] if len(cache) == 1 else cache[-1] * values[i])
+                cache.append(values[i] if len(cache) == 1 else bounded(cache[-1] * values[i]))
             return cache[e]
 
         for exps, coeff in self.sorted_terms():

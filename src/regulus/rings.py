@@ -13,7 +13,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import OracleResourceError
+
 Rational = Fraction
+
+# Every number the program derives has at most MAX_DERIVED_DIGITS decimal
+# digits where it is checked: each power formed by ``MultiPoly.evaluate``
+# and each residue-tower element printed (the rest of a report echoes
+# parsed input).  That keeps printing below CPython's 4300-digit limit on
+# int-to-text conversion; a larger number ends the job as a resource error
+# (exit 3) instead of a traceback or an unbounded run.
+MAX_DERIVED_DIGITS = 4000
+_DERIVED_BOUND = 10**MAX_DERIVED_DIGITS
+
+
+def check_derived(n: int) -> None:
+    """Raise OracleResourceError when |n| has more than MAX_DERIVED_DIGITS
+    digits."""
+    if abs(n) >= _DERIVED_BOUND:
+        raise OracleResourceError(
+            "a derived number of about %d digits is above the limit of %d"
+            % (abs(n).bit_length() * 30103 // 100000 + 1, MAX_DERIVED_DIGITS)
+        )
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -51,6 +72,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class MixedPrimeFields(ValueError, AssertionError):
+    """Arithmetic between elements of different prime fields.  Also an
+    AssertionError, so code that catches that type for it keeps working."""
+
+
 class PrimeFieldElem:
     """Element of GF(p), stored as its canonical representative in [0, p)."""
 
@@ -60,29 +86,36 @@ class PrimeFieldElem:
         self.value = value % p
         self.p = p
 
+    def _mixed(self, other):
+        return MixedPrimeFields("mixed prime fields GF(%d) and GF(%d)" % (self.p, other.p))
+
     def __add__(self, other):
         if not isinstance(other, PrimeFieldElem):
             return NotImplemented
-        assert self.p == other.p, "mixed prime fields"
+        if self.p != other.p:
+            raise self._mixed(other)
         return PrimeFieldElem(self.value + other.value, self.p)
 
     def __sub__(self, other):
         if not isinstance(other, PrimeFieldElem):
             return NotImplemented
-        assert self.p == other.p, "mixed prime fields"
+        if self.p != other.p:
+            raise self._mixed(other)
         return PrimeFieldElem(self.value - other.value, self.p)
 
     def __mul__(self, other):
         if not isinstance(other, PrimeFieldElem):
             return NotImplemented
-        assert self.p == other.p, "mixed prime fields"
+        if self.p != other.p:
+            raise self._mixed(other)
         return PrimeFieldElem(self.value * other.value, self.p)
 
     def __neg__(self):
         return PrimeFieldElem(-self.value, self.p)
 
     def __pow__(self, n: int):
-        assert n >= 0
+        if n < 0:
+            raise ValueError("negative exponent %d" % n)
         return PrimeFieldElem(pow(self.value, n, self.p), self.p)
 
     def inverse(self) -> "PrimeFieldElem":
@@ -133,6 +166,10 @@ class IntegerRing:
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def bounded(self, a) -> int:
+        check_derived(a)
+        return a
+
     def elem_str(self, a) -> str:
         return str(a)
 
@@ -170,6 +207,10 @@ class RationalField:
 
     def inv(self, a: Fraction) -> Fraction:
         return Fraction(1) / a
+
+    def bounded(self, a: Fraction) -> Fraction:
+        check_derived(max(abs(a.numerator), a.denominator))
+        return a
 
     def elem_str(self, a) -> str:
         return str(a)
@@ -219,6 +260,9 @@ class PrimeField:
 
     def inv(self, a: PrimeFieldElem) -> PrimeFieldElem:
         return a.inverse()
+
+    def bounded(self, a: PrimeFieldElem) -> PrimeFieldElem:
+        return a
 
     def elem_str(self, a) -> str:
         return str(a.value)

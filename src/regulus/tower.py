@@ -32,7 +32,7 @@ from math import gcd, lcm
 
 from .errors import IdealNotMaximal
 from .poly import MultiPoly, _signed_split, format_terms, grlex_key
-from .rings import QQ, ZZ, Fraction, PrimeField
+from .rings import QQ, ZZ, Fraction, PrimeField, check_derived
 
 
 class TowerLevel:
@@ -339,6 +339,17 @@ class ResidueTower:
     def inv(self, a):
         return TowerElem(self, self._inv(len(self.levels), a.data))
 
+    def _bounded(self, a):
+        """The (leaves, den) data a, once checked against the derived-digit
+        limit; residues over GF(p) are below p."""
+        if self._p is None:
+            check_derived(max(a[1], max(a[0]), -min(a[0])))
+        return a
+
+    def bounded(self, a):
+        self._bounded(a.data)
+        return a
+
     def gen(self, i):
         """The image of the i-th generator variable (0-based)."""
         return self._gens[i]
@@ -354,8 +365,9 @@ class ResidueTower:
     # ---- printing ------------------------------------------------------
 
     def _flatten(self, k, a, out, suffix=()):
-        """Exponent tuple (levels 1..k, then ``suffix``) -> base scalar."""
-        leaves, den = a
+        """Exponent tuple (levels 1..k, then ``suffix``) -> base scalar.
+        Every printed number passes through here and is checked."""
+        leaves, den = self._bounded(a)
         for r, x in enumerate(leaves):
             if x:
                 scalar = Fraction(x, den) if self._p is None else self.base.from_int(x)

@@ -265,6 +265,62 @@ def test_exit_code_1_for_job_file_not_in_utf8(tmp_path):
     assert "cannot read job file" in doc["error"]["message"]
 
 
+DERIVED_NUMBER_JOB = """\
+[ring]
+vars = x
+base = QQ
+relations = (x - {n})*x^{power}
+
+[point]
+generators = x - {n}
+
+[task]
+kind = check
+dim = 0
+"""
+
+
+@pytest.mark.parametrize("power", [20, 1999])
+def test_exit_code_3_for_oversized_derived_powers(tmp_path, power):
+    # every input number has 300 digits, but the derivative at the point
+    # is N^power; both jobs used to end in CPython's 4300-digit
+    # int-conversion traceback, x^1999 only after about a minute
+    text = DERIVED_NUMBER_JOB.format(n="9" * 300, power=power)
+    result = run_cli([write_job(tmp_path, text)], timeout=60)
+    assert result.returncode == 3
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["error"] == {
+        "kind": "oracle-resource",
+        "message": "a derived number of about 4201 digits is above the limit of 4000",
+    }
+
+
+def test_exit_code_3_for_oversized_derived_value(tmp_path):
+    # each power N^10 has 3000 digits, the derivative N^10 * N^10 at the
+    # point 6000: it is caught where it is printed
+    n = "9" * 300
+    text = """\
+[ring]
+vars = x, y
+base = QQ
+relations = (x - {n})*x^10*y^10
+
+[point]
+generators = x - {n}, y - {n}
+
+[task]
+kind = check
+dim = 1
+""".format(n=n)
+    result = run_cli([write_job(tmp_path, text)], timeout=60)
+    assert result.returncode == 3
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["error"]["kind"] == "oracle-resource"
+    assert "6001 digits is above the limit of 4000" in doc["error"]["message"]
+
+
 def test_high_degree_relation_evaluates(tmp_path):
     # the derivative 1000*x^999 is evaluated at the point; its powers of x
     # must not cost one stack frame per exponent

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -93,6 +95,25 @@ def test_normal_form_matches_reference_division():
         f = random_poly(ring, vars, rng, max_exp=3, terms=6)
         divisors = [random_poly(ring, vars, rng, max_exp=2, terms=3) for _ in range(4)]
         divisors = [g for g in divisors[: rng.randrange(5)] if not g.is_zero()]
+        assert normal_form(f, divisors, key) == reference_normal_form(f, divisors, key)
+
+
+def test_normal_form_matches_reference_division_large_coefficients():
+    # reduction is fraction-free over QQ: non-unit leading coefficients
+    # scale what is left, and the scaling is divided out again exactly
+    rng = random.Random(349)
+    scalars = (Fraction(7, 5), Fraction(10**30, 7), Fraction(-3, 10**25), Fraction(2**89 - 1, 3**40))
+    for _ in range(200):
+        vars = VAR_POOL[: rng.randrange(1, 4)]
+        key = order_key(rng.choice(("lex", "grlex", "grevlex")))
+        f = random_poly(QQ, vars, rng, max_exp=3, terms=6).scale(rng.choice(scalars))
+        divisors = []
+        for _ in range(rng.randrange(1, 5)):
+            g = random_poly(QQ, vars, rng, max_exp=2, terms=3)
+            if not g.is_zero():
+                lead, c = leading_term(g, key)
+                g = g + MultiPoly(QQ, vars, {lead: rng.choice(scalars) - c})
+                divisors.append(g.scale(rng.choice(scalars)))
         assert normal_form(f, divisors, key) == reference_normal_form(f, divisors, key)
 
 
@@ -263,4 +284,34 @@ def test_reduced_basis_matches_sympy():
         ours = monic_set(to_sympy(g) for g in groebner_basis(gens, order))
         theirs = sympy.groebner([to_sympy(g) for g in gens], *syms, order=order, **domain)
         assert ours == monic_set(theirs.polys)
+        done += 1
+
+
+def test_reduced_basis_matches_sympy_large_coefficients():
+    # degree-3 ideals with coefficients up to 1000/1000: the integers of
+    # fraction-free reduction grow, the reduced basis must not change
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(353)
+    done = 0
+    while done < 12:
+        vars = VAR_POOL[: rng.randrange(2, 4)]
+        monomials = [e for e in itertools.product(range(4), repeat=len(vars)) if sum(e) <= 3]
+        gens = []
+        for _ in vars:
+            exps = rng.sample(monomials, rng.randrange(3, 5))
+            gens.append(MultiPoly(QQ, vars, {
+                e: Fraction(rng.randrange(-1000, 1001), rng.randrange(1, 1001)) for e in exps
+            }))
+        order = "lex" if len(vars) == 2 else "grevlex"
+        ours = groebner_basis(gens, order)
+        if ours[0].is_constant():
+            continue
+        syms = sympy.symbols(vars)
+
+        def to_sympy(f):
+            terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()}
+            return sympy.Poly.from_dict(terms, syms, domain="QQ")
+
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *syms, order=order, domain="QQ")
+        assert {to_sympy(g).monic() for g in ours} == {g.monic() for g in theirs.polys}
         done += 1

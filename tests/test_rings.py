@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from regulus import PrimeField, QQ, ZZ
@@ -102,3 +108,35 @@ def test_integers_are_not_a_field():
 def test_prime_field_elem_repr_roundtrip_value():
     e = PrimeFieldElem(9, 7)
     assert e.value == 2
+
+
+def test_arithmetic_checks_hold_under_optimization():
+    # python -O strips assert statements; these checks must raise anyway
+    code = textwrap.dedent("""
+        from regulus import PrimeField, QQ, parse_poly
+        a, b = PrimeField(5).from_int(2), PrimeField(7).from_int(2)
+        checks = [
+            lambda: a + b,
+            lambda: a - b,
+            lambda: a * b,
+            lambda: a ** -1,
+            lambda: parse_poly("x + y", ("x", "y"), QQ).evaluate([QQ.one()], QQ),
+        ]
+        for check in checks:
+            try:
+                check()
+            except ValueError as exc:
+                print(exc)
+            else:
+                print("no error")
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["mixed prime fields GF(5) and GF(7)"] * 3 + [
+        "negative exponent -1",
+        "1 values for 2 variables",
+    ]
