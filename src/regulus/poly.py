@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb, lcm, log10
 
 from .errors import InvalidPoint, PolySyntaxError
-from .rings import QQ, ZZ, Fraction, PrimeField, PrimeFieldElem, is_prime
+from .rings import QQ, ZZ, Fraction, PrimeField, PrimeFieldElem, check_derived, is_prime
 
 
 def grlex_key(exps):
@@ -359,34 +359,44 @@ class _Parser:
         return tok
 
     def expr(self):
+        """A sum, added term by term into one dict; a monomial leaves it as
+        soon as its coefficient cancels."""
         negate = False
         kind, text, _ = self.peek()
         if kind == _OP and text == "-":
             self.take()
             negate = True
         result = self.term()
-        if negate:
-            result = -result
-        while True:
+        terms = {e: -c for e, c in result.terms.items()} if negate else dict(result.terms)
+        is_zero = self.ring.is_zero
+        numeric = self.ring is ZZ or self.ring is QQ
+        kind, text, _ = self.peek()
+        while kind == _OP and text in "+-":
+            _, _, pos = self.take()
+            rhs = self.term()
+            for e, c in rhs.terms.items():
+                cur = terms.get(e)
+                if cur is None:
+                    terms[e] = c if text == "+" else -c
+                    continue
+                cur = cur + c if text == "+" else cur - c
+                if is_zero(cur):
+                    del terms[e]
+                else:
+                    terms[e] = cur
+            if len(terms) > MAX_TERMS:
+                raise PolySyntaxError(
+                    "%d terms are above the limit of %d" % (len(terms), MAX_TERMS), pos
+                )
+            if numeric:
+                for e in rhs.terms:
+                    c = terms.get(e)
+                    if c is not None and max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
+                        raise PolySyntaxError(
+                            "a coefficient is above the limit of %d digits" % MAX_DIGITS, pos
+                        )
             kind, text, _ = self.peek()
-            if kind == _OP and text in "+-":
-                _, _, pos = self.take()
-                rhs = self.term()
-                result = result + rhs if text == "+" else result - rhs
-                if len(result.terms) > MAX_TERMS:
-                    raise PolySyntaxError(
-                        "%d terms are above the limit of %d" % (len(result.terms), MAX_TERMS),
-                        pos,
-                    )
-                if self.ring is ZZ or self.ring is QQ:
-                    for e in rhs.terms:
-                        c = result.terms.get(e)
-                        if c is not None and max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
-                            raise PolySyntaxError(
-                                "a coefficient is above the limit of %d digits" % MAX_DIGITS, pos
-                            )
-            else:
-                return result
+        return MultiPoly(self.ring, self.vars, terms)
 
     def term(self):
         result = self.factor()
@@ -575,10 +585,15 @@ def _divide_single(f: MultiPoly, g: MultiPoly, index: int):
 
     Returns (quotient, remainder) with remainder degree in that variable
     strictly below g's.  Deterministic: always cancels the full top slice.
+    Over ZZ and QQ each new quotient coefficient is checked as a derived
+    number; every other number division forms becomes a later quotient
+    coefficient or lies in the final remainder, a few products of g's
+    coefficients beyond checked ones.
     """
     d = g.degree_in(index)
     quotient = MultiPoly.zero(f.ring, f.vars)
     rem = f
+    numeric = f.ring is ZZ or f.ring is QQ
     while True:
         top = rem.degree_in(index)
         if top < d:
@@ -588,6 +603,9 @@ def _divide_single(f: MultiPoly, g: MultiPoly, index: int):
             for e, c in rem.terms.items()
             if e[index] == top
         }
+        if numeric:
+            for c in piece_terms.values():
+                check_derived(max(abs(c.numerator), c.denominator))
         piece = MultiPoly(f.ring, f.vars, piece_terms)
         quotient = quotient + piece
         rem = rem - piece * g

@@ -18,9 +18,10 @@ from .errors import OracleResourceError
 Rational = Fraction
 
 # Every number the program derives has at most MAX_DERIVED_DIGITS decimal
-# digits where it is checked: each power formed by ``MultiPoly.evaluate``
-# and each residue-tower element printed (the rest of a report echoes
-# parsed input).  That keeps printing below CPython's 4300-digit limit on
+# digits where it is checked: each power of a point coordinate formed while
+# reducing into the residue tower (or by ``MultiPoly.evaluate``), each
+# quotient coefficient of triangular division over ZZ and QQ, and each
+# residue-tower element printed (the rest of a report echoes parsed input).  That keeps printing below CPython's 4300-digit limit on
 # int-to-text conversion; a larger number ends the job as a resource error
 # (exit 3) instead of a traceback or an unbounded run.
 MAX_DERIVED_DIGITS = 4000

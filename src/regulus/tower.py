@@ -19,6 +19,18 @@ from the top level with the level tails.  A tail with denominators scales
 the blocks not yet folded by a constant of its level, so the common
 denominator of a product is fixed by the tower alone.
 
+A polynomial maps into the tower through a per-tower table of monomial
+images, filled lazily.  Each variable has one chain of powers, x_i^e =
+x_i^(e-1) * x_i, every new power checked against the derived-digit limit
+once; a mixed monomial is the product of its pure powers in variable
+order, and each prefix of that product is an entry too.  The image of
+sum c_e x^e is then a linear combination of cached leaf vectors over one
+common denominator, normalized once, so each product is formed once per
+tower rather than once per reduction (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 9).  Missing entries are formed in the order that
+``MultiPoly.evaluate`` forms them, so both meet the same first number that
+breaks the limit.
+
 Whether the tower really is a field is *not* decided up front.  Inversion
 runs an extended gcd against the level polynomial; a nontrivial gcd proves
 the underlying ideal was never maximal and raises ``IdealNotMaximal`` with
@@ -95,6 +107,11 @@ class ResidueTower:
         self._exps = exps
         self._scales = tuple(scales)  # extra denominator of a folded level-k product
         self._gens = tuple(self._gen_image(i) for i in range(len(self.levels)))
+        # the monomial table: x_i^0, x_i^1, ... per variable, and exponent
+        # tuple -> (data, nonzero (leaf, value) pairs) of each monomial image
+        one = self._embed(len(self.levels), 1)
+        self._powers = [[one, g.data] for g in self._gens]
+        self._monos = {(0,) * len(self.levels): (one, [(0, one[0][0])])}
 
     # ---- identity ------------------------------------------------------
 
@@ -328,10 +345,7 @@ class ResidueTower:
             if c.tower != self:
                 raise TypeError("element belongs to a different tower")
             return c
-        c = self.base.coerce(c)
-        if self._p is None:
-            return TowerElem(self, self._embed(len(self.levels), c.numerator, c.denominator))
-        return TowerElem(self, self._embed(len(self.levels), c.value))
+        return TowerElem(self, self._embed(len(self.levels), *self._scalar(c)))
 
     def is_zero(self, a):
         return self._is_zero(a.data)
@@ -349,6 +363,67 @@ class ResidueTower:
     def bounded(self, a):
         self._bounded(a.data)
         return a
+
+    # ---- reduction through the monomial table ----------------------------
+
+    def _scalar(self, c):
+        """A coefficient coerced into the base, as (numerator, denominator)."""
+        c = self.base.coerce(c)
+        if self._p is None:
+            return c.numerator, c.denominator
+        return c.value, 1
+
+    def _power(self, i, e):
+        """x_i^e, the chain extended as ``MultiPoly.evaluate`` extends it:
+        x_i^e = x_i^(e-1) * x_i, each new power checked once."""
+        chain = self._powers[i]
+        while len(chain) <= e:
+            chain.append(self._bounded(self._mul(len(self.levels), chain[-1], chain[1])))
+        return chain[e]
+
+    def _monomial(self, exps):
+        """Table entry of a monomial: the unchecked product of its pure
+        powers in variable order, each prefix product kept as an entry too."""
+        prefix = [0] * len(exps)
+        data = None
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            prefix[i] = e
+            key = tuple(prefix)
+            entry = self._monos.get(key)
+            if entry is None:
+                power = self._power(i, e)
+                prod = power if data is None else self._mul(len(self.levels), data, power)
+                entry = prod, [(r, x) for r, x in enumerate(prod[0]) if x]
+                self._monos[key] = entry
+            data = entry[0]
+        return entry
+
+    def _reduce(self, terms):
+        """Data of the sum of c * x^e over the exponent -> coefficient map
+        ``terms``: a linear combination of table entries over one common
+        denominator.  Missing entries are formed first, in the order that
+        ``MultiPoly.sorted_terms`` gives, so the first derived number to
+        break its limit is the one ``MultiPoly.evaluate`` would meet."""
+        scalars = [self._scalar(c) for c in terms.values()]
+        monos = self._monos
+        missing = [e for e in terms if e not in monos]
+        for e in sorted(missing, key=grlex_key, reverse=True):
+            self._monomial(e)
+        acc = [0] * self._sizes[-1]
+        den = 1
+        for e, (num, cden) in zip(terms, scalars):
+            (_, mden), pairs = monos[e]
+            m = cden * mden
+            if den % m:
+                scale = m // gcd(den, m)
+                acc = [x * scale for x in acc]
+                den *= scale
+            f = num * (den // m)
+            for r, x in pairs:
+                acc[r] += f * x
+        return self._norm(acc, den)
 
     def gen(self, i):
         """The image of the i-th generator variable (0-based)."""
@@ -527,7 +602,7 @@ def tower_reduce(expr: MultiPoly, tower: ResidueTower) -> TowerElem:
             % (", ".join(expr.vars), ", ".join(tower.vars))
         )
     if expr.ring is ZZ or expr.ring is QQ or isinstance(expr.ring, PrimeField):
-        return expr.evaluate(tower._gens, tower)
+        return TowerElem(tower, tower._reduce(expr.terms))
     raise ValueError("unsupported coefficient ring %r" % (expr.ring,))
 
 

@@ -321,6 +321,36 @@ dim = 1
     assert "6001 digits is above the limit of 4000" in doc["error"]["message"]
 
 
+DIVISION_NUMBER_JOB = """\
+[ring]
+vars = x
+base = {base}
+relations = x^2000 - 1
+
+[point]
+{prime}generators = x - {n}
+
+[task]
+kind = check
+dim = 0
+"""
+
+
+@pytest.mark.parametrize("base, prime", [("QQ", ""), ("ZZ", "prime = 5\n")])
+def test_exit_code_3_for_oversized_division_quotient(tmp_path, base, prime):
+    # dividing by x - N makes quotient coefficients N^k; the remainder
+    # N^2000 - 1 has 600,000 digits and took seconds to form
+    text = DIVISION_NUMBER_JOB.format(base=base, prime=prime, n="9" * 300)
+    result = run_cli([write_job(tmp_path, text)], timeout=20)
+    assert result.returncode == 3
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["error"] == {
+        "kind": "oracle-resource",
+        "message": "a derived number of about 4201 digits is above the limit of 4000",
+    }
+
+
 def test_high_degree_relation_evaluates(tmp_path):
     # the derivative 1000*x^999 is evaluated at the point; its powers of x
     # must not cost one stack frame per exponent

@@ -9,6 +9,7 @@ import pytest
 from regulus import (
     IdealNotMaximal,
     MultiPoly,
+    OracleResourceError,
     PrimeField,
     QQ,
     TriangularPoint,
@@ -18,7 +19,7 @@ from regulus import (
     tower_invert,
     tower_reduce,
 )
-from regulus.tower import build_tower
+from regulus.tower import ResidueTower, build_tower
 
 from helpers import (
     VAR_POOL,
@@ -402,3 +403,67 @@ def test_products_are_canonical_over_rationals():
         left, right = (u * v) * w, u * (v * w)
         assert left == right
         assert hash(left) == hash(right)
+
+
+# ---- reduction through the monomial table ------------------------------
+
+
+def test_table_reduction_matches_evaluate():
+    # MultiPoly.evaluate forms every power and term product afresh; the
+    # table must give the same canonical element, also when later
+    # polynomials reuse entries the earlier ones formed
+    rng = random.Random(229)
+    fields = (QQ, PrimeField(2), PrimeField(3), PrimeField(7))
+    linear_between, rational_tails = 0, 0
+    for round_no in range(48):
+        field = fields[round_no % len(fields)]
+        point, degrees = _random_level_point(field, rng)
+        tower = residue_field(point)
+        linear_between += 1 in degrees[1:-1]
+        rational_tails += any(c[1] > 1 for lv in tower.levels for c in lv.tail)
+        for _ in range(4):
+            terms = {
+                tuple(rng.randrange(3 * d + 1) for d in degrees): _scalar(field, rng)
+                for _ in range(rng.randrange(1, 9))
+            }
+            f = MultiPoly(field, point.vars, terms)
+            assert tower_reduce(f, tower) == f.evaluate(tower._gens, tower)
+    assert linear_between >= 5
+    assert rational_tails >= 5
+
+
+def test_second_reduction_forms_no_tower_product(monkeypatch):
+    vars = ("x", "y", "z")
+    point = TriangularPoint(
+        (parse("x^2 - 1/2", vars), parse("y - 1/3*x", vars), parse("z^2 + x*z - 3", vars))
+    )
+    tower = residue_field(point)
+    f = parse("x^5*y^3*z^4 - 2/3*x^2*z^7 + y^4 + x*y*z - 1", vars)
+    mul = ResidueTower._mul
+    products = []
+
+    def counted(self, k, a, b):
+        products.append(k)
+        return mul(self, k, a, b)
+
+    monkeypatch.setattr(ResidueTower, "_mul", counted)
+    first = tower_reduce(f, tower)
+    assert products
+    products.clear()
+    assert tower_reduce(f, tower) == first
+    assert products == []
+
+
+@pytest.mark.parametrize("text", ["x^20 + y^25", "x^20*y^25", "x^14*y + y^10"])
+def test_table_meets_the_same_first_oversized_power(text):
+    # both chains pass the digit limit; whichever the sorted terms reach
+    # first, in variable order within a term, names the number
+    vars = ("x", "y")
+    point = TriangularPoint((parse("x - " + "9" * 300, vars), parse("y - " + "7" * 200, vars)))
+    f = parse(text, vars)
+    tower = residue_field(point)
+    with pytest.raises(OracleResourceError) as expected:
+        f.evaluate(tower._gens, tower)
+    with pytest.raises(OracleResourceError) as got:
+        tower_reduce(f, residue_field(point))
+    assert got.value.message == expected.value.message
