@@ -43,7 +43,7 @@ from .poly import (
     partial_derivative,
     triangular_divide,
 )
-from .rings import QQ, ZZ, Fraction, PrimeField, PrimeFieldElem, Rational
+from .rings import QQ, ZZ, Fraction, PrimeField, Rational
 from .tower import ResidueTower, TowerElem, residue_field, tower_invert, tower_reduce
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "PolySyntaxError",
     "PresentedVariety",
     "PrimeField",
-    "PrimeFieldElem",
     "QQ",
     "Rational",
     "RegularityReport",

@@ -7,12 +7,13 @@ into doubly-exponential territory.  Within that envelope it produces the
 unique reduced basis for the requested order and then re-verifies that
 every input generator reduces to zero against it.
 
-Inside the engine every coefficient is a plain int; ``Fraction`` and
-``PrimeFieldElem`` are met only where polynomials come in and go out.  A
-basis element's divisor data, (leading exponent, leading coefficient,
-tail), is computed once when it joins: over QQ for its primitive integer
-multiple (denominators cleared, content divided out, leading coefficient
-positive), over GF(p) for it made monic, residues in [0, p).
+Inside the engine every coefficient is a plain int: GF(p) polynomials
+already hold residues in [0, p), and ``Fraction`` is met only where QQ
+polynomials come in and go out.  A basis element's divisor data, (leading
+exponent, leading coefficient, tail), is computed once when it joins: over
+QQ for its primitive integer multiple (denominators cleared, content
+divided out, leading coefficient positive), over GF(p) for it made monic,
+residues in [0, p).
 
 Reduction runs in place on a dict of integer terms, taking the largest
 monomial from a heap.  Over QQ it is fraction-free: a term c meets a
@@ -88,9 +89,10 @@ class _HeapEntries(dict):
 
 def _to_integers(f: MultiPoly, p):
     """(d, terms): d times f has these integer coefficients; d is the
-    common denominator over QQ and 1 over GF(p)."""
+    common denominator over QQ and 1 over GF(p).  The terms are a new
+    dict, which reduction may consume."""
     if p:
-        return 1, {e: c.value for e, c in f.terms.items()}
+        return 1, dict(f.terms)
     d = lcm(*[c.denominator for c in f.terms.values()])
     return d, {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}
 
@@ -100,7 +102,7 @@ def _from_integers(ring, vars, terms, d) -> MultiPoly:
     GF(p): every divisor there is monic, so nothing is ever scaled."""
     if ring is QQ:
         return MultiPoly(ring, vars, {e: ring.fraction(c, d) for e, c in terms.items()})
-    return MultiPoly(ring, vars, {e: ring.from_int(c) for e, c in terms.items()})
+    return MultiPoly(ring, vars, terms)
 
 
 def _divisor(terms: dict, p, key):
@@ -178,7 +180,7 @@ def normal_form(f: MultiPoly, basis, key) -> MultiPoly:
     """Remainder of f under full division by the basis: no remainder term
     is divisible by any basis leading term.  Each step uses the first
     basis element, in list order, whose leading term divides."""
-    p = None if f.ring is QQ else f.ring.p
+    p = f.ring.modulus
     d, work = _to_integers(f, p)
     divisors = [_divisor(_to_integers(g, p)[1], p, key) for g in basis]
     rem, scale = _reduce(work, divisors, p, _HeapEntries(key))
@@ -235,7 +237,7 @@ def groebner_basis(gens, order: str = "grevlex"):
     if not ring.is_field:
         raise ValueError("basis computation needs field coefficients")
     _guard(inputs)
-    p = None if ring is QQ else ring.p
+    p = ring.modulus
     ints = [_to_integers(f, p)[1] for f in inputs]
 
     # divisors[k] is the divisor data of the k-th basis element, built once

@@ -3,6 +3,9 @@
 The field object supplies zero/one/is_zero/inv; elements carry +, -, * as
 operators.  QQ, GF(p), and residue towers all fit this protocol, so the same
 elimination serves classical Jacobian ranks and ranks over a residue field.
+GF(p) elements are plain ints whose operators do not reduce; the field's
+is_zero and inv reduce what they read, so elimination is exact there, but
+entries are left unreduced.
 
 Pivot inverses are computed lazily: ``rank`` inverts a pivot only when a
 nonzero entry below it actually has to be cleared.  Over a residue tower the

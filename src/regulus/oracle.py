@@ -53,44 +53,7 @@ from .poly import (
     membership_certificate,
     triangular_divide,
 )
-from .rings import ZZ
-
-
-class _ModRing:
-    """Z/m with plain-int elements; reduction happens on read, not on every
-    operation, which is exact because the representatives stay integers."""
-
-    is_field = False
-
-    def __init__(self, m: int):
-        self.m = m
-        self.name = "Z/%d" % m
-
-    def from_int(self, n: int) -> int:
-        return n % self.m
-
-    def coerce(self, c) -> int:
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise TypeError("expected an integer coefficient")
-        return c % self.m
-
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def is_zero(self, a) -> bool:
-        return a % self.m == 0
-
-    def elem_str(self, a) -> str:
-        return str(a % self.m)
-
-    def __eq__(self, other):
-        return isinstance(other, _ModRing) and self.m == other.m
-
-    def __hash__(self):
-        return hash(("mod-ring", self.m))
+from .rings import ZZ, ModularRing
 
 
 def _require_on_variety(point, relations):
@@ -107,7 +70,7 @@ def normalized_generators(point: TriangularPoint, ring) -> list:
     variables, still monic of the same degree in its own."""
     ghat = []
     for i, g in enumerate(point.generators):
-        cur = g.convert(ring, ring.coerce) if g.ring is ZZ else g
+        cur = MultiPoly(ring, g.vars, g.terms) if g.ring is ZZ else g
         for j in reversed(range(i)):
             _, cur = _divide_single(cur, ghat[j], j)
         ghat.append(cur)
@@ -123,7 +86,7 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
     every generator rho of I + p*m, canonical monomial M and level k."""
     p = point.prime
     m2 = p * p
-    ring = _ModRing(m2)
+    ring = ModularRing(m2)
     n = point.n
     ghat = normalized_generators(point, ring)
     system = TriangularPoint(tuple(ghat))
@@ -137,11 +100,11 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
         quotients, rem = triangular_divide(h, system)
         vec = [0] * width
         for e, c in rem.terms.items():
-            vec[index_of[e]] = c % m2
+            vec[index_of[e]] = c
         for k, q in enumerate(quotients):
             _, qrem = triangular_divide(q, system)
             for e, c in qrem.terms.items():
-                vec[(k + 1) * d_t + index_of[e]] = c % m2
+                vec[(k + 1) * d_t + index_of[e]] = c
         return vec
 
     # Multiplication by x_i on A*.  M[j] steps to M[j + strides[i]] unless it
@@ -176,7 +139,7 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
 
     # every monomial but 1 is its predecessor times x_i, i its last variable
     last = [max(i for i, e in enumerate(mono) if e) for mono in monomials[1:]]
-    mod_relations = [f.convert(ring, ring.coerce) for f in relations]
+    mod_relations = [MultiPoly(ring, f.vars, f.terms) for f in relations]
     rows = []
     for rho in mod_relations + [g.scale(p) for g in ghat]:
         walked = [nf2_vector(rho)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb, lcm, log10
 
 from .errors import InvalidPoint, PolySyntaxError
-from .rings import QQ, ZZ, Fraction, PrimeField, PrimeFieldElem, check_derived, is_prime
+from .rings import QQ, ZZ, Fraction, PrimeField, check_derived, is_prime
 
 
 def grlex_key(exps):
@@ -71,18 +71,26 @@ def _signed_split(c):
 
 
 class MultiPoly:
-    """Sparse polynomial over a fixed ring in a fixed tuple of variables."""
+    """Sparse polynomial over a fixed ring in a fixed tuple of variables.
+
+    Over Z/m (``ring.modulus`` set) the constructor is where a coefficient
+    becomes canonical: it is reduced to [0, m), so arithmetic on the plain
+    int coefficients never has to reduce."""
 
     __slots__ = ("ring", "vars", "terms")
 
     def __init__(self, ring, vars, terms):
         self.ring = ring
         self.vars = tuple(vars)
+        n = len(self.vars)
+        m = ring.modulus
         clean = {}
         for exps, coeff in terms.items():
-            if len(exps) != len(self.vars):
+            if len(exps) != n:
                 raise ValueError("exponent tuple has wrong length")
-            if not ring.is_zero(coeff):
+            if m:
+                coeff %= m
+            if coeff:
                 clean[exps] = coeff
         self.terms = clean
 
@@ -193,7 +201,8 @@ class MultiPoly:
 
     def evaluate(self, values, ring):
         """Evaluate at the given ring elements, one per variable.  Each power
-        of a value is formed once, and checked with ``ring.bounded``."""
+        of a value is formed once, and checked with ``ring.bounded``; the
+        value is coerced into ``ring`` (a residue in [0, m) over Z/m)."""
         if len(values) != len(self.vars):
             raise ValueError("%d values for %d variables" % (len(values), len(self.vars)))
         total = None
@@ -212,7 +221,7 @@ class MultiPoly:
                 if e:
                     term = term * power(i, e)
             total = term if total is None else total + term
-        return ring.zero() if total is None else total
+        return ring.coerce(ring.zero() if total is None else total)
 
     def convert(self, ring, coeff_map):
         return MultiPoly(
@@ -588,7 +597,8 @@ def _divide_single(f: MultiPoly, g: MultiPoly, index: int):
     Over ZZ and QQ each new quotient coefficient is checked as a derived
     number; every other number division forms becomes a later quotient
     coefficient or lies in the final remainder, a few products of g's
-    coefficients beyond checked ones.
+    coefficients beyond checked ones.  Over Z/m every coefficient is
+    bounded by m, since ``MultiPoly`` reduces it on construction.
     """
     d = g.degree_in(index)
     quotient = MultiPoly.zero(f.ring, f.vars)
@@ -649,14 +659,14 @@ def reduce_mod(f: MultiPoly, field: PrimeField) -> MultiPoly:
     """Reduce an integer polynomial coefficientwise into GF(p)."""
     if f.ring is not ZZ:
         raise ValueError("reduce_mod expects an integer polynomial")
-    return f.convert(field, field.from_int)
+    return MultiPoly(field, f.vars, f.terms)
 
 
 def lift_int(f: MultiPoly) -> MultiPoly:
     """Lift a GF(p) polynomial to ZZ using canonical representatives."""
     if not isinstance(f.ring, PrimeField):
         raise ValueError("lift_int expects a prime-field polynomial")
-    return f.convert(ZZ, lambda c: c.value)
+    return MultiPoly(ZZ, f.vars, f.terms)
 
 
 def rationalize(f: MultiPoly) -> MultiPoly:

@@ -1,12 +1,15 @@
-"""Exact coefficient arithmetic: integers, rationals, prime fields.
+"""Exact coefficient arithmetic: integers, rationals, integers mod m.
 
 ``Rational`` is stdlib ``fractions.Fraction``, which already maintains the
 canonical-form invariants (gcd(|numerator|, denominator) = 1, denominator > 0,
 zero stored as 0/1), so it is used directly as the rational coefficient type.
 
 The ring objects below give polynomials, towers, and matrices a uniform way to
-construct, test, coerce, and print coefficients.  The elements themselves
-(int, Fraction, PrimeFieldElem) carry the arithmetic operators.
+construct, test, coerce, and print coefficients.  The elements themselves are
+plain values that carry the arithmetic operators: int over ZZ, Fraction over
+QQ, and int over Z/m (``ModularRing``) and its field case GF(p)
+(``PrimeField``).  A modular ring reduces on construction and on read, never
+on each operation; ``modulus`` is m there and None over ZZ and QQ.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ Rational = Fraction
 # digits where it is checked: each power of a point coordinate formed while
 # reducing into the residue tower (or by ``MultiPoly.evaluate``), each
 # quotient coefficient of triangular division over ZZ and QQ, and each
-# residue-tower element printed (the rest of a report echoes parsed input).  That keeps printing below CPython's 4300-digit limit on
-# int-to-text conversion; a larger number ends the job as a resource error
-# (exit 3) instead of a traceback or an unbounded run.
+# residue-tower element printed (the rest of a report echoes parsed input).
+# That keeps printing below CPython's 4300-digit limit on int-to-text
+# conversion; a larger number ends the job as a resource error (exit 3)
+# instead of a traceback or an unbounded run.
 MAX_DERIVED_DIGITS = 4000
 _DERIVED_BOUND = 10**MAX_DERIVED_DIGITS
 
@@ -73,82 +77,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class MixedPrimeFields(ValueError, AssertionError):
-    """Arithmetic between elements of different prime fields.  Also an
-    AssertionError, so code that catches that type for it keeps working."""
-
-
-class PrimeFieldElem:
-    """Element of GF(p), stored as its canonical representative in [0, p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _mixed(self, other):
-        return MixedPrimeFields("mixed prime fields GF(%d) and GF(%d)" % (self.p, other.p))
-
-    def __add__(self, other):
-        if not isinstance(other, PrimeFieldElem):
-            return NotImplemented
-        if self.p != other.p:
-            raise self._mixed(other)
-        return PrimeFieldElem(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        if not isinstance(other, PrimeFieldElem):
-            return NotImplemented
-        if self.p != other.p:
-            raise self._mixed(other)
-        return PrimeFieldElem(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        if not isinstance(other, PrimeFieldElem):
-            return NotImplemented
-        if self.p != other.p:
-            raise self._mixed(other)
-        return PrimeFieldElem(self.value * other.value, self.p)
-
-    def __neg__(self):
-        return PrimeFieldElem(-self.value, self.p)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent %d" % n)
-        return PrimeFieldElem(pow(self.value, n, self.p), self.p)
-
-    def inverse(self) -> "PrimeFieldElem":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in GF(%d)" % self.p)
-        return PrimeFieldElem(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrimeFieldElem)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return "PrimeFieldElem(%d, %d)" % (self.value, self.p)
-
-    def __str__(self):
-        return str(self.value)
-
-
 class IntegerRing:
     """The ring of integers; elements are plain Python ints."""
 
     name = "ZZ"
     is_field = False
+    modulus = None
 
     def from_int(self, n: int) -> int:
         return int(n)
@@ -183,6 +117,7 @@ class RationalField:
 
     name = "QQ"
     is_field = True
+    modulus = None
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -220,56 +155,74 @@ class RationalField:
         return "QQ"
 
 
-class PrimeField:
+class ModularRing:
+    """Z/m; elements are plain ints.  A polynomial over it holds canonical
+    residues in [0, m), reduced once by ``MultiPoly``; a sum or product
+    formed outside a polynomial may leave that range, so ``is_zero``,
+    ``bounded`` and ``elem_str`` reduce what they read."""
+
+    is_field = False
+
+    def __init__(self, m: int):
+        self.modulus = m
+        self.name = "Z/%d" % m
+
+    def from_int(self, n: int) -> int:
+        return n % self.modulus
+
+    def coerce(self, c) -> int:
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise TypeError("cannot coerce %r into %s" % (c, self.name))
+        return c % self.modulus
+
+    def zero(self) -> int:
+        return 0
+
+    def one(self) -> int:
+        return 1
+
+    def is_zero(self, a) -> bool:
+        return a % self.modulus == 0
+
+    def bounded(self, a) -> int:
+        return a % self.modulus
+
+    def elem_str(self, a) -> str:
+        return str(a % self.modulus)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.modulus == self.modulus
+
+    def __hash__(self):
+        return hash(self.modulus)
+
+    def __repr__(self):
+        return self.name
+
+
+class PrimeField(ModularRing):
     """The prime field GF(p).  Instances are cached, one per p."""
 
     _cache: dict = {}
+    is_field = True
 
     def __new__(cls, p: int):
         inst = cls._cache.get(p)
         if inst is None:
             if not is_prime(p):
                 raise ValueError("%d is not prime" % p)
-            inst = super().__new__(cls)
-            inst.p = p
-            inst.name = "GF(%d)" % p
-            cls._cache[p] = inst
+            inst = cls._cache[p] = super().__new__(cls)
         return inst
 
-    is_field = True
+    def __init__(self, p: int):
+        self.modulus = p
+        self.name = "GF(%d)" % p
 
-    def from_int(self, n: int) -> PrimeFieldElem:
-        return PrimeFieldElem(n, self.p)
-
-    def coerce(self, c) -> PrimeFieldElem:
-        if isinstance(c, PrimeFieldElem):
-            if c.p != self.p:
-                raise TypeError("element of GF(%d) used in GF(%d)" % (c.p, self.p))
-            return c
-        if isinstance(c, int) and not isinstance(c, bool):
-            return PrimeFieldElem(c, self.p)
-        raise TypeError("cannot coerce %r into GF(%d)" % (c, self.p))
-
-    def zero(self) -> PrimeFieldElem:
-        return PrimeFieldElem(0, self.p)
-
-    def one(self) -> PrimeFieldElem:
-        return PrimeFieldElem(1, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a.value == 0
-
-    def inv(self, a: PrimeFieldElem) -> PrimeFieldElem:
-        return a.inverse()
-
-    def bounded(self, a: PrimeFieldElem) -> PrimeFieldElem:
-        return a
-
-    def elem_str(self, a) -> str:
-        return str(a.value)
-
-    def __repr__(self):
-        return self.name
+    def inv(self, a: int) -> int:
+        p = self.modulus
+        if a % p == 0:
+            raise ZeroDivisionError("inverse of zero in GF(%d)" % p)
+        return pow(a, p - 2, p)
 
 
 ZZ = IntegerRing()

@@ -10,8 +10,9 @@ and the i-th block of D_(k-1) leaves of a level-k element is its coefficient
 of x_k^i.  Over QQ the leaves are numerators over one common positive
 denominator, over GF(p) residues in [0, p) over denominator 1; every
 operation ends in one normalization (content removed, or residues taken), so
-the form is canonical and equality is structural.  Base scalars (Fraction,
-PrimeFieldElem) appear only on the way in (``coerce``) and out (printing).
+the form is canonical and equality is structural.  Over GF(p) a base scalar
+is already a plain int; over QQ a ``Fraction`` is split into numerator and
+denominator on the way in (``coerce``) and rebuilt on the way out (printing).
 
 A product is formed densely in an extended layout, radix 2*d_k - 1 per
 level, where exponents add without carries, and then folded down in place
@@ -71,7 +72,7 @@ class ResidueTower:
             getattr(base, "name", repr(base)),
             tuple((lv.var, lv.degree, lv.tail) for lv in self.levels),
         )
-        self._p = None if base is QQ else base.p
+        self._p = base.modulus
         # per level k = 0..n: leaf count D_k, extended size E_k, the extended
         # position of each leaf, and the exponent tuple of each leaf
         sizes, ext_sizes = [1], [1]
@@ -371,7 +372,7 @@ class ResidueTower:
         c = self.base.coerce(c)
         if self._p is None:
             return c.numerator, c.denominator
-        return c.value, 1
+        return c, 1
 
     def _power(self, i, e):
         """x_i^e, the chain extended as ``MultiPoly.evaluate`` extends it:
@@ -445,8 +446,7 @@ class ResidueTower:
         leaves, den = self._bounded(a)
         for r, x in enumerate(leaves):
             if x:
-                scalar = Fraction(x, den) if self._p is None else self.base.from_int(x)
-                out[self._exps[r][:k] + suffix] = scalar
+                out[self._exps[r][:k] + suffix] = Fraction(x, den) if self._p is None else x
         return out
 
     def _flat_str(self, k, flat, compact=False):
@@ -563,12 +563,7 @@ def build_tower(point, base_field) -> ResidueTower:
         for power in range(d):
             coeff_poly = g.coefficient_in(i, power)
             shrunk = MultiPoly(
-                base_field,
-                partial_vars,
-                {
-                    e[:i]: base_field.coerce(c)
-                    for e, c in coeff_poly.terms.items()
-                },
+                base_field, partial_vars, {e[:i]: c for e, c in coeff_poly.terms.items()}
             )
             tail.append(tower._neg(tower_reduce(shrunk, tower).data))
         level = TowerLevel(point.vars[i], _display_name(i), d, tuple(tail))
@@ -595,15 +590,19 @@ def tower_reduce(expr: MultiPoly, tower: ResidueTower) -> TowerElem:
 
     Integer coefficients are coerced through the base (mod p when the base is
     a prime field), so the same entry point serves polynomials over ZZ, QQ,
-    and GF(p)."""
+    and GF(p).  A GF(p) polynomial must be over the tower's base: its
+    coefficients are plain ints, which the base alone cannot tell apart."""
     if expr.vars != tower.vars:
         raise ValueError(
             "expression variables (%s) do not match the tower (%s)"
             % (", ".join(expr.vars), ", ".join(tower.vars))
         )
-    if expr.ring is ZZ or expr.ring is QQ or isinstance(expr.ring, PrimeField):
-        return TowerElem(tower, tower._reduce(expr.terms))
-    raise ValueError("unsupported coefficient ring %r" % (expr.ring,))
+    ring = expr.ring
+    if ring is not ZZ and ring is not QQ and not isinstance(ring, PrimeField):
+        raise ValueError("unsupported coefficient ring %r" % (ring,))
+    if ring.modulus and ring is not tower.base:
+        raise TypeError("element of %s used in %s" % (ring.name, tower.base.name))
+    return TowerElem(tower, tower._reduce(expr.terms))
 
 
 def tower_invert(a: TowerElem) -> TowerElem:

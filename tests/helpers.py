@@ -19,8 +19,9 @@ from regulus import (
     leading_term,
     parse_poly,
 )
-from regulus.oracle import _ModRing, _canonical_monomials, normalized_generators
+from regulus.oracle import _canonical_monomials, normalized_generators
 from regulus.poly import _signed_split, format_terms, grlex_key, lift_int, triangular_divide
+from regulus.rings import ModularRing
 from regulus.tower import residue_field, tower_reduce
 
 VAR_POOL = ("x", "y", "z", "w")
@@ -41,7 +42,7 @@ def random_coeff(ring, rng):
         return rng.randrange(-4, 5)
     if ring is QQ:
         return Fraction(rng.randrange(-4, 5), rng.choice((1, 1, 2, 3)))
-    return ring.from_int(rng.randrange(ring.p))
+    return ring.from_int(rng.randrange(ring.modulus))
 
 
 def random_poly(ring, vars, rng, max_exp=2, terms=3):
@@ -82,7 +83,7 @@ def random_point(vars, field, rng, allow_quadratic=True):
                 a = QQ.zero()
                 b = QQ.from_int(-rng.choice(QQ_RADICANDS))
             else:
-                ai, bi = irreducible_quadratic(field.p, rng)
+                ai, bi = irreducible_quadratic(field.modulus, rng)
                 a = field.from_int(ai)
                 b = field.from_int(bi)
             terms[tuple(2 if k == i else 0 for k in range(n))] = field.one()
@@ -146,7 +147,7 @@ def tower_size(tower):
     total = 1
     for level in tower.levels:
         total *= level.degree
-    return tower.base.p ** total
+    return tower.base.modulus ** total
 
 
 def enumerate_tower_elements(tower):
@@ -155,7 +156,7 @@ def enumerate_tower_elements(tower):
     The monomials gen_0^k0 * ... * gen_m^km with k_i below the level
     degrees form a GF(p)-basis; elements are their linear combinations.
     """
-    p = tower.base.p
+    p = tower.base.modulus
     basis = []
     ranges = [range(level.degree) for level in tower.levels]
     for exps in itertools.product(*ranges):
@@ -334,14 +335,16 @@ def reference_normal_form(f, divisors, key):
 class ReferenceTower:
     """The residue tower of a triangular point with nested elements: a
     level-k element is a tuple of d_k level-(k-1) elements, base scalars at
-    level 0, every exponent below its level degree.  Arithmetic is the
-    plain recursion on that shape, and inversion the extended gcd over the
-    level below, step for step as ``regulus.tower`` runs it, so witness
-    texts can be compared.  ``unnormalized`` counts witnesses printed
-    without normalizing their leading coefficient (a deeper defect)."""
+    level 0 (residues in [0, p) over GF(p)), every exponent below its level
+    degree.  Arithmetic is the plain recursion on that shape, and inversion
+    the extended gcd over the level below, step for step as
+    ``regulus.tower`` runs it, so witness texts can be compared.
+    ``unnormalized`` counts witnesses printed without normalizing their
+    leading coefficient (a deeper defect)."""
 
     def __init__(self, point):
         self.base = residue_field(point).base
+        self.p = self.base.modulus
         self.vars = point.vars
         self.names = tuple(chr(ord("a") + i) for i in range(len(self.vars)))
         self.degrees = []
@@ -365,14 +368,18 @@ class ReferenceTower:
     def _is_zero(self, k, a):
         return a == self.zeros[k]
 
+    def _scalar(self, x):
+        """A level-0 sum or product made canonical: its residue over GF(p)."""
+        return x if self.p is None else x % self.p
+
     def _add(self, k, a, b):
         if k == 0:
-            return a + b
+            return self._scalar(a + b)
         return tuple(self._add(k - 1, x, y) for x, y in zip(a, b))
 
     def _neg(self, k, a):
         if k == 0:
-            return -a
+            return self._scalar(-a)
         return tuple(self._neg(k - 1, x) for x in a)
 
     def _sub(self, k, a, b):
@@ -380,7 +387,7 @@ class ReferenceTower:
 
     def _mul(self, k, a, b):
         if k == 0:
-            return a * b
+            return self._scalar(a * b)
         d = self.degrees[k - 1]
         prod = [self.zeros[k - 1]] * (2 * d - 1)
         for i, ai in enumerate(a):
@@ -579,7 +586,7 @@ def reference_oracle_rows(point, relations):
     on its layer.  Same rows, in the same order, reduced mod p^2."""
     p = point.prime
     m2 = p * p
-    ring = _ModRing(m2)
+    ring = ModularRing(m2)
     n = point.n
     ghat = normalized_generators(point, ring)
     system = TriangularPoint(tuple(ghat))

@@ -132,6 +132,10 @@ def test_normal_form_edge_cases(ring, order):
     assert normal_form(f, divisors + [constant], key) == zero
     for basis in ([], divisors, divisors[::-1], [constant]):
         assert normal_form(f, basis, key) == reference_normal_form(f, basis, key)
+    # neither engine entry point consumes its inputs' terms
+    before = [dict(g.terms) for g in [f] + divisors]
+    normal_form(f, groebner_basis(divisors, order), key)
+    assert [g.terms for g in [f] + divisors] == before
 
 
 def test_reduced_basis_properties_random():
@@ -276,7 +280,7 @@ def test_reduced_basis_matches_sympy():
             coeff = lambda c: sympy.Rational(c.numerator, c.denominator)
         else:
             domain = {"modulus": 7}
-            coeff = lambda c: c.value
+            coeff = int
 
         def to_sympy(f):
             return sympy.Poly.from_dict({e: coeff(c) for e, c in f.terms.items()}, syms, **domain)

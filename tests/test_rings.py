@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from regulus import PrimeField, QQ, ZZ
-from regulus.rings import PRIME_BOUND, PrimeFieldElem, is_prime
+from regulus import MultiPoly, PrimeField, QQ, ZZ, parse_poly
+from regulus.rings import PRIME_BOUND, ModularRing, is_prime
 
 
 def test_is_prime_small():
@@ -41,42 +41,69 @@ def test_prime_field_rejects_composite():
         PrimeField(6)
 
 
+def _constant(field, n):
+    return MultiPoly.constant(field, ("x",), field.from_int(n))
+
+
 def test_prime_field_arithmetic():
     F = PrimeField(7)
-    a = F.from_int(3)
-    b = F.from_int(5)
-    assert (a + b) == F.from_int(1)
-    assert (a * b) == F.from_int(1)
-    assert (-a) == F.from_int(4)
-    assert (a - b) == F.from_int(5)
-    assert a ** 0 == F.one()
-    assert a ** 6 == F.one()
+    a = _constant(F, 3)
+    b = _constant(F, 5)
+    assert (a + b) == _constant(F, 1)
+    assert (a * b) == _constant(F, 1)
+    assert (-a) == _constant(F, 4)
+    assert (a - b) == _constant(F, 5)
+    assert a ** 0 == _constant(F, 1)
+    assert a ** 6 == _constant(F, 1)
 
 
 def test_prime_field_inverse():
     F = PrimeField(13)
     for k in range(1, 13):
-        a = F.from_int(k)
-        assert a * F.inv(a) == F.one()
-        assert a * a.inverse() == F.one()
+        a = _constant(F, k)
+        assert a * _constant(F, F.inv(k)) == _constant(F, 1)
+        assert F.inv(k - 13) == F.inv(k)
     with pytest.raises(ZeroDivisionError):
         F.inv(F.zero())
+    with pytest.raises(ZeroDivisionError):
+        F.inv(26)
 
 
 def test_prime_field_mixed_modulus_rejected():
-    a = PrimeField(5).from_int(2)
-    b = PrimeField(7).from_int(2)
-    with pytest.raises(AssertionError):
-        a + b
+    a = _constant(PrimeField(5), 2)
+    b = _constant(PrimeField(7), 2)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(ValueError, match="mixed coefficient rings"):
+            op()
 
 
 def test_prime_field_coerce_and_str():
     F = PrimeField(3)
     assert F.coerce(5) == F.from_int(2)
     assert F.coerce(F.one()) == F.one()
+    assert PrimeField(7).coerce(9) == 2
     assert F.elem_str(F.from_int(2)) == "2"
     assert str(F.from_int(-1)) == "2"
     assert F.is_field
+
+
+@pytest.mark.parametrize("ring", [PrimeField(7), ModularRing(49)], ids=["GF7", "Z49"])
+def test_modular_coefficients_are_canonical(ring):
+    m = ring.modulus
+    vars = ("x", "y")
+    canonical = parse_poly("%d*x^2 + y + %d" % (m - 3, m - 1), vars, ring)
+    built = MultiPoly(ring, vars, {(2, 0): -3, (0, 1): m + 1, (0, 0): 5 * m - 1, (1, 1): -2 * m})
+    assert built == canonical and hash(built) == hash(canonical)
+    assert all(0 < c < m for c in built.terms.values())
+    # sums and products that wrap to the modulus
+    f = MultiPoly(ring, vars, {(1, 0): m - 1, (0, 0): 3})
+    g = MultiPoly(ring, vars, {(1, 0): 1, (0, 0): m - 2})
+    one = parse_poly("1", vars, ring)
+    assert f + g == one and hash(f + g) == hash(one)
+    assert f - f == MultiPoly.zero(ring, vars) and not (f - f).terms
+    assert f * g == parse_poly("%d*x^2 + 5*x + %d" % (m - 1, m - 6), vars, ring)
+    assert ModularRing(4) != ModularRing(9)
+    assert ModularRing(49) == ModularRing(49)
 
 
 def test_elem_bool_matches_is_zero():
@@ -105,16 +132,11 @@ def test_integers_are_not_a_field():
     assert ZZ.elem_str(-2) == "-2"
 
 
-def test_prime_field_elem_repr_roundtrip_value():
-    e = PrimeFieldElem(9, 7)
-    assert e.value == 2
-
-
 def test_arithmetic_checks_hold_under_optimization():
     # python -O strips assert statements; these checks must raise anyway
     code = textwrap.dedent("""
         from regulus import PrimeField, QQ, parse_poly
-        a, b = PrimeField(5).from_int(2), PrimeField(7).from_int(2)
+        a, b = (parse_poly("x + 2", ("x",), PrimeField(p)) for p in (5, 7))
         checks = [
             lambda: a + b,
             lambda: a - b,
@@ -136,7 +158,7 @@ def test_arithmetic_checks_hold_under_optimization():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["mixed prime fields GF(5) and GF(7)"] * 3 + [
+    assert result.stdout.splitlines() == ["mixed coefficient rings"] * 3 + [
         "negative exponent -1",
         "1 values for 2 variables",
     ]

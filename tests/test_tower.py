@@ -235,6 +235,23 @@ def test_reduce_rejects_var_mismatch():
         tower_reduce(parse("x", ("x",)), tower)
 
 
+def test_reduce_rejects_a_prime_field_other_than_the_base():
+    vars = ("x",)
+    f = parse_poly("3*x + 3", vars, PrimeField(7))
+    gf25 = residue_field(TriangularPoint((parse_poly("x^2 + 2", vars, PrimeField(5)),)))
+    with pytest.raises(TypeError, match=r"element of GF\(7\) used in GF\(5\)"):
+        tower_reduce(f, gf25)
+    qq = residue_field(TriangularPoint((parse("x^2 - 2", vars),)))
+    with pytest.raises(TypeError):
+        tower_reduce(f, qq)
+    # integers reduce into GF(p), and integers and rationals into QQ
+    assert tower_reduce(parse_poly("8*x - 1", vars, ZZ), gf25) == tower_reduce(
+        parse_poly("3*x + 4", vars, PrimeField(5)), gf25
+    )
+    assert tower_reduce(parse_poly("x^2 + 1", vars, ZZ), qq) == qq.from_int(3)
+    assert tower_reduce(parse("1/2*x^2", vars), qq) == qq.one()
+
+
 def test_build_tower_reduces_tails():
     vars = ("x", "y")
     F = PrimeField(5)
@@ -300,7 +317,7 @@ def _random_level_point(field, rng):
 def _scalar(field, rng):
     if field is QQ:
         return Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, 5)))
-    return field.from_int(rng.randrange(field.p))
+    return field.from_int(rng.randrange(field.modulus))
 
 
 def _random_element_poly(field, vars, degrees, rng):
