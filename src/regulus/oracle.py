@@ -28,16 +28,26 @@ x_i*M is again a canonical monomial unless M sits at its top degree
 d_i - 1 in x_i, so only those d_t/d_i columns need a normal form from
 ``triangular_divide``; every other column is an index shift, the same on
 every layer.  On layers 1..n a column keeps only its layer-0 part, because
-g_j*g_k = 0 in A*.  Each rho is divided once, the row of rho*M is the row
-of rho*M/x_i times x_i (i the last variable of M), and the row of
-rho*M*g_k is the layer-0 part of the row of rho*M moved to layer k + 1.
-A* being free, an element has one coordinate vector, so the walked rows
-equal those that dividing every rho*M would give, entry for entry mod p^2.
+g_j*g_k = 0 in A*.  Each rho is divided once, and the row of rho*M is the
+row of rho*M/x_i times x_i (i the last variable of M).  A* being free, an
+element has one coordinate vector, so the walked rows equal those that
+dividing every rho*M would give, entry for entry mod p^2.  The row of
+rho*M*g_k is the layer-0 part (the head) of the row of rho*M moved to
+layer k + 1; those rows are never formed.
 
 One plain-int elimination with unit pivots (``_unit_sweep``) counts the
 quotient exactly.  It runs twice: over Z/p^2, which leaves rows that are
 all divisible by p, and then over Z/p on those rows divided by p, where
-every nonzero entry is a unit, so its pivot count is their F_p rank.
+every nonzero entry is a unit, so its pivot count is their F_p rank.  The
+u unit pivot rows span a free module of length 2u, and the residual lies
+in p*F, where length is F_p rank, so 2u + r_p is the length of the row
+module: the order of the rows and of the pivots, and repeated rows, cannot
+change it.  So any rows with the same span may stand in for the n copies
+of the heads, n/(n+1) of the matrix.  The head block (width d_t) is swept
+once on its own: its unit pivot rows, with an F_p echelon basis of its
+residual over p times p, generate the heads' span in at most d_t rows,
+and those are placed on each layer 1..n next to the walked rows.  A
+column, once eliminated, is deleted, so later row updates get shorter.
 """
 
 from __future__ import annotations
@@ -82,8 +92,8 @@ def _canonical_monomials(degrees):
 
 
 def _oracle_rows(point: TriangularPoint, relations) -> list:
-    """Coordinates in A*, reduced mod p^2, of rho*M and rho*M*ghat_k for
-    every generator rho of I + p*m, canonical monomial M and level k."""
+    """Coordinates in A*, reduced mod p^2, of rho*M for every generator rho
+    of I + p*m and canonical monomial M."""
     p = point.prime
     m2 = p * p
     ring = ModularRing(m2)
@@ -145,27 +155,16 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
         walked = [nf2_vector(rho)]
         for j, i in enumerate(last, 1):
             walked.append(times(walked[j - strides[i]], i))
-        for vec in walked:
-            rows.append(vec)
-            # ghat_j * ghat_k vanishes in A*, so rho*M*ghat_(k-1) is the
-            # layer-0 part of rho*M moved to layer k
-            head = vec[:d_t]
-            for k in range(1, n + 1):
-                rows.append([0] * (k * d_t) + head + [0] * ((n - k) * d_t))
+        rows.extend(walked)
     return rows
 
 
 def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
-    p = point.prime
-    m2 = p * p
     rows = _oracle_rows(point, relations)
     width = len(rows[0])
     d_t = width // (point.n + 1)
 
-    u, residual = _unit_sweep(rows, p, m2)
-    r_p, _ = _unit_sweep([[x // p for x in r] for r in residual], p, p)
-
-    log_quotient = 2 * width - (2 * u + r_p)
+    log_quotient = 2 * width - _row_module_length(rows, point.n, point.prime)
     log_residue = d_t  # [kappa : F_p] = product of level degrees
     s = log_quotient - log_residue
     if s < 0 or s % d_t != 0:
@@ -176,41 +175,82 @@ def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
     return s // d_t
 
 
-def _unit_sweep(rows, p, m):
+def _row_module_length(rows, n, p):
+    """Length over Z/p^2 of the module spanned by ``rows`` (layers 0..n of
+    d_t columns each) and by the layer-0 head of every row placed on each
+    layer 1..n."""
+    m2 = p * p
+    width = len(rows[0])
+    d_t = width // (n + 1)
+    units, basis = [], []
+    _, rest = _unit_sweep([r[:d_t] for r in rows], p, m2, units)
+    _unit_sweep([[x // p for x in r] for r in rest], p, p, basis)
+    cols = list(range(d_t))
+    span = _expand(units, cols, d_t, 1) + _expand(basis, cols, d_t, p)
+    layered = [
+        [0] * k + g + [0] * (width - k - d_t) for k in range(d_t, width, d_t) for g in span
+    ]
+    u, residual = _unit_sweep(rows + layered, p, m2)
+    r_p, _ = _unit_sweep([[x // p for x in r] for r in residual], p, p)
+    return 2 * u + r_p
+
+
+def _expand(pivots, cols, width, scale):
+    """The pivot rows that ``_unit_sweep`` recorded, times ``scale``, back
+    in the columns ``cols`` that it swept: each is 1 at its own column,
+    which is popped off ``cols``, and 0 at the columns popped before."""
+    out = []
+    for ci, row in pivots:
+        vec = [0] * width
+        vec[cols.pop(ci)] = scale
+        for c, x in zip(cols, row):
+            vec[c] = scale * x
+        out.append(vec)
+    return out
+
+
+def _clear(rows, ci, pivot, m):
+    """``rows`` with column ci eliminated by ``pivot`` (1 there, the column
+    already popped off it) and deleted; zero rows are dropped."""
+    out = []
+    for r in rows:
+        f = r.pop(ci)
+        if f:
+            r = [(a - f * b) % m for a, b in zip(r, pivot)]
+            if not any(r):
+                continue
+        out.append(r)
+    return out
+
+
+def _unit_sweep(rows, p, m, pivots=None):
     """Eliminate over Z/m, for m = p or p^2, using unit pivots only.
 
     Returns (u, residual): u unit-pivot steps were possible, and afterwards
-    every entry of every remaining row is divisible by p."""
-    pending = []
-    for r in rows:
-        rr = [x % m for x in r]
-        if any(rr):
-            pending.append(rr)
+    every entry of every remaining row is divisible by p.  An eliminated
+    column is zero from then on, so it is deleted from the pivot row and
+    from every other row: the residual rows come back without the pivot
+    columns.  A row with no unit entry never gains one, so it is searched
+    once.  Each step appends (column, pivot row scaled to 1 there, without
+    that column) to the list ``pivots``, if one is given."""
+    # popped from the end, so rows are searched in the order given
+    pending = [rr for rr in ([x % m for x in r] for r in reversed(rows)) if any(rr)]
+    residual = []
     u = 0
-    while True:
-        hit = None
-        for ri, row in enumerate(pending):
-            for ci, x in enumerate(row):
-                if x % p:
-                    hit = (ri, ci)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return u, pending
-        ri, ci = hit
-        row = pending.pop(ri)
-        inv = pow(row[ci], -1, m)
+    while pending:
+        row = pending.pop()
+        ci = next((c for c, x in enumerate(row) if x % p), None)
+        if ci is None:
+            residual.append(row)
+            continue
+        inv = pow(row.pop(ci), -1, m)
         row = [(x * inv) % m for x in row]
-        nxt = []
-        for other in pending:
-            f = other[ci]
-            if f:
-                other = [(a - f * b) % m for a, b in zip(other, row)]
-            if any(other):
-                nxt.append(other)
-        pending = nxt
+        if pivots is not None:
+            pivots.append((ci, row))
+        pending = _clear(pending, ci, row, m)
+        residual = _clear(residual, ci, row, m)
         u += 1
+    return u, residual
 
 
 def _geometric_cotangent(point: TriangularPoint, relations) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb, lcm, log10
 
 from .errors import InvalidPoint, PolySyntaxError
-from .rings import QQ, ZZ, Fraction, PrimeField, check_derived, is_prime
+from .rings import QQ, ZZ, PrimeField, check_derived, is_prime
 
 
 def grlex_key(exps):
@@ -198,30 +198,6 @@ class MultiPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]), reverse=True)
-
-    def evaluate(self, values, ring):
-        """Evaluate at the given ring elements, one per variable.  Each power
-        of a value is formed once, and checked with ``ring.bounded``; the
-        value is coerced into ``ring`` (a residue in [0, m) over Z/m)."""
-        if len(values) != len(self.vars):
-            raise ValueError("%d values for %d variables" % (len(values), len(self.vars)))
-        total = None
-        bounded = ring.bounded
-        powers = [[None] for _ in values]  # powers[i][e] is values[i]^e, e >= 1
-
-        def power(i, e):
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(values[i] if len(cache) == 1 else bounded(cache[-1] * values[i]))
-            return cache[e]
-
-        for exps, coeff in self.sorted_terms():
-            term = ring.coerce(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            total = term if total is None else total + term
-        return ring.coerce(ring.zero() if total is None else total)
 
     def convert(self, ring, coeff_map):
         return MultiPoly(
@@ -668,11 +644,3 @@ def lift_int(f: MultiPoly) -> MultiPoly:
         raise ValueError("lift_int expects a prime-field polynomial")
     return MultiPoly(ZZ, f.vars, f.terms)
 
-
-def rationalize(f: MultiPoly) -> MultiPoly:
-    """View an integer polynomial over QQ."""
-    if f.ring is QQ:
-        return f
-    if f.ring is not ZZ:
-        raise ValueError("rationalize expects an integer polynomial")
-    return f.convert(QQ, Fraction)

@@ -22,9 +22,9 @@ Rational = Fraction
 
 # Every number the program derives has at most MAX_DERIVED_DIGITS decimal
 # digits where it is checked: each power of a point coordinate formed while
-# reducing into the residue tower (or by ``MultiPoly.evaluate``), each
-# quotient coefficient of triangular division over ZZ and QQ, and each
-# residue-tower element printed (the rest of a report echoes parsed input).
+# reducing into the residue tower, each quotient coefficient of triangular
+# division over ZZ and QQ, and each residue-tower element printed (the rest
+# of a report echoes parsed input).
 # That keeps printing below CPython's 4300-digit limit on int-to-text
 # conversion; a larger number ends the job as a resource error (exit 3)
 # instead of a traceback or an unbounded run.
@@ -101,10 +101,6 @@ class IntegerRing:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def bounded(self, a) -> int:
-        check_derived(a)
-        return a
-
     def elem_str(self, a) -> str:
         return str(a)
 
@@ -144,10 +140,6 @@ class RationalField:
     def inv(self, a: Fraction) -> Fraction:
         return Fraction(1) / a
 
-    def bounded(self, a: Fraction) -> Fraction:
-        check_derived(max(abs(a.numerator), a.denominator))
-        return a
-
     def elem_str(self, a) -> str:
         return str(a)
 
@@ -158,8 +150,8 @@ class RationalField:
 class ModularRing:
     """Z/m; elements are plain ints.  A polynomial over it holds canonical
     residues in [0, m), reduced once by ``MultiPoly``; a sum or product
-    formed outside a polynomial may leave that range, so ``is_zero``,
-    ``bounded`` and ``elem_str`` reduce what they read."""
+    formed outside a polynomial may leave that range, so ``is_zero`` and
+    ``elem_str`` reduce what they read."""
 
     is_field = False
 
@@ -183,9 +175,6 @@ class ModularRing:
 
     def is_zero(self, a) -> bool:
         return a % self.modulus == 0
-
-    def bounded(self, a) -> int:
-        return a % self.modulus
 
     def elem_str(self, a) -> str:
         return str(a % self.modulus)

@@ -29,8 +29,8 @@ sum c_e x^e is then a linear combination of cached leaf vectors over one
 common denominator, normalized once, so each product is formed once per
 tower rather than once per reduction (von zur Gathen & Gerhard, *Modern
 Computer Algebra*, ch. 9).  Missing entries are formed in the order that
-``MultiPoly.evaluate`` forms them, so both meet the same first number that
-breaks the limit.
+the plain sum of products forms them, so both meet the same first number
+that breaks the limit.
 
 Whether the tower really is a field is *not* decided up front.  Inversion
 runs an extended gcd against the level polynomial; a nontrivial gcd proves
@@ -355,14 +355,11 @@ class ResidueTower:
         return TowerElem(self, self._inv(len(self.levels), a.data))
 
     def _bounded(self, a):
-        """The (leaves, den) data a, once checked against the derived-digit
-        limit; residues over GF(p) are below p."""
+        """The (leaves, den) data a of a new power or a printed element, once
+        checked against the derived-digit limit; residues over GF(p) are
+        below p."""
         if self._p is None:
             check_derived(max(a[1], max(a[0]), -min(a[0])))
-        return a
-
-    def bounded(self, a):
-        self._bounded(a.data)
         return a
 
     # ---- reduction through the monomial table ----------------------------
@@ -375,8 +372,8 @@ class ResidueTower:
         return c, 1
 
     def _power(self, i, e):
-        """x_i^e, the chain extended as ``MultiPoly.evaluate`` extends it:
-        x_i^e = x_i^(e-1) * x_i, each new power checked once."""
+        """x_i^e, the chain extended one power at a time, x_i^e =
+        x_i^(e-1) * x_i, each new power checked once."""
         chain = self._powers[i]
         while len(chain) <= e:
             chain.append(self._bounded(self._mul(len(self.levels), chain[-1], chain[1])))
@@ -406,7 +403,7 @@ class ResidueTower:
         ``terms``: a linear combination of table entries over one common
         denominator.  Missing entries are formed first, in the order that
         ``MultiPoly.sorted_terms`` gives, so the first derived number to
-        break its limit is the one ``MultiPoly.evaluate`` would meet."""
+        break its limit is the one the plain sum of products would meet."""
         scalars = [self._scalar(c) for c in terms.values()]
         monos = self._monos
         missing = [e for e in terms if e not in monos]

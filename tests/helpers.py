@@ -21,8 +21,8 @@ from regulus import (
 )
 from regulus.oracle import _canonical_monomials, normalized_generators
 from regulus.poly import _signed_split, format_terms, grlex_key, lift_int, triangular_divide
-from regulus.rings import ModularRing
-from regulus.tower import residue_field, tower_reduce
+from regulus.rings import ModularRing, check_derived
+from regulus.tower import ResidueTower, residue_field, tower_reduce
 
 VAR_POOL = ("x", "y", "z", "w")
 
@@ -54,6 +54,56 @@ def random_poly(ring, vars, rng, max_exp=2, terms=3):
         prev = data.get(e)
         data[e] = c if prev is None else prev + c
     return MultiPoly(ring, vars, data)
+
+
+def rationalize(f):
+    """View an integer polynomial over QQ."""
+    if f.ring is QQ:
+        return f
+    if f.ring is not ZZ:
+        raise ValueError("rationalize expects an integer polynomial")
+    return f.convert(QQ, Fraction)
+
+
+def _bounded(ring, a):
+    """``a`` once checked against the derived-digit limit, as the program
+    checks each power of a point coordinate; a residue over Z/m."""
+    if isinstance(ring, ResidueTower):
+        ring._bounded(a.data)
+    elif ring is ZZ:
+        check_derived(a)
+    elif ring is QQ:
+        check_derived(max(abs(a.numerator), a.denominator))
+    else:
+        a %= ring.modulus
+    return a
+
+
+def evaluate(f, values, ring):
+    """f at the given ring elements, one per variable, by the plain sum of
+    products: terms in ``sorted_terms`` order, each power of a value formed
+    once as the previous power times the value and checked with
+    ``_bounded``.  The residue tower's reduction must give the same element
+    and stop at the same first oversized number.  The value is coerced into
+    ``ring`` (a residue in [0, m) over Z/m)."""
+    if len(values) != len(f.vars):
+        raise ValueError("%d values for %d variables" % (len(values), len(f.vars)))
+    total = None
+    powers = [[None] for _ in values]  # powers[i][e] is values[i]^e, e >= 1
+
+    def power(i, e):
+        cache = powers[i]
+        while len(cache) <= e:
+            cache.append(values[i] if len(cache) == 1 else _bounded(ring, cache[-1] * values[i]))
+        return cache[e]
+
+    for exps, coeff in f.sorted_terms():
+        term = ring.coerce(coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * power(i, e)
+        total = term if total is None else total + term
+    return ring.coerce(ring.zero() if total is None else total)
 
 
 def irreducible_quadratic(p, rng):
@@ -630,3 +680,63 @@ def reference_oracle_rows(point, relations):
             for layer in range(n):
                 rows.append(layer_vector(shifted, layer))
     return rows
+
+
+def expand_copies(rows, n):
+    """The rows with every copy formed, in the order of
+    ``reference_oracle_rows``: after each row, its layer-0 head (the first
+    of its n + 1 layers of equal width) placed on each layer 1..n in turn."""
+    d_t = len(rows[0]) // (n + 1)
+    out = []
+    for row in rows:
+        out.append(row)
+        for k in range(1, n + 1):
+            out.append([0] * (k * d_t) + row[:d_t] + [0] * ((n - k) * d_t))
+    return out
+
+
+def reference_unit_sweep(rows, p, m):
+    """Eliminate over Z/m, for m = p or p^2, using unit pivots only, the
+    plain way: each step rescans the rows from the start for a unit entry
+    and updates every row at full width.
+
+    Returns (u, residual): u unit-pivot steps were possible, and afterwards
+    every entry of every remaining row is divisible by p."""
+    pending = []
+    for r in rows:
+        rr = [x % m for x in r]
+        if any(rr):
+            pending.append(rr)
+    u = 0
+    while True:
+        hit = None
+        for ri, row in enumerate(pending):
+            for ci, x in enumerate(row):
+                if x % p:
+                    hit = (ri, ci)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return u, pending
+        ri, ci = hit
+        row = pending.pop(ri)
+        inv = pow(row[ci], -1, m)
+        row = [(x * inv) % m for x in row]
+        nxt = []
+        for other in pending:
+            f = other[ci]
+            if f:
+                other = [(a - f * b) % m for a, b in zip(other, row)]
+            if any(other):
+                nxt.append(other)
+        pending = nxt
+        u += 1
+
+
+def reference_module_length(rows, p):
+    """2u + r_p from two ``reference_unit_sweep`` runs: over Z/p^2, then
+    over Z/p on the residual divided by p."""
+    u, residual = reference_unit_sweep(rows, p, p * p)
+    r_p, _ = reference_unit_sweep([[x // p for x in r] for r in residual], p, p)
+    return 2 * u + r_p

@@ -14,18 +14,21 @@ from regulus import (
     cotangent_dimension,
     generalized_jacobian,
 )
-from regulus.oracle import _oracle_rows, _unit_sweep
+from regulus.oracle import _oracle_rows, _row_module_length, _unit_sweep
 from regulus.poly import lift_int
 
 from helpers import (
     VAR_POOL,
+    expand_copies,
     irreducible_quadratic,
     parse,
     random_arithmetic_point,
     random_arithmetic_relation,
     random_member,
     random_point,
+    reference_module_length,
     reference_oracle_rows,
+    reference_unit_sweep,
 )
 
 
@@ -177,6 +180,40 @@ def test_unit_sweep_invariants_ignore_row_order_and_repeats():
         assert _sweep_invariants(repeated, p) == expected
 
 
+def test_block_count_matches_the_reference_on_expanded_rows():
+    # sweeping the heads once and placing their span on each layer must
+    # count what the plain sweep counts with every copy formed
+    rng = random.Random(433)
+    unit_heads = residual_heads = 0
+    for _ in range(400):
+        p = rng.choice((2, 3, 5))
+        m = p * p
+        n, d_t = rng.randrange(1, 4), rng.randrange(1, 7)
+        width = (n + 1) * d_t
+        rows = []
+        for _ in range(rng.randrange(1, 9)):
+            kind = rng.randrange(5)
+            pmul = [rng.randrange(p) for _ in range(width)]
+            if kind == 0 and rows:
+                rows.append(list(rng.choice(rows)))
+            elif kind == 1:
+                rows.append([p * x for x in pmul])
+            elif kind == 2:
+                # a head divisible by p, as every head of the oracle's rows
+                rows.append([p * x for x in pmul[:d_t]] + [rng.randrange(m) for _ in pmul[d_t:]])
+            else:
+                rows.append([rng.randrange(m) if rng.randrange(3) else p * x for x in pmul])
+        before = [list(r) for r in rows]
+        expected = reference_module_length(expand_copies(rows, n), p)
+        assert _row_module_length(rows, n, p) == expected
+        assert rows == before
+        u, residual = reference_unit_sweep([r[:d_t] for r in rows], p, m)
+        unit_heads += u > 0
+        residual_heads += bool(residual)
+    assert unit_heads >= 100
+    assert residual_heads >= 100
+
+
 # ---- the walked rows match the divided rows ------------------------------
 
 
@@ -210,4 +247,9 @@ def test_oracle_rows_match_reference_rows():
     for p, fiber, point in cases:
         for count in (0, 1, 2):
             rels = [random_arithmetic_relation(fiber, p, rng) for _ in range(count)]
-            assert _oracle_rows(point, rels) == reference_oracle_rows(point, rels)
+            # the builder emits the walked rows only; each is followed by
+            # its layer-0 head on layers 1..n in the reference
+            walked = _oracle_rows(point, rels)
+            reference = reference_oracle_rows(point, rels)
+            assert expand_copies(walked, point.n) == reference
+            assert _row_module_length(walked, point.n, p) == reference_module_length(reference, p)

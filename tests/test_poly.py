@@ -21,17 +21,18 @@ from regulus.poly import (
     MAX_NESTING,
     MAX_TERMS,
     lift_int,
-    rationalize,
     reduce_mod,
 )
 
 from helpers import (
     VAR_POOL,
+    evaluate,
     random_arithmetic_point,
     random_arithmetic_relation,
     random_member,
     random_point,
     random_poly,
+    rationalize,
 )
 
 
@@ -83,7 +84,7 @@ def test_power():
 
 def test_evaluate():
     f = P("x^2 + y", ("x", "y"))
-    v = f.evaluate([QQ.from_int(3), QQ.from_int(-2)], QQ)
+    v = evaluate(f, [QQ.from_int(3), QQ.from_int(-2)], QQ)
     assert v == QQ.from_int(7)
 
 
