@@ -31,9 +31,14 @@ every layer.  On layers 1..n a column keeps only its layer-0 part, because
 g_j*g_k = 0 in A*.  Each rho is divided once, and the row of rho*M is the
 row of rho*M/x_i times x_i (i the last variable of M).  A* being free, an
 element has one coordinate vector, so the walked rows equal those that
-dividing every rho*M would give, entry for entry mod p^2.  The row of
-rho*M*g_k is the layer-0 part (the head) of the row of rho*M moved to
-layer k + 1; those rows are never formed.
+dividing every rho*M would give, entry for entry mod p^2.
+
+The rows of rho*M*g_k are never formed, because the walked rows already
+span them.  Every relation rho lies in m = (p, g), so
+rho = p*a + sum_j b_j*g_j, and as g_j*g_k = 0 in A*, rho*M*g_k = p*a*M*g_k.
+Reducing a*M modulo (g) gives a*M = sum c_M' * M' + sum_j q_j*g_j, so
+rho*M*g_k = sum c_M' * (p*g_k*M'), which lies in the span of the walked
+rows of rho' = p*g_k.  For rho = p*g_j, (p*g_j)*M*g_k = 0 outright.
 
 One plain-int elimination with unit pivots (``_unit_sweep``) counts the
 quotient exactly.  It runs twice: over Z/p^2, which leaves rows that are
@@ -42,19 +47,15 @@ every nonzero entry is a unit, so its pivot count is their F_p rank.  The
 u unit pivot rows span a free module of length 2u, and the residual lies
 in p*F, where length is F_p rank, so 2u + r_p is the length of the row
 module: the order of the rows and of the pivots, and repeated rows, cannot
-change it.  So any rows with the same span may stand in for the n copies
-of the heads, n/(n+1) of the matrix.  The head block (width d_t) is swept
-once on its own: its unit pivot rows, with an F_p echelon basis of its
-residual over p times p, generate the heads' span in at most d_t rows,
-and those are placed on each layer 1..n next to the walked rows.  A
-column, once eliminated, is deleted, so later row updates get shorter.
+change it.  A column, once eliminated, is deleted, so later row updates
+get shorter.
 """
 
 from __future__ import annotations
 
 from itertools import product as _iterproduct
 
-from .errors import InternalConsistencyError, PointNotOnVariety
+from .errors import InternalConsistencyError, OracleResourceError, PointNotOnVariety
 from .groebner import groebner_basis, order_key, standard_monomial_count
 from .poly import (
     MultiPoly,
@@ -64,6 +65,11 @@ from .poly import (
     triangular_divide,
 )
 from .rings import ZZ, ModularRing
+
+# The Z/p^2 count over ZZ forms (r + n)*d_t rows of (n + 1)*d_t entries for
+# r relations, n variables and residue degree d_t; its memory grows as d_t^2
+# and its time as d_t^3, so the matrix is bounded before any of it is formed.
+MAX_ORACLE_ENTRIES = 10**6
 
 
 def _require_on_variety(point, relations):
@@ -160,11 +166,16 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
 
 
 def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
+    n, d_t = point.n, point.residue_degree
+    width = (n + 1) * d_t
+    entries = (len(relations) + n) * d_t * width
+    if entries > MAX_ORACLE_ENTRIES:
+        raise OracleResourceError(
+            "the Z/p^2 count needs %d matrix entries, above the limit of %d"
+            % (entries, MAX_ORACLE_ENTRIES)
+        )
     rows = _oracle_rows(point, relations)
-    width = len(rows[0])
-    d_t = width // (point.n + 1)
-
-    log_quotient = 2 * width - _row_module_length(rows, point.n, point.prime)
+    log_quotient = 2 * width - _row_module_length(rows, point.prime)
     log_residue = d_t  # [kappa : F_p] = product of level degrees
     s = log_quotient - log_residue
     if s < 0 or s % d_t != 0:
@@ -175,38 +186,11 @@ def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
     return s // d_t
 
 
-def _row_module_length(rows, n, p):
-    """Length over Z/p^2 of the module spanned by ``rows`` (layers 0..n of
-    d_t columns each) and by the layer-0 head of every row placed on each
-    layer 1..n."""
-    m2 = p * p
-    width = len(rows[0])
-    d_t = width // (n + 1)
-    units, basis = [], []
-    _, rest = _unit_sweep([r[:d_t] for r in rows], p, m2, units)
-    _unit_sweep([[x // p for x in r] for r in rest], p, p, basis)
-    cols = list(range(d_t))
-    span = _expand(units, cols, d_t, 1) + _expand(basis, cols, d_t, p)
-    layered = [
-        [0] * k + g + [0] * (width - k - d_t) for k in range(d_t, width, d_t) for g in span
-    ]
-    u, residual = _unit_sweep(rows + layered, p, m2)
+def _row_module_length(rows, p):
+    """Length over Z/p^2 of the module spanned by ``rows``."""
+    u, residual = _unit_sweep(rows, p, p * p)
     r_p, _ = _unit_sweep([[x // p for x in r] for r in residual], p, p)
     return 2 * u + r_p
-
-
-def _expand(pivots, cols, width, scale):
-    """The pivot rows that ``_unit_sweep`` recorded, times ``scale``, back
-    in the columns ``cols`` that it swept: each is 1 at its own column,
-    which is popped off ``cols``, and 0 at the columns popped before."""
-    out = []
-    for ci, row in pivots:
-        vec = [0] * width
-        vec[cols.pop(ci)] = scale
-        for c, x in zip(cols, row):
-            vec[c] = scale * x
-        out.append(vec)
-    return out
 
 
 def _clear(rows, ci, pivot, m):
@@ -223,7 +207,7 @@ def _clear(rows, ci, pivot, m):
     return out
 
 
-def _unit_sweep(rows, p, m, pivots=None):
+def _unit_sweep(rows, p, m):
     """Eliminate over Z/m, for m = p or p^2, using unit pivots only.
 
     Returns (u, residual): u unit-pivot steps were possible, and afterwards
@@ -231,8 +215,7 @@ def _unit_sweep(rows, p, m, pivots=None):
     column is zero from then on, so it is deleted from the pivot row and
     from every other row: the residual rows come back without the pivot
     columns.  A row with no unit entry never gains one, so it is searched
-    once.  Each step appends (column, pivot row scaled to 1 there, without
-    that column) to the list ``pivots``, if one is given."""
+    once."""
     # popped from the end, so rows are searched in the order given
     pending = [rr for rr in ([x % m for x in r] for r in reversed(rows)) if any(rr)]
     residual = []
@@ -245,8 +228,6 @@ def _unit_sweep(rows, p, m, pivots=None):
             continue
         inv = pow(row.pop(ci), -1, m)
         row = [(x * inv) % m for x in row]
-        if pivots is not None:
-            pivots.append((ci, row))
         pending = _clear(pending, ci, row, m)
         residual = _clear(residual, ci, row, m)
         u += 1
@@ -267,9 +248,7 @@ def _geometric_cotangent(point: TriangularPoint, relations) -> int:
         raise InternalConsistencyError(
             "cotangent quotient came out empty or infinite at a genuine point"
         )
-    residue_degree = 1
-    for i, g in enumerate(point.generators):
-        residue_degree *= g.degree_in(i)
+    residue_degree = point.residue_degree
     if total % residue_degree != 0:
         raise InternalConsistencyError(
             "quotient length %d is not a multiple of the residue degree %d"

@@ -15,7 +15,7 @@ deterministic division that every downstream criterion builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm, log10
+from math import comb, lcm, log10, prod
 
 from .errors import InvalidPoint, PolySyntaxError
 from .rings import QQ, ZZ, PrimeField, check_derived, is_prime
@@ -523,6 +523,12 @@ class TriangularPoint:
     @property
     def n(self):
         return len(self.generators)
+
+    @property
+    def residue_degree(self):
+        """The product of the level degrees: the residue field's degree over
+        the base."""
+        return prod(g.degree_in(i) for i, g in enumerate(self.generators))
 
     def check(self):
         gens = self.generators

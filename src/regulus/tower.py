@@ -43,9 +43,14 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import IdealNotMaximal
+from .errors import IdealNotMaximal, OracleResourceError
 from .poly import MultiPoly, _signed_split, format_terms, grlex_key
 from .rings import QQ, ZZ, Fraction, PrimeField, check_derived
+
+# Every product and every power of the chain is folded down to D leaves, D
+# the product of the level degrees, so the rank path's cost grows steeply
+# with D.  A larger residue degree is refused before any level is built.
+MAX_RESIDUE_DEGREE = 256
 
 
 class TowerLevel:
@@ -571,6 +576,11 @@ def build_tower(point, base_field) -> ResidueTower:
 def residue_field(point) -> ResidueTower:
     """The residue tower of a triangular point over its natural base."""
     point.check()
+    if point.residue_degree > MAX_RESIDUE_DEGREE:
+        raise OracleResourceError(
+            "a residue degree of %d is above the limit of %d"
+            % (point.residue_degree, MAX_RESIDUE_DEGREE)
+        )
     if point.prime is not None:
         base = PrimeField(point.prime)
     elif point.ring is QQ:

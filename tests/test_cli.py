@@ -430,6 +430,65 @@ def test_exit_code_3_for_resource_guard(tmp_path):
     assert doc["error"]["kind"] == "oracle-resource"
 
 
+RESIDUE_DEGREE_JOB = """\
+[ring]
+vars = x
+base = ZZ
+relations =
+
+[point]
+prime = 3
+generators = x^257 + x + 2
+
+[task]
+kind = check
+"""
+
+
+def test_exit_code_3_for_residue_degree_above_the_limit(tmp_path):
+    # folding a level's power chain grows steeply with its degree, so the
+    # residue degree is checked before the level is built
+    result = run_cli([write_job(tmp_path, RESIDUE_DEGREE_JOB)], timeout=20)
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {
+        "error": {
+            "kind": "oracle-resource",
+            "message": "a residue degree of 257 is above the limit of 256",
+        }
+    }
+
+
+ORACLE_MATRIX_JOB = """\
+[ring]
+vars = x, y, z, w
+base = ZZ
+relations =
+
+[point]
+prime = 3
+generators = x^4 + x + 2, y^4 + y + 2, z^4 + z + 2, w^4 + w + 2
+
+[task]
+kind = oracle-crosscheck
+dim = 4
+"""
+
+
+def test_exit_code_3_for_oracle_matrix_above_the_limit(tmp_path):
+    # D = 256 passes the residue-degree limit, but the Z/p^2 count would
+    # form 4*256 rows of 5*256 entries; it is refused before any row
+    result = run_cli([write_job(tmp_path, ORACLE_MATRIX_JOB)], timeout=20)
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {
+        "error": {
+            "kind": "oracle-resource",
+            "message": "the Z/p^2 count needs 1310720 matrix entries, above the limit of 1000000",
+        }
+    }
+
+
 def read_project_scripts(text):
     """The ``[project.scripts]`` table of a pyproject.toml.
 

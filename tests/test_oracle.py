@@ -180,11 +180,9 @@ def test_unit_sweep_invariants_ignore_row_order_and_repeats():
         assert _sweep_invariants(repeated, p) == expected
 
 
-def test_block_count_matches_the_reference_on_expanded_rows():
-    # sweeping the heads once and placing their span on each layer must
-    # count what the plain sweep counts with every copy formed
+def test_row_module_length_matches_the_reference():
     rng = random.Random(433)
-    unit_heads = residual_heads = 0
+    unit_pivots = residuals = 0
     for _ in range(400):
         p = rng.choice((2, 3, 5))
         m = p * p
@@ -204,14 +202,13 @@ def test_block_count_matches_the_reference_on_expanded_rows():
             else:
                 rows.append([rng.randrange(m) if rng.randrange(3) else p * x for x in pmul])
         before = [list(r) for r in rows]
-        expected = reference_module_length(expand_copies(rows, n), p)
-        assert _row_module_length(rows, n, p) == expected
+        assert _row_module_length(rows, p) == reference_module_length(rows, p)
         assert rows == before
-        u, residual = reference_unit_sweep([r[:d_t] for r in rows], p, m)
-        unit_heads += u > 0
-        residual_heads += bool(residual)
-    assert unit_heads >= 100
-    assert residual_heads >= 100
+        u, residual = reference_unit_sweep(rows, p, m)
+        unit_pivots += u > 0
+        residuals += bool(residual)
+    assert unit_pivots >= 100
+    assert residuals >= 100
 
 
 # ---- the walked rows match the divided rows ------------------------------
@@ -244,6 +241,7 @@ def test_oracle_rows_match_reference_rows():
         cases.append((p,) + random_arithmetic_point(VAR_POOL[:n], p, rng))
     for p in (2, 3, 5):
         cases.append((p,) + _quadratic_linear_quadratic(p, rng))
+    relation_heads = 0
     for p, fiber, point in cases:
         for count in (0, 1, 2):
             rels = [random_arithmetic_relation(fiber, p, rng) for _ in range(count)]
@@ -252,4 +250,9 @@ def test_oracle_rows_match_reference_rows():
             walked = _oracle_rows(point, rels)
             reference = reference_oracle_rows(point, rels)
             assert expand_copies(walked, point.n) == reference
-            assert _row_module_length(walked, point.n, p) == reference_module_length(reference, p)
+            # the heads' copies on layers 1..n add nothing to the walked
+            # rows' span: the rows of each p*g_k already contain them
+            assert _row_module_length(walked, p) == reference_module_length(reference, p)
+            d_t = len(walked[0]) // (point.n + 1)
+            relation_heads += any(any(r[:d_t]) for r in walked[: count * d_t])
+    assert relation_heads >= 20

@@ -99,6 +99,18 @@ def test_arithmetic_residue_field_uses_the_prime():
     assert tower.describe() == "GF(3)[a]/(a^2+1)"
 
 
+def test_residue_degree_is_bounded_before_any_level_is_built():
+    # four levels of degree 4 make D = 256, the limit; one level of degree
+    # 257 is refused before its power chain is folded
+    vars = ("x", "y", "z", "w")
+    gens = tuple(parse_poly("%s^4 + %s + 2" % (v, v), vars, ZZ) for v in vars)
+    assert residue_field(TriangularPoint(gens, prime=3)).degree_over_base == 256
+    point = TriangularPoint((parse_poly("x^257 + x + 2", ("x",), ZZ),), prime=3)
+    with pytest.raises(OracleResourceError) as info:
+        residue_field(point)
+    assert info.value.message == "a residue degree of 257 is above the limit of 256"
+
+
 def test_inverting_zero_divisor_reports_witness():
     # x^2 - 4 splits, so x - 2 is a zero divisor and the ideal is not maximal
     point = TriangularPoint((parse("x^2 - 4", ("x",)),))
