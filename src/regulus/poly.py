@@ -253,7 +253,9 @@ def partial_derivative(f: MultiPoly, index: int) -> MultiPoly:
 #
 # The optional leading '-' and the rational literal (QQ only) are permissive
 # extensions so canonical output always reparses; plain integer/identifier
-# input is unchanged.
+# input is unchanged.  A term's leading run of atoms (literals and
+# identifiers, each with an optional power) is gathered as one monomial;
+# from its first parenthesis on, it is multiplied out factor by factor.
 
 _INT, _IDENT, _OP, _END = "int", "ident", "op", "end"
 
@@ -314,14 +316,15 @@ def _tokenize(text):
     return tokens
 
 
+def _bound(c):
+    return max(abs(c.numerator), c.denominator)  # 1 for c == 0
+
+
 def _coefficient_bound(f):
     """The larger of f's common denominator D and the L1 norm of D*f.  The
     bound of a product is at most the product of the factors' bounds, and
     it bounds every numerator and denominator of the product."""
     cs = f.terms.values()
-    if len(cs) == 1:
-        for c in cs:
-            return max(abs(c.numerator), c.denominator)
     den = lcm(*[c.denominator for c in cs])
     return max(den, sum([abs(c.numerator) * (den // c.denominator) for c in cs]))
 
@@ -333,7 +336,8 @@ class _Parser:
         self.depth = 0
         self.vars = tuple(vars)
         self.ring = ring
-        self.variables = {}
+        self.one = ring.one()
+        self.numeric = ring is ZZ or ring is QQ
 
     def peek(self):
         return self.tokens[self.pos]
@@ -354,7 +358,6 @@ class _Parser:
         result = self.term()
         terms = {e: -c for e, c in result.terms.items()} if negate else dict(result.terms)
         is_zero = self.ring.is_zero
-        numeric = self.ring is ZZ or self.ring is QQ
         kind, text, _ = self.peek()
         while kind == _OP and text in "+-":
             _, _, pos = self.take()
@@ -373,10 +376,10 @@ class _Parser:
                 raise PolySyntaxError(
                     "%d terms are above the limit of %d" % (len(terms), MAX_TERMS), pos
                 )
-            if numeric:
+            if self.numeric:
                 for e in rhs.terms:
                     c = terms.get(e)
-                    if c is not None and max(abs(c.numerator), c.denominator) >= _DIGITS_BOUND:
+                    if c is not None and _bound(c) >= _DIGITS_BOUND:
                         raise PolySyntaxError(
                             "a coefficient is above the limit of %d digits" % MAX_DIGITS, pos
                         )
@@ -384,7 +387,7 @@ class _Parser:
         return MultiPoly(self.ring, self.vars, terms)
 
     def term(self):
-        result = self.factor()
+        result = self.run() if self.peek()[1] != "(" else self.factor()
         while True:
             kind, text, pos = self.peek()
             if kind == _OP and text == "*":
@@ -395,43 +398,106 @@ class _Parser:
             else:
                 return result
 
-    def factor(self):
-        base = self.base()
-        kind, text, _ = self.peek()
-        if kind == _OP and text == "^":
+    def run(self):
+        """A run of atoms such as ``3*x*y^2*z``, up to a parenthesized
+        factor, as one exponent list and coefficient.  Each '*' is checked
+        as ``check_size`` checks the product of the two monomials."""
+        one, m = self.one, self.ring.modulus
+        exps, coeff, degree, digits, pos = [0] * len(self.vars), one, 0, 0.0, None
+        while True:
+            index, value, n = self.atom()
+            if pos is not None:
+                bound = log10(_bound(value)) if self.numeric and index is None else 0.0
+                self.check_bounds(degree + n, digits + bound, pos)
+            if index is None:
+                coeff = value if coeff is one else coeff * value % m if m else coeff * value
+                digits = log10(_bound(coeff)) if self.numeric else 0.0
+                degree = degree if coeff else 0
+            elif coeff:  # the zero polynomial keeps degree 0
+                exps[index] += n
+                degree += n
+            kind, text, pos = self.peek()
+            if not (kind == _OP and text == "*") or self.tokens[self.pos + 1][1] == "(":
+                return MultiPoly(self.ring, self.vars, {tuple(exps): coeff})
             self.take()
-            kind, text, pos = self.take()
-            if kind != _INT:
-                raise PolySyntaxError("expected a nonnegative integer exponent", pos)
-            exponent = int(text)
-            if exponent > MAX_DEGREE:
-                raise PolySyntaxError(
-                    "exponent %d is above the limit of %d" % (exponent, MAX_DEGREE), pos
-                )
-            self.check_size(((base, exponent),), pos)
-            return base ** exponent
-        return base
+
+    def factor(self):
+        if self.peek()[1] != "(":
+            index, value, n = self.atom()
+            exps = tuple(n if i == index else 0 for i in range(len(self.vars)))
+            return MultiPoly(self.ring, self.vars, {exps: value})
+        _, _, pos = self.take()
+        if self.depth == MAX_NESTING:
+            raise PolySyntaxError("parentheses nested deeper than %d" % MAX_NESTING, pos)
+        self.depth += 1
+        base = self.expr()
+        self.depth -= 1
+        kind, text, pos = self.take()
+        if not (kind == _OP and text == ")"):
+            raise PolySyntaxError("expected ')'", pos)
+        exponent, pos = self.exponent()
+        if pos is None:
+            return base
+        self.check_size(((base, exponent),), pos)
+        return base ** exponent
+
+    def atom(self):
+        """A literal or a variable with an optional power, as (variable
+        index or None, coefficient, degree)."""
+        kind, text, pos = self.take()
+        if kind == _IDENT:
+            if text not in self.vars:
+                raise PolySyntaxError("unknown variable %r" % text, pos)
+            return self.vars.index(text), self.one, self.exponent()[0]
+        if kind != _INT:
+            raise PolySyntaxError("expected a number, variable, or parenthesized expression", pos)
+        nk, ntext, npos = self.peek()
+        if nk == _OP and ntext == "/":
+            self.take()
+            dk, dtext, dpos = self.take()
+            if dk != _INT:
+                raise PolySyntaxError("expected an integer denominator", dpos)
+            if self.ring is not QQ:
+                raise PolySyntaxError("rational literal needs base QQ", npos)
+            if int(dtext) == 0:
+                raise PolySyntaxError("zero denominator", dpos)
+            value = self.ring.fraction(int(text), int(dtext))
+        else:
+            value = self.ring.from_int(int(text))
+        exponent, pos = self.exponent()
+        if pos is not None:
+            if self.numeric:
+                self.check_bounds(0, exponent * log10(_bound(value)), pos)
+            m = self.ring.modulus
+            value = pow(value, exponent, m) if m else value**exponent
+        return None, value, 0
+
+    def exponent(self):
+        """The n of an optional '^n' and its offset; 1 and None without one."""
+        kind, text, _ = self.peek()
+        if not (kind == _OP and text == "^"):
+            return 1, None
+        self.take()
+        kind, text, pos = self.take()
+        if kind != _INT:
+            raise PolySyntaxError("expected a nonnegative integer exponent", pos)
+        exponent = int(text)
+        if exponent > MAX_DEGREE:
+            raise PolySyntaxError(
+                "exponent %d is above the limit of %d" % (exponent, MAX_DEGREE), pos
+            )
+        return exponent, pos
 
     def check_size(self, factors, pos):
         """Reject the product of ``factors``, (polynomial, exponent) pairs,
         before it is formed if it could break a limit."""
         degree, terms, digits = 0, 1, 0.0
-        numeric = self.ring is ZZ or self.ring is QQ
         for f, e in factors:
             degree += e * f.total_degree()
             terms *= len(f.terms) ** e
-            if numeric:
+            if self.numeric:
                 digits += e * log10(_coefficient_bound(f))
-        if degree > MAX_DEGREE:
-            raise PolySyntaxError(
-                "total degree %d is above the limit of %d" % (degree, MAX_DEGREE), pos
-            )
-        if digits > MAX_DIGITS:
-            raise PolySyntaxError(
-                "coefficients of up to %d digits are above the limit of %d"
-                % (int(digits) + 1, MAX_DIGITS),
-                pos,
-            )
+        self.check_bounds(degree, digits, pos)
         if terms <= MAX_TERMS:
             return
         # no more terms than monomials within the degree in each variable,
@@ -447,48 +513,18 @@ class _Parser:
                 "%d terms are above the limit of %d" % (terms, MAX_TERMS), pos
             )
 
-    def base(self):
-        kind, text, pos = self.take()
-        if kind == _INT:
-            nk, ntext, npos = self.peek()
-            if nk == _OP and ntext == "/":
-                self.take()
-                dk, dtext, dpos = self.take()
-                if dk != _INT:
-                    raise PolySyntaxError("expected an integer denominator", dpos)
-                if self.ring is not QQ:
-                    raise PolySyntaxError(
-                        "rational literal needs base QQ", npos
-                    )
-                if int(dtext) == 0:
-                    raise PolySyntaxError("zero denominator", dpos)
-                value = self.ring.fraction(int(text), int(dtext))
-            else:
-                value = self.ring.from_int(int(text))
-            return MultiPoly.constant(self.ring, self.vars, value)
-        if kind == _IDENT:
-            if text not in self.vars:
-                raise PolySyntaxError("unknown variable %r" % text, pos)
-            if text not in self.variables:  # polynomials are never mutated
-                self.variables[text] = MultiPoly.variable(
-                    self.ring, self.vars, self.vars.index(text)
-                )
-            return self.variables[text]
-        if kind == _OP and text == "(":
-            if self.depth == MAX_NESTING:
-                raise PolySyntaxError(
-                    "parentheses nested deeper than %d" % MAX_NESTING, pos
-                )
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            kind, text, pos = self.take()
-            if not (kind == _OP and text == ")"):
-                raise PolySyntaxError("expected ')'", pos)
-            return inner
-        raise PolySyntaxError(
-            "expected a number, variable, or parenthesized expression", pos
-        )
+    @staticmethod
+    def check_bounds(degree, digits, pos):
+        if degree > MAX_DEGREE:
+            raise PolySyntaxError(
+                "total degree %d is above the limit of %d" % (degree, MAX_DEGREE), pos
+            )
+        if digits > MAX_DIGITS:
+            raise PolySyntaxError(
+                "coefficients of up to %d digits are above the limit of %d"
+                % (int(digits) + 1, MAX_DIGITS),
+                pos,
+            )
 
 
 def parse_poly(text: str, vars, ring) -> MultiPoly:

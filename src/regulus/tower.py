@@ -33,14 +33,19 @@ the plain sum of products forms them, so both meet the same first number
 that breaks the limit.
 
 Whether the tower really is a field is *not* decided up front.  Inversion
-runs an extended gcd against the level polynomial; a nontrivial gcd proves
-the underlying ideal was never maximal and raises ``IdealNotMaximal`` with
-the offending factor as witness.  All other operations never divide, so a
-defective tower computes sums and products happily until someone inverts.
+runs an extended gcd against the level polynomial (von zur Gathen & Gerhard,
+ch. 3-4) on polynomials in x_k whose coefficients share one common
+denominator, normalized once per Euclid step; a coefficient is made
+canonical only before it is inverted one level down or printed.  A
+nontrivial gcd proves the underlying ideal was never maximal and raises
+``IdealNotMaximal`` with the offending factor as witness.  All other
+operations never divide, so a defective tower computes sums and products
+happily until someone inverts.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import IdealNotMaximal, OracleResourceError
@@ -87,6 +92,7 @@ class ResidueTower:
         # sparse tails, scale factor, nearest level below that folds); a
         # degree-1 level never overflows and is skipped
         self._folds = [None]
+        self._minpolys = [None]  # each level polynomial, flat as in _inv
         below = 0
         for k, lv in enumerate(self.levels, start=1):
             d, width = lv.degree, ext_sizes[-1]
@@ -96,6 +102,8 @@ class ResidueTower:
                 for c in lv.tail
             ]
             factor = scales[-1] * den
+            minpoly = [-v * (den // c[1]) for c in lv.tail for v in c[0]]
+            self._minpolys.append(self._norm(minpoly + [den] + [0] * (sizes[-1] - 1), den))
             if d > 1:
                 self._folds.append((d, width, ext, tails, factor, below))
                 below = k
@@ -145,9 +153,6 @@ class ResidueTower:
             return tuple(leaves), den
         return tuple([x // g for x in leaves]), den // g
 
-    def _zero(self, k):
-        return (0,) * self._sizes[k], 1
-
     def _embed(self, k, num, den=1):
         return self._norm([num] + [0] * (self._sizes[k] - 1), den)
 
@@ -172,11 +177,15 @@ class ResidueTower:
 
     def _mul(self, k, a, b):
         (xs, ad), (ys, bd) = a, b
+        return self._norm(self._prod(k, xs, ys), ad * bd * self._scales[k])
+
+    def _prod(self, k, xs, ys):
+        """The leaves of xs * ys times the level-k scale, unnormalized."""
         if not any(ys[1:]):
             xs, ys = ys, xs
         if not any(xs[1:]):  # a base scalar times anything needs no fold
-            x = xs[0]
-            return self._norm([x * y for y in ys], ad * bd)
+            x = xs[0] * self._scales[k]
+            return [x * y for y in ys]
         ext = self._ext
         prod = [0] * self._ext_sizes[k]
         ys = [(ext[j], y) for j, y in enumerate(ys) if y]
@@ -186,8 +195,7 @@ class ResidueTower:
                 for q, y in ys:
                     prod[at + q] += x * y
         self._fold(k, prod, 0)
-        leaves = [prod[q] for q in ext[: self._sizes[k]]]
-        return self._norm(leaves, ad * bd * self._scales[k])
+        return [prod[q] for q in ext[: self._sizes[k]]]
 
     def _fold(self, k, prod, off):
         """Reduce the extended levels-1..k block at ``prod[off:]`` in place
@@ -206,6 +214,8 @@ class ResidueTower:
                     continue
                 self._fold(below, prod, top)
             coeff = [(q, prod[top + q]) for q in low if prod[top + q]]
+            if not coeff:
+                continue
             for j, tail in enumerate(tails):
                 at = top - (d - j) * width
                 for tq, v in tail:
@@ -216,19 +226,10 @@ class ResidueTower:
                 self._fold(below, prod, off + e * width)
 
     def _blocks(self, k, a):
-        """The coefficients of a level-k element in x_k, one level down."""
+        """The coefficients in x_k of a level-k element, one level down."""
         size = self._sizes[k - 1]
         xs, den = a
         return [self._norm(xs[i : i + size], den) for i in range(0, len(xs), size)]
-
-    def _join(self, k, coeffs):
-        """The level-k element with the given coefficients in x_k."""
-        den = lcm(*(c[1] for c in coeffs))
-        leaves = []
-        for xs, cd in coeffs:
-            leaves.extend(x * (den // cd) for x in xs)
-        leaves.extend([0] * (self._sizes[k] - len(leaves)))
-        return self._norm(leaves, den)
 
     def _scalar_inv(self, a):
         (x,), den = a
@@ -238,74 +239,72 @@ class ResidueTower:
             return (pow(x, self._p - 2, self._p),), 1
         return ((den,), x) if x > 0 else ((-den,), -x)
 
-    # ---- univariate helpers over level k-1, for the extended gcd -------
+    # ---- polynomials in x_k over level k-1, for the extended gcd -------
+    # Flat like a level-k element, of any length: block i of D_(k-1) leaves
+    # is the coefficient of x_k^i, all over one denominator.  Only _utrim
+    # normalizes.
 
-    def _utrim(self, cs):
-        while cs and self._is_zero(cs[-1]):
-            cs.pop()
-        return cs
-
-    def _uadd(self, k1, a, b):
-        out = []
-        for i in range(max(len(a), len(b))):
-            x = a[i] if i < len(a) else self._zero(k1)
-            y = b[i] if i < len(b) else self._zero(k1)
-            out.append(self._add(x, y))
-        return self._utrim(out)
+    def _utrim(self, k1, a):
+        """``a`` normalized, without zero leading blocks."""
+        leaves, den = self._norm(*a)
+        size, end = self._sizes[k1], len(leaves)
+        while end and not any(leaves[end - size : end]):
+            end -= size
+        return leaves[:end], den
 
     def _umul(self, k1, a, b):
-        if not a or not b:
-            return []
-        out = [self._zero(k1)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = self._add(out[i + j], self._mul(k1, x, y))
-        return self._utrim(out)
+        size = self._sizes[k1]
+        (xs, ad), (ys, bd) = a, b
+        out = [0] * max(len(xs) + len(ys) - size, 0)
+        for i in range(0, len(xs), size):
+            for j in range(0, len(ys), size):
+                for t, v in enumerate(self._prod(k1, xs[i : i + size], ys[j : j + size]), i + j):
+                    out[t] += v
+        return out, ad * bd * self._scales[k1]
 
-    def _udivmod(self, k1, num, den):
-        lead_inv = self._inv(k1, den[-1])
-        rem = list(num)
-        quo = [self._zero(k1)] * max(len(num) - len(den) + 1, 0)
-        while len(rem) >= len(den):
-            c = self._mul(k1, rem[-1], lead_inv)
-            shift = len(rem) - len(den)
-            quo[shift] = self._add(quo[shift], c)
-            for j, dj in enumerate(den):
-                rem[shift + j] = self._sub(rem[shift + j], self._mul(k1, c, dj))
-            rem = self._utrim(rem)
-            if not rem:
-                break
-        return self._utrim(quo), rem
-
-    def _minpoly_dense(self, k):
-        lv = self.levels[k - 1]
-        return [self._neg(t) for t in lv.tail] + [self._embed(k - 1, 1)]
+    def _udivmod(self, k1, num, den, lead_inv):
+        """num divmod den, whose leading coefficient has the inverse lead_inv
+        and cancels exactly, so its product is never formed."""
+        size, scale = self._sizes[k1], self._scales[k1]
+        (rem, rd), (ys, dd), (ls, ld) = num, den, lead_inv
+        rem, quo, top = list(rem), [], len(ys) - size
+        f = ld * scale * dd * scale
+        while len(rem) > top:
+            c, qd = self._prod(k1, rem[-size:], ls), rd * ld * scale
+            rem, quo = [x * f for x in rem[:-size]], [x * f for x in quo]
+            at = len(rem) - top
+            for j in range(0, top, size):
+                for t, v in enumerate(self._prod(k1, c, ys[j : j + size]), at + j):
+                    rem[t] -= v
+            quo, rd = c + quo, rd * f
+        return (quo, qd), (rem, rd)
 
     def _inv(self, k, a):
         if k == 0:
             return self._scalar_inv(a)
         if self._is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        k1 = k - 1
-        r0 = self._minpoly_dense(k)
-        r1 = self._utrim(self._blocks(k, a))
-        s0, s1 = [], [self._embed(k1, 1)]
+        k1, size = k - 1, self._sizes[k - 1]
+        r0, r1 = self._minpolys[k], self._utrim(k1, a)
+        s0, s1 = ((), 1), self._embed(k1, 1)
         # invariant: s_i * a == r_i modulo the level polynomial
-        while r1 and len(r1) - 1 >= 1:
-            q, r2 = self._udivmod(k1, r0, r1)
-            s2 = self._uadd(k1, s0, [self._neg(c) for c in self._umul(k1, q, s1)])
-            r0, s0, r1, s1 = r1, s1, r2, s2
-        if not r1:
+        while len(r1[0]) > size:
+            lead_inv = self._inv(k1, self._norm(r1[0][-size:], r1[1]))
+            q, r2 = self._udivmod(k1, r0, r1, lead_inv)
+            (xs, sd), (ys, qd) = s0, self._umul(k1, q, s1)
+            s2 = [x * qd - y * sd for x, y in zip_longest(xs, ys, fillvalue=0)], sd * qd
+            r0, s0, r1, s1 = r1, s1, self._utrim(k1, r2), self._utrim(k1, s2)
+        if not r1[0]:
             # gcd has positive degree: a proper factor of the level polynomial
-            witness = self._witness_str(k, r0)
+            witness = self._witness_str(k, self._blocks(k, r0))
             raise IdealNotMaximal(
                 "the ideal is not maximal: %s has the proper factor %s"
-                % (self._upoly_str(k, self._minpoly_dense(k)), witness),
+                % (self._upoly_str(k, self._blocks(k, self._minpolys[k])), witness),
                 witness=witness,
             )
-        u_inv = self._inv(k1, r1[0])
         # deg s1 < deg of the level polynomial, so nothing is left to fold
-        return self._join(k, [self._mul(k1, c, u_inv) for c in s1])
+        leaves, den = self._umul(k1, s1, self._inv(k1, r1))
+        return self._norm(leaves + [0] * (self._sizes[k] - len(leaves)), den)
 
     def _witness_str(self, k, gcd_coeffs):
         """The gcd made monic.  It was the divisor of the last Euclid step,
@@ -338,7 +337,7 @@ class ResidueTower:
     # ---- public element interface -------------------------------------
 
     def zero(self):
-        return TowerElem(self, self._zero(len(self.levels)))
+        return TowerElem(self, ((0,) * self._sizes[-1], 1))
 
     def one(self):
         return TowerElem(self, self._embed(len(self.levels), 1))
@@ -472,7 +471,7 @@ class ResidueTower:
             if lv.degree == 1:
                 continue
             flat = {}
-            for j, c in enumerate(self._minpoly_dense(k)):
+            for j, c in enumerate(self._blocks(k, self._minpolys[k])):
                 self._flatten(k - 1, c, flat, (j,))
             s += "[%s]/(%s)" % (lv.display, self._flat_str(k, flat, compact=True))
         return s

@@ -20,7 +20,21 @@ from regulus import (
     parse_poly,
 )
 from regulus.oracle import _canonical_monomials, normalized_generators
-from regulus.poly import _signed_split, format_terms, grlex_key, lift_int, triangular_divide
+from regulus.errors import PolySyntaxError
+from regulus.poly import (
+    MAX_DEGREE,
+    MAX_NESTING,
+    _END,
+    _IDENT,
+    _INT,
+    _OP,
+    _Parser,
+    _signed_split,
+    format_terms,
+    grlex_key,
+    lift_int,
+    triangular_divide,
+)
 from regulus.rings import ModularRing, check_derived
 from regulus.tower import ResidueTower, residue_field, tower_reduce
 
@@ -35,6 +49,99 @@ QQ_RADICANDS = (2, 3, 5, 7)
 
 def parse(text, vars, ring=QQ):
     return parse_poly(text, vars, ring)
+
+
+class ReferenceParser(_Parser):
+    """The expression parser forming every product one factor at a time:
+    each factor a polynomial, each '*' a ``check_size`` and a
+    ``MultiPoly.__mul__``.  ``regulus.poly`` gathers runs of atoms instead,
+    and must give the same polynomials and the same errors."""
+
+    def __init__(self, text, vars, ring):
+        super().__init__(text, vars, ring)
+        self.variables = {}
+
+    def term(self):
+        result = self.factor()
+        while True:
+            kind, text, pos = self.peek()
+            if kind == _OP and text == "*":
+                self.take()
+                rhs = self.factor()
+                self.check_size(((result, 1), (rhs, 1)), pos)
+                result = result * rhs
+            else:
+                return result
+
+    def factor(self):
+        base = self.base()
+        kind, text, _ = self.peek()
+        if kind == _OP and text == "^":
+            self.take()
+            kind, text, pos = self.take()
+            if kind != _INT:
+                raise PolySyntaxError("expected a nonnegative integer exponent", pos)
+            exponent = int(text)
+            if exponent > MAX_DEGREE:
+                raise PolySyntaxError(
+                    "exponent %d is above the limit of %d" % (exponent, MAX_DEGREE), pos
+                )
+            self.check_size(((base, exponent),), pos)
+            return base ** exponent
+        return base
+
+    def base(self):
+        kind, text, pos = self.take()
+        if kind == _INT:
+            nk, ntext, npos = self.peek()
+            if nk == _OP and ntext == "/":
+                self.take()
+                dk, dtext, dpos = self.take()
+                if dk != _INT:
+                    raise PolySyntaxError("expected an integer denominator", dpos)
+                if self.ring is not QQ:
+                    raise PolySyntaxError(
+                        "rational literal needs base QQ", npos
+                    )
+                if int(dtext) == 0:
+                    raise PolySyntaxError("zero denominator", dpos)
+                value = self.ring.fraction(int(text), int(dtext))
+            else:
+                value = self.ring.from_int(int(text))
+            return MultiPoly.constant(self.ring, self.vars, value)
+        if kind == _IDENT:
+            if text not in self.vars:
+                raise PolySyntaxError("unknown variable %r" % text, pos)
+            if text not in self.variables:  # polynomials are never mutated
+                self.variables[text] = MultiPoly.variable(
+                    self.ring, self.vars, self.vars.index(text)
+                )
+            return self.variables[text]
+        if kind == _OP and text == "(":
+            if self.depth == MAX_NESTING:
+                raise PolySyntaxError(
+                    "parentheses nested deeper than %d" % MAX_NESTING, pos
+                )
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            kind, text, pos = self.take()
+            if not (kind == _OP and text == ")"):
+                raise PolySyntaxError("expected ')'", pos)
+            return inner
+        raise PolySyntaxError(
+            "expected a number, variable, or parenthesized expression", pos
+        )
+
+
+def reference_parse_poly(text, vars, ring):
+    """``parse_poly`` on ``ReferenceParser``."""
+    parser = ReferenceParser(text, vars, ring)
+    result = parser.expr()
+    kind, toktext, pos = parser.peek()
+    if kind != _END:
+        raise PolySyntaxError("unexpected %r" % toktext, pos)
+    return result
 
 
 def random_coeff(ring, rng):
@@ -390,7 +497,11 @@ class ReferenceTower:
     the extended gcd over the level below, step for step as
     ``regulus.tower`` runs it, so witness texts can be compared.
     ``unnormalized`` counts witnesses printed without normalizing their
-    leading coefficient (a deeper defect)."""
+    leading coefficient (a deeper defect), ``scalar_inversions`` the
+    inversions of base scalars, and ``witness_site`` names the call in the
+    outermost inverse through which the last witness raised one level down
+    left it: ("lead", k) from the leading-coefficient inversion of a
+    division step, ("unit", k) from the final inversion of the gcd."""
 
     def __init__(self, point):
         self.base = residue_field(point).base
@@ -401,6 +512,8 @@ class ReferenceTower:
         self.tails = []
         self.zeros = [self.base.zero()]
         self.unnormalized = 0
+        self.scalar_inversions = 0
+        self.witness_site = None
         for i, g in enumerate(point.generators):
             d = g.degree_in(i)
             tail = [self._neg(i, self.reduce(g.coefficient_in(i, j), i)) for j in range(d)]
@@ -486,8 +599,15 @@ class ReferenceTower:
                 out[i + j] = self._add(k1, out[i + j], self._mul(k1, x, y))
         return self._utrim(k1, out)
 
+    def _inverse_at(self, site, k1, a):
+        try:
+            return self._inv(k1, a)
+        except IdealNotMaximal:
+            self.witness_site = (site, k1 + 1)
+            raise
+
     def _udivmod(self, k1, num, den):
-        lead_inv = self._inv(k1, den[-1])
+        lead_inv = self._inverse_at("lead", k1, den[-1])
         rem = list(num)
         quo = [self.zeros[k1]] * max(len(num) - len(den) + 1, 0)
         while len(rem) >= len(den):
@@ -508,6 +628,7 @@ class ReferenceTower:
 
     def _inv(self, k, a):
         if k == 0:
+            self.scalar_inversions += 1
             if self.base.is_zero(a):
                 raise ZeroDivisionError("inverse of zero")
             return self.base.inv(a)
@@ -528,7 +649,7 @@ class ReferenceTower:
                 % (self._upoly_str(k, self._minpoly_dense(k)), witness),
                 witness=witness,
             )
-        u_inv = self._inv(k1, r1[0])
+        u_inv = self._inverse_at("unit", k1, r1[0])
         inv_poly = [self._mul(k1, c, u_inv) for c in s1]
         d = self.degrees[k - 1]
         return self._fold(k, inv_poly + [self.zeros[k1]] * (d - len(inv_poly)))

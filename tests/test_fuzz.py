@@ -19,7 +19,11 @@ from regulus.jobfile import parse_job
 # small on purpose: literals, exponents and nesting stay tiny, so every job
 # finishes well inside the deadline
 POLY = st.recursive(
-    st.one_of(st.integers(0, 12).map(str), st.sampled_from(("x", "y"))),
+    st.one_of(
+        st.integers(0, 12).map(str),
+        st.sampled_from(("x", "y")),
+        st.tuples(st.sampled_from(("x", "y", "2", "7")), st.integers(0, 4)).map("%s^%d".__mod__),
+    ),
     lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from(("+", "-", "*")), inner).map(" ".join),
         st.tuples(inner, st.integers(0, 3)).map(lambda t: "(%s)^%d" % t),

@@ -33,6 +33,7 @@ from helpers import (
     random_point,
     random_poly,
     rationalize,
+    reference_parse_poly,
 )
 
 
@@ -200,6 +201,89 @@ def test_parse_digit_limit():
     # GF(p) coefficients never grow
     F = PrimeField(7)
     assert P("(2^2000)^2000", vars, F) == P(str(pow(2, 2000 * 2000, 7)), vars, F)
+
+
+# ---- the parser against the factor-by-factor reference ---------------
+
+
+def _parse_outcome(parse, text, vars, ring):
+    """The polynomial with its coefficient types, or (message, offset)."""
+    try:
+        f = parse(text, vars, ring)
+    except PolySyntaxError as exc:
+        return exc.message, exc.position
+    return sorted((e, type(c), c) for e, c in f.terms.items())
+
+
+def _random_atom(rng, ring):
+    kind = rng.randrange(80)
+    if kind < 40:
+        text = rng.choice(("x", "y", "z"))
+    elif kind < 64:
+        text = str(rng.choice((0, 1, 2, 3, 7, 10, 14, 49, 9 ** 80)))
+    elif kind < 76 and (ring is QQ or kind == 64):
+        text = "%d/%d" % (rng.choice((0, 1, 3, 7, 14)), rng.choice((1, 2, 7, 9)))
+    else:
+        text = rng.choice(("10", "2", "9" * 300, "3/2" if ring is QQ else "3", "x", "y"))
+        return "%s^%d" % (text, rng.choice((0, 999, 1000, 1001, 1500, 2000, 2001)))
+    if rng.randrange(3) == 0:
+        text += "^%d" % rng.choice((0, 1, 2, 3, 5, 14))
+    return text
+
+
+def _random_term(rng, ring, depth):
+    factors = []
+    for _ in range(rng.randrange(1, 5)):
+        if depth and rng.randrange(6) == 0:
+            factor = "(%s)" % _random_expr(rng, ring, depth - 1)
+            if rng.randrange(2):
+                factor += "^%d" % rng.randrange(4)
+            factors.append(factor)
+        else:
+            factors.append(_random_atom(rng, ring))
+    return "*".join(factors)
+
+
+def _random_expr(rng, ring, depth=2):
+    text = rng.choice(("", "", "-")) + _random_term(rng, ring, depth)
+    for _ in range(rng.randrange(3)):
+        text += rng.choice((" + ", " - ")) + _random_term(rng, ring, depth)
+    return text
+
+
+PARSER_BOUNDARY_CASES = [
+    "10^999*10", "10^1000*10", "10^1000*1", "10^1000", "10^1001",
+    "2^2000*x*2^2000", "2^1000*x*3^1000", "x^1000*y^1001", "x^1000*y^1000",
+    "x^1000*y^1000*z", "x^2000*0*y^2000", "x^1500*x^1000*0", "7*x^1500*x^1000",
+    "0^0*x", "7^0*x^2", "x^0*y^0", "9" * 1000 + "*" + "9" * 1000,
+    "9" * 1000 + "*x", "3/2^1000*x*3/2^1000", "x*(y + 1)^2*x^1999",
+    "2*x*(x^1998 + 1)", "(x + 1)*x^1999*2", "x^2*(1/0)", "x^2*3/x", "2^x",
+    "x*y*", "x*", "x**y", "x^-1", "(x*y", "x*w", "x^2^3", "2^2000*x*(2^2000)",
+]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, PrimeField(7)], ids=["ZZ", "QQ", "GF7"])
+def test_parser_matches_factor_by_factor_reference(ring):
+    rng = random.Random({ZZ: 307, QQ: 311}.get(ring, 313))
+    vars = ("x", "y", "z")
+    texts = PARSER_BOUNDARY_CASES + [_random_expr(rng, ring) for _ in range(170)]
+    failures = 0
+    for text in texts:
+        expected = _parse_outcome(reference_parse_poly, text, vars, ring)
+        assert _parse_outcome(parse_poly, text, vars, ring) == expected, text
+        failures += isinstance(expected, tuple)
+    # both the polynomials and the errors are exercised
+    assert 40 <= failures <= len(texts) - 60
+
+
+def test_parser_zero_coefficient_resets_the_run():
+    vars = ("x",)
+    assert P("7*x^1500*x^1000", vars, PrimeField(7)).is_zero()
+    with pytest.raises(PolySyntaxError) as info:
+        P("x^1500*x^1000*0", vars, ZZ)
+    assert info.value.message == (
+        "total degree 2500 is above the limit of 2000 (at offset 6)"
+    )
 
 
 def test_negative_exponent_raises():

@@ -19,7 +19,7 @@ from regulus import (
     tower_invert,
     tower_reduce,
 )
-from regulus.tower import ResidueTower, build_tower
+from regulus.tower import MAX_RESIDUE_DEGREE, ResidueTower, build_tower
 
 from helpers import (
     VAR_POOL,
@@ -304,17 +304,19 @@ def test_negative_exponent_raises():
 # ---- the flat layout against the nested reference ----------------------
 
 
-def _random_level_point(field, rng):
+def _random_level_point(field, rng, deep=False):
     """Triangular point with random, not necessarily irreducible, levels of
     degree 1 to 3 whose coefficients are random polynomials in the earlier
     variables (rational over QQ), so tails carry denominators and degree-1
-    levels sit between the others."""
-    n = rng.randrange(2, 5)
-    vars = VAR_POOL[:n]
+    levels sit between the others.  Residue degree at most 12; a ``deep``
+    point has 4 or 5 levels and residue degree up to 32, as the towers of
+    jobbench's ``tower-rank`` workload."""
+    n = rng.randrange(4, 6) if deep else rng.randrange(2, 5)
+    vars = VAR_POOL[:n] if n <= len(VAR_POOL) else tuple("x%d" % i for i in range(n))
     gens, degrees = [], []
     for i in range(n):
         d = rng.choice((1, 2, 2, 3)) if i else rng.choice((2, 3))
-        while d > 1 and math.prod(degrees) * d > 12:
+        while d > 1 and math.prod(degrees) * d > (32 if deep else 12):
             d -= 1
         lead = tuple(d if k == i else 0 for k in range(n))
         terms = {lead: field.one()}
@@ -343,62 +345,91 @@ def _random_element_poly(field, vars, degrees, rng):
 
 
 def _compare_inverse(tower, ref, u):
-    """Invert u in both representations; returns the level of the witness
-    (0 if u is a unit) after checking both agree."""
+    """Invert u in both representations and check that both agree and
+    invert as many base scalars, so both ran the same Euclid steps.  Returns
+    the level of the witness, 0 if u is a unit, and the reference's
+    ``witness_site`` when a witness raised one level down left the top."""
+    scalar_inv, calls = tower._scalar_inv, []
+    tower._scalar_inv = lambda a: calls.append(a) or scalar_inv(a)
+    ref.scalar_inversions, ref.witness_site = 0, None
     try:
-        expected = ref.inv(nested_data(u))
-    except IdealNotMaximal as exc:
-        with pytest.raises(IdealNotMaximal) as info:
-            u.inverse()
-        assert info.value.message == exc.message
-        assert info.value.witness == exc.witness
-        (var,) = set(re.findall(r"[a-z_]+", exc.witness)) & set(tower.vars)
-        return tower.vars.index(var) + 1
-    assert nested_data(u.inverse()) == expected
-    return 0
+        try:
+            expected = ref.inv(nested_data(u))
+        except IdealNotMaximal as exc:
+            with pytest.raises(IdealNotMaximal) as info:
+                u.inverse()
+            assert info.value.message == exc.message
+            assert info.value.witness == exc.witness
+            (var,) = set(re.findall(r"[a-z_0-9]+", exc.witness)) & set(tower.vars)
+            site = ref.witness_site
+            level = tower.vars.index(var) + 1
+        else:
+            assert nested_data(u.inverse()) == expected
+            site, level = None, 0
+    finally:
+        del tower._scalar_inv
+    assert len(calls) == ref.scalar_inversions
+    return level, site if site and site[1] == len(tower.levels) else None
 
 
 def _reference_battery(field, rng, rounds):
-    point, degrees = _random_level_point(field, rng)
+    """Every third tower is deep.  The nested reduction of a deep tower's
+    elements would take seconds, so there the reference starts from the
+    flat reduction; shallow towers check the reduction too."""
+    deep = rng.randrange(3) == 0
+    point, degrees = _random_level_point(field, rng, deep)
     tower = residue_field(point)
     ref = ReferenceTower(point)
-    witness_levels = []
+    witnesses, sites = [], []
     for _ in range(rounds):
         f = _random_element_poly(field, point.vars, degrees, rng)
         g = _random_element_poly(field, point.vars, degrees, rng)
         u, v = tower_reduce(f, tower), tower_reduce(g, tower)
-        nu, nv = ref.reduce(f), ref.reduce(g)
-        assert nested_data(u) == nu and nested_data(v) == nv
+        nu, nv = nested_data(u), nested_data(v)
+        if not deep:
+            assert nu == ref.reduce(f) and nv == ref.reduce(g)
         assert nested_data(u + v) == ref.add(nu, nv)
         assert nested_data(u * v) == ref.mul(nu, nv)
         assert str(u * v) == ref.elem_str(ref.mul(nu, nv))
         assert str(u) == ref.elem_str(nu)
         if not u.is_zero():
-            witness_levels.append(_compare_inverse(tower, ref, u))
-    return witness_levels, ref.unnormalized
+            level, site = _compare_inverse(tower, ref, u)
+            witnesses.append(level)
+            sites.append(site and site[0])
+    return witnesses, sites, ref.unnormalized, deep
 
 
 def test_flat_layout_matches_reference_over_rationals():
     rng = random.Random(211)
-    levels, inverted = [], 0
+    inverted, deep_inverted = 0, 0
     for _ in range(30):
-        found, _ = _reference_battery(QQ, rng, 3)
-        levels += found
+        found, _, _, deep = _reference_battery(QQ, rng, 3)
         inverted += found.count(0)
+        deep_inverted += found.count(0) if deep else 0
     assert inverted >= 60
+    assert deep_inverted >= 15
 
 
 def test_flat_layout_matches_reference_over_prime_fields():
     rng = random.Random(223)
-    levels, unnormalized = [], 0
+    levels, sites, unnormalized, deep_levels = [], [], 0, []
     for _ in range(60):
-        found, deeper = _reference_battery(PrimeField(rng.choice((2, 3, 5, 7))), rng, 3)
+        found, at, deeper, deep = _reference_battery(
+            PrimeField(rng.choice((2, 3, 5, 7))), rng, 3
+        )
         levels += found
+        sites += at
         unnormalized += deeper
+        deep_levels += found if deep else []
     # units, and witnesses at level 1 and at level 2 or higher
     assert levels.count(0) >= 40
     assert levels.count(1) >= 5
     assert sum(1 for k in levels if k >= 2) >= 5
+    # witnesses raised one level down, by the leading-coefficient inversion
+    # of a division step and by the final inversion of the gcd
+    assert sites.count("lead") >= 5
+    assert sites.count("unit") >= 5
+    assert deep_levels.count(0) >= 10
     # the reference still has the branch that prints a witness unnormalized
     # when its leading coefficient is no unit; it never runs, since the gcd
     # was the divisor of the last Euclid step and its leading coefficient
@@ -418,7 +449,22 @@ def test_non_maximal_witnesses_match_reference():
         point = TriangularPoint(tuple(parse_poly(g, vars, field) for g in gens))
         tower = residue_field(point)
         u = tower_reduce(parse_poly(elem, vars, field), tower)
-        assert _compare_inverse(tower, ReferenceTower(point), u) == len(vars)
+        assert _compare_inverse(tower, ReferenceTower(point), u)[0] == len(vars)
+
+
+def test_a_level_at_the_residue_degree_limit_matches_reference():
+    # one level of degree MAX_RESIDUE_DEGREE: the fold skips the overflow
+    # degrees a sparse product leaves empty
+    F = PrimeField(3)
+    point = TriangularPoint((parse_poly("x^%d + x + 2" % MAX_RESIDUE_DEGREE, ("x",), F),))
+    tower, ref = residue_field(point), ReferenceTower(point)
+    rng = random.Random(239)
+    x = tower.gen(0)
+    u = tower_reduce(random_poly(F, ("x",), rng, max_exp=MAX_RESIDUE_DEGREE - 1, terms=40), tower)
+    v = x ** (MAX_RESIDUE_DEGREE - 1)
+    for a, b in ((u, u), (u, v), (v, x), (x ** 200, x ** 100)):
+        assert nested_data(a * b) == ref.mul(nested_data(a), nested_data(b))
+    assert _compare_inverse(tower, ref, u)[0] in (0, 1)
 
 
 def test_products_are_canonical_over_rationals():
