@@ -27,8 +27,25 @@ leave the heap.  An S-polynomial is (a_j/g) times one shifted tail minus
 Every remainder is thus a nonzero constant times the rational one, and a
 constant factor changes nothing the algorithm looks at: which terms are
 nonzero, so each leading exponent, each divisor a step uses, and whether a
-remainder vanishes.  Pairs, their order and their count, and the reduced
-basis, made monic once at the end, are those of rational arithmetic.
+remainder vanishes.  The elements that join, the pairs formed and taken,
+and the reduced basis, made monic once at the end, are those of rational
+arithmetic.
+
+Pairs are taken smallest lcm of the leading exponents first (the normal
+strategy), and the Gebauer-Moeller update (Gebauer and Moeller, "On an
+installation of Buchberger's algorithm", 1988) drops, before any
+reduction, the pairs whose S-polynomials reduce to zero through pairs with
+smaller or equal lcms.  When h joins, of its new pairs (g, h) it drops
+those with an lcm that another new lcm properly divides (M); every pair of
+an lcm group that holds a pair with coprime leading terms (Buchberger's
+product criterion); and in every other group all but the pair with the
+newest g (F).  Of the pairs already waiting it drops each (i, j) whose lcm
+lt(h) divides and differs from the lcms of (i, h) and of (j, h) (B_k).
+The elements that join still make a Groebner basis of the same ideal, and
+the reduced basis of an ideal and an order is unique, so the criteria
+change only how many S-polynomials are reduced, never the result.
+``PAIR_BUDGET`` counts the pairs formed, one per earlier element each time
+an element joins, whether or not a criterion then drops them.
 
 Orders are given by key functions on exponent tuples; comparing keys with
 tuple order realizes the monomial order.
@@ -241,29 +258,46 @@ def groebner_basis(gens, order: str = "grevlex"):
     ints = [_to_integers(f, p)[1] for f in inputs]
 
     # divisors[k] is the divisor data of the k-th basis element, built once
-    # when it joins; the pair heap is keyed by (key(lcm), i, j), which never
-    # changes once the pair is formed
+    # when it joins; a pair on the heap is (key(lcm), i, j, lcm), taken in
+    # the order of (key(lcm), i, j), which never changes once it is formed
     divisors, pairs = [], []
     entries = _HeapEntries(key)
+    formed = 0
 
     def join(terms):
+        # the Gebauer-Moeller update for the new element h = len(divisors)
+        nonlocal formed
         d = _divisor(terms, p, key)
-        for i, (ei, _, _) in enumerate(divisors):
-            heapq.heappush(pairs, (key(tuple(map(max, ei, d[0]))), i, len(divisors)))
+        eh, h = d[0], len(divisors)
+        formed += h
+        if formed > PAIR_BUDGET:
+            raise OracleResourceError(
+                "basis computation exceeded the pair budget (%d)" % PAIR_BUDGET
+            )
+        lcms = [tuple(map(max, e, eh)) for e, _, _ in divisors]
+        # B_k drops a waiting pair (i, j) when lt(h) divides its lcm and
+        # that lcm differs from the lcms of (i, h) and (j, h)
+        kept = [q for q in pairs if not (
+            all(map(le, eh, q[3])) and lcms[q[1]] != q[3] and lcms[q[2]] != q[3]
+        )]
+        if len(kept) < len(pairs):
+            pairs[:] = kept
+            heapq.heapify(pairs)
+        # of the new pairs with one lcm, F keeps the one with the newest
+        # element; a pair with coprime leading terms (the product criterion)
+        # drops its whole group, and so does a new lcm properly dividing its
+        # lcm (M)
+        last = {m: i for i, m in enumerate(lcms)}
+        coprime = {m for (e, _, _), m in zip(divisors, lcms) if not any(map(min, e, eh))}
+        for m, i in last.items():
+            if m not in coprime and not any(o != m and all(map(le, o, m)) for o in last):
+                heapq.heappush(pairs, (key(m), i, h, m))
         divisors.append(d)
 
     for terms in ints:
         join(terms)
-    processed = 0
     while pairs:
-        processed += 1
-        if processed > PAIR_BUDGET:
-            raise OracleResourceError(
-                "basis computation exceeded the pair budget (%d)" % PAIR_BUDGET
-            )
-        _, i, j = heapq.heappop(pairs)
-        if all(min(a, b) == 0 for a, b in zip(divisors[i][0], divisors[j][0])):
-            continue  # coprime leading terms: S-polynomial reduces to zero
+        _, i, j, _ = heapq.heappop(pairs)
         r = _reduce(_s_polynomial(divisors[i], divisors[j]), divisors, p, entries)[0]
         if r:
             join(r)

@@ -6,6 +6,7 @@ instances that come out are valid inputs by construction, so the tests
 that consume them never need to swallow library errors.
 """
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -17,7 +18,17 @@ from regulus import (
     TriangularPoint,
     ZZ,
     leading_term,
+    order_key,
     parse_poly,
+)
+from regulus.groebner import (
+    _HeapEntries,
+    _divides,
+    _divisor,
+    _from_integers,
+    _reduce,
+    _s_polynomial,
+    _to_integers,
 )
 from regulus.oracle import _canonical_monomials, normalized_generators
 from regulus.errors import PolySyntaxError
@@ -487,6 +498,53 @@ def reference_normal_form(f, divisors, key):
             shift = tuple(a - b for a, b in zip(exps, ge))
             work = work - g.shift(shift).scale(coeff * ring.inv(gc))
     return MultiPoly(ring, f.vars, rem)
+
+
+def reference_groebner_basis(gens, order):
+    """(reduced basis, pairs taken) of the Buchberger loop that takes every
+    pair, in the order of (key(lcm), i, j), and skips only those with
+    coprime leading terms (the product criterion).  ``regulus.groebner``
+    drops more pairs by the Gebauer-Moeller criteria, and must give the
+    same basis, with as many pairs formed as this loop takes."""
+    key = order_key(order)
+    inputs = [f for f in gens if not f.is_zero()]
+    if not inputs:
+        return [], 0
+    ring = inputs[0].ring
+    p = ring.modulus
+    divisors, pairs = [], []
+    entries = _HeapEntries(key)
+
+    def join(terms):
+        d = _divisor(terms, p, key)
+        for i, (ei, _, _) in enumerate(divisors):
+            heapq.heappush(pairs, (key(tuple(map(max, ei, d[0]))), i, len(divisors)))
+        divisors.append(d)
+
+    for f in inputs:
+        join(_to_integers(f, p)[1])
+    taken = 0
+    while pairs:
+        taken += 1
+        _, i, j = heapq.heappop(pairs)
+        if all(min(a, b) == 0 for a, b in zip(divisors[i][0], divisors[j][0])):
+            continue
+        r = _reduce(_s_polynomial(divisors[i], divisors[j]), divisors, p, entries)[0]
+        if r:
+            join(r)
+
+    keep = []
+    for k in sorted(range(len(divisors)), key=lambda k: key(divisors[k][0])):
+        if not any(_divides(divisors[m][0], divisors[k][0]) for m in keep):
+            keep.append(k)
+    minimal = [divisors[k] for k in reversed(keep)]
+    basis = []
+    for n, (e, a, tail) in enumerate(minimal):
+        work = dict(tail)
+        work[e] = a
+        rem = _reduce(work, minimal[:n] + minimal[n + 1 :], p, entries)[0]
+        basis.append(_from_integers(ring, inputs[0].vars, rem, rem[e]))
+    return basis, taken
 
 
 class ReferenceTower:

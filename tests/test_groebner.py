@@ -16,9 +16,17 @@ from regulus import (
     normal_form,
     order_key,
 )
+from regulus import groebner
 from regulus.groebner import standard_monomial_count
 
-from helpers import VAR_POOL, parse, random_poly, reference_normal_form
+from helpers import (
+    VAR_POOL,
+    parse,
+    random_coeff,
+    random_poly,
+    reference_groebner_basis,
+    reference_normal_form,
+)
 
 
 def _is_reduced_basis(basis, key):
@@ -239,8 +247,8 @@ def test_degree_guard():
         groebner_basis([parse("x^7 - 1", ("x",))])
 
 
-# each ideal takes exactly `pairs` pairs, coprime-skipped ones included:
-# the smallest PAIR_BUDGET with which its basis computation succeeds
+# each ideal forms exactly `pairs` pairs, dropped ones included: the
+# smallest PAIR_BUDGET with which its basis computation succeeds
 PAIR_COUNTS = [
     (QQ, ("x", "y", "z"), ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1"), "grevlex", 10, 3),
     (PrimeField(7), ("x", "y", "z"), ("x^2 + y*z - 1", "y^2 - x*z + 2", "z^2 + x*y + 3"), "grevlex", 21, 3),
@@ -255,6 +263,48 @@ def test_pair_budget_counts_every_pair_taken(monkeypatch):
         monkeypatch.setattr("regulus.groebner.PAIR_BUDGET", pairs)
         assert len(groebner_basis(gens, order)) == size
         monkeypatch.setattr("regulus.groebner.PAIR_BUDGET", pairs - 1)
+        with pytest.raises(OracleResourceError):
+            groebner_basis(gens, order)
+
+
+def test_criteria_skip_pairs(monkeypatch):
+    # S-polynomials reduced on the PAIR_COUNTS ideals: each count is below
+    # the pairs formed, so disabling a criterion changes one of them
+    reduced = [0]
+    s_polynomial = groebner._s_polynomial
+
+    def counted(di, dj):
+        reduced[0] += 1
+        return s_polynomial(di, dj)
+
+    monkeypatch.setattr(groebner, "_s_polynomial", counted)
+    counts = []
+    for ring, vars, texts, order, pairs, _ in PAIR_COUNTS:
+        reduced[0] = 0
+        groebner_basis([parse(s, vars, ring) for s in texts], order)
+        assert reduced[0] < pairs
+        counts.append(reduced[0])
+    assert counts == [2, 6, 11, 5]
+
+
+def test_basis_and_pairs_match_reference_loop(monkeypatch):
+    # the criteria drop pairs, never a basis element: the reduced basis is
+    # that of the loop taking every pair, and as many pairs are formed as
+    # it takes (the budget trips one below that count)
+    rng = random.Random(367)
+    for _ in range(250):
+        ring = rng.choice((QQ, PrimeField(7), PrimeField(101)))
+        order = rng.choice(("lex", "grlex", "grevlex"))
+        vars = VAR_POOL[: rng.randrange(2, 5)]
+        monomials = [e for e in itertools.product(range(4), repeat=len(vars)) if sum(e) <= 3]
+        gens = []
+        for _ in range(rng.randrange(2, 5)):
+            exps = rng.sample(monomials, rng.randrange(1, 4))
+            gens.append(MultiPoly(ring, vars, {e: random_coeff(ring, rng) for e in exps}))
+        basis, taken = reference_groebner_basis(gens, order)
+        monkeypatch.setattr(groebner, "PAIR_BUDGET", taken)
+        assert groebner_basis(gens, order) == basis
+        monkeypatch.setattr(groebner, "PAIR_BUDGET", taken - 1)
         with pytest.raises(OracleResourceError):
             groebner_basis(gens, order)
 
