@@ -21,8 +21,6 @@ bug cannot silently corrupt a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DimensionMismatch,
     GeneratorsNotIndependent,
@@ -42,6 +40,7 @@ from .poly import (
     reduce_mod,
     triangular_divide,
 )
+from .record import FrozenRecord, Record
 from .rings import ZZ, PrimeField
 from .tower import ResidueTower, residue_field, tower_reduce
 
@@ -49,18 +48,12 @@ USER_SUPPLIED = "user-supplied"
 ORACLE_GLOBAL = "oracle-global-dimension"
 
 
-@dataclass(frozen=True)
-class PresentedVariety:
+class PresentedVariety(FrozenRecord):
     """An affine variety given by relations in named variables over ZZ, QQ,
     or a prime field.  r = 0 (no relations) presents affine space."""
 
-    vars: tuple
-    ring: object
-    relations: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(self, "relations", tuple(self.relations))
+    def __init__(self, vars: tuple, ring: object, relations: tuple):
+        self.__dict__.update(vars=tuple(vars), ring=ring, relations=tuple(relations))
         if not self.vars or len(set(self.vars)) != len(self.vars):
             raise ValueError("variables must be nonempty and distinct")
         for f in self.relations:
@@ -72,33 +65,42 @@ class PresentedVariety:
         return len(self.vars)
 
 
-@dataclass
-class RegularityReport:
-    tower: ResidueTower
-    jacobian: FieldMatrix      # r x n, entries over the tower
-    extra_column: list | None  # arithmetic case: r entries, else None
-    rank: int                  # of the augmented matrix in the arithmetic case
-    local_dimension: int
-    dimension_provenance: str
-    regular: bool
+class RegularityReport(Record):
+    def __init__(
+        self, tower: ResidueTower, jacobian: FieldMatrix, extra_column: list | None,
+        rank: int, local_dimension: int, dimension_provenance: str, regular: bool,
+    ):
+        self.tower = tower
+        self.jacobian = jacobian          # r x n, entries over the tower
+        self.extra_column = extra_column  # arithmetic case: r entries, else None
+        self.rank = rank                  # of the augmented matrix in the arithmetic case
+        self.local_dimension = local_dimension
+        self.dimension_provenance = dimension_provenance
+        self.regular = regular
 
 
-@dataclass
-class BaseChangeVerdict:
-    ramified: bool
-    point_regular_upstairs: bool
-    system_solvable: bool | None  # ramified case only
-    fiber_regular: bool
-    witness: list | None
-    report: RegularityReport      # the upstairs check this verdict rests on
+class BaseChangeVerdict(Record):
+    def __init__(
+        self, ramified: bool, point_regular_upstairs: bool, system_solvable: bool | None,
+        fiber_regular: bool, witness: list | None, report: RegularityReport,
+    ):
+        self.ramified = ramified
+        self.point_regular_upstairs = point_regular_upstairs
+        self.system_solvable = system_solvable  # ramified case only
+        self.fiber_regular = fiber_regular
+        self.witness = witness
+        self.report = report  # the upstairs check this verdict rests on
 
 
-@dataclass
-class SpecialFiberReport:
-    ramified: bool
-    upstairs: RegularityReport
-    fiber: list                   # (point, RegularityReport) pairs
-    regular_after_base_change: bool
+class SpecialFiberReport(Record):
+    def __init__(
+        self, ramified: bool, upstairs: RegularityReport, fiber: list,
+        regular_after_base_change: bool,
+    ):
+        self.ramified = ramified
+        self.upstairs = upstairs
+        self.fiber = fiber  # (point, RegularityReport) pairs
+        self.regular_after_base_change = regular_after_base_change
 
 
 # ---- validation -------------------------------------------------------

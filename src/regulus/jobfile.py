@@ -27,8 +27,6 @@ inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .criteria import (
     PresentedVariety,
     RegularityReport,
@@ -39,6 +37,7 @@ from .criteria import (
 from .errors import InternalConsistencyError, JobFileError, RegulusError
 from .oracle import cotangent_dimension
 from .poly import MAX_DIGITS, PolySyntaxError, TriangularPoint, parse_poly
+from .record import Record
 from .rings import QQ, ZZ, PrimeField, is_prime
 
 TASKS = ("check", "base-change", "theorem-f", "oracle-crosscheck")
@@ -50,17 +49,21 @@ GLOBAL_DIMENSION_WARNING = (
 )
 
 
-@dataclass
-class Job:
-    vars: tuple
-    ring: object
-    relations: tuple
-    point: TriangularPoint
-    task: str
-    ramified: bool | None
-    dim: int | None
-    fiber_points: tuple
-    report_path: str | None
+class Job(Record):
+    def __init__(
+        self, vars: tuple, ring: object, relations: tuple, point: TriangularPoint,
+        task: str, ramified: bool | None, dim: int | None, fiber_points: tuple,
+        report_path: str | None,
+    ):
+        self.vars = vars
+        self.ring = ring
+        self.relations = relations
+        self.point = point
+        self.task = task
+        self.ramified = ramified
+        self.dim = dim
+        self.fiber_points = fiber_points
+        self.report_path = report_path
 
 
 # ---- parsing ----------------------------------------------------------

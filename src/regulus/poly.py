@@ -14,10 +14,10 @@ deterministic division that every downstream criterion builds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, lcm, log10, prod
 
 from .errors import InvalidPoint, PolySyntaxError
+from .record import FrozenRecord
 from .rings import QQ, ZZ, PrimeField, check_derived, is_prime
 
 
@@ -540,13 +540,12 @@ def parse_poly(text: str, vars, ring) -> MultiPoly:
 # ---- triangular points ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriangularPoint:
+class TriangularPoint(FrozenRecord):
     """A general closed point given by a triangular system, with an optional
     prime when the ambient scheme lives over the integers."""
 
-    generators: tuple
-    prime: int | None = None
+    def __init__(self, generators: tuple, prime: int | None = None):
+        self.__dict__.update(generators=generators, prime=prime)
 
     @property
     def vars(self):
