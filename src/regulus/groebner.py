@@ -358,35 +358,3 @@ def ideal_dimension(gens, order: str = "grevlex") -> int:
             best = len(u)
     return best
 
-
-def standard_monomial_count(basis, key) -> int:
-    """Number of monomials outside the leading-term ideal; -1 when the
-    count is infinite (the quotient has positive dimension)."""
-    if not basis:
-        return -1
-    n = len(basis[0].vars)
-    lts = [leading_term(g, key)[0] for g in basis]
-    if any(sum(e) == 0 for e in lts):
-        return 0
-    # bound per variable: some leading term must be a pure power of it,
-    # otherwise the quotient is infinite-dimensional
-    bounds = []
-    for i in range(n):
-        b = None
-        for e in lts:
-            if e[i] > 0 and all(x == 0 for j, x in enumerate(e) if j != i):
-                b = e[i] if b is None else min(b, e[i])
-        if b is None:
-            return -1
-        bounds.append(b)
-    count = 0
-    stack = [(0, ())]
-    while stack:
-        i, prefix = stack.pop()
-        if i == n:
-            if not any(_divides(lt, prefix) for lt in lts):
-                count += 1
-            continue
-        for e in range(bounds[i]):
-            stack.append((i + 1, prefix + (e,)))
-    return count

@@ -36,11 +36,6 @@ class FieldMatrix:
         self.nrows = len(rows)
         self.ncols = width
 
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(
-            self.field, [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
-
     def rank(self) -> int:
         field = self.field
         rows = [list(r) for r in self.rows]

@@ -7,20 +7,16 @@ the residue degree.  Nothing here shares code with the rank path beyond
 polynomial division (``poly.triangular_divide``), which makes it a
 meaningful cross-check.
 
-Over a field base the quotient is handled with a Groebner basis: the
-K-dimension of K[t]/(I + m^2) is the number of standard monomials, and
-subtracting one copy of the residue field gives the cotangent dimension.
-
-Over ZZ the local ring is not a K-algebra, so instead we work in the
-finite ring A* = (Z/p^2)[t]/(gg products), which is a free Z/p^2-module
-on the canonical monomials M of the triangular system (layer 0) together
-with the products M*g_k (layer k + 1).  Freeness follows by counting: the
+Every base is counted in the finite ring A* = R[t]/(gg products), with
+R = Z/p^2 over ZZ and R = K over a field K.  A* is a free R-module on the
+canonical monomials M of the triangular system (layer 0) together with the
+products M*g_k (layer k + 1).  Freeness follows by counting: the
 triangular system is a regular sequence of monic polynomials, so the
 associated graded pieces m^0/m^1 and m^1/m^2 have the expected sizes and
-the spanning set cannot collapse.  The generators are transported to Z/p^2
-and interreduced (``normalized_generators``).
+the spanning set cannot collapse.  The generators are transported to R and
+interreduced (``normalized_generators``).
 
-The images rho*M and rho*M*g_k, for rho a relation or p*g_j, span the
+The images rho*M, for rho a relation (and over ZZ also p*g_j), span the
 denominator of m/(I + m^2) inside A*.  Their coordinate rows come from a
 walk, as in FGLM (Faugere, Gianni, Lazard & Mora 1993), not from one
 division each.  Multiplication by x_i is block lower-triangular on A*:
@@ -31,32 +27,36 @@ every layer.  On layers 1..n a column keeps only its layer-0 part, because
 g_j*g_k = 0 in A*.  Each rho is divided once, and the row of rho*M is the
 row of rho*M/x_i times x_i (i the last variable of M).  A* being free, an
 element has one coordinate vector, so the walked rows equal those that
-dividing every rho*M would give, entry for entry mod p^2.
+dividing every rho*M would give, entry for entry.
 
 The rows of rho*M*g_k are never formed, because the walked rows already
-span them.  Every relation rho lies in m = (p, g), so
-rho = p*a + sum_j b_j*g_j, and as g_j*g_k = 0 in A*, rho*M*g_k = p*a*M*g_k.
-Reducing a*M modulo (g) gives a*M = sum c_M' * M' + sum_j q_j*g_j, so
+span them.  Over a field every relation rho lies in m = (g), so
+rho = sum_j b_j*g_j and rho*M*g_k = 0 in A*: the relation rows alone span
+the image of I, and the cotangent dimension is
+((n + 1)*d_t - rank - d_t) / d_t.  Over ZZ, rho lies in m = (p, g), so
+rho = p*a + sum_j b_j*g_j and rho*M*g_k = p*a*M*g_k.  Reducing a*M modulo
+(g) gives a*M = sum c_M' * M' + sum_j q_j*g_j, so
 rho*M*g_k = sum c_M' * (p*g_k*M'), which lies in the span of the walked
 rows of rho' = p*g_k.  For rho = p*g_j, (p*g_j)*M*g_k = 0 outright.
 
-One plain-int elimination with unit pivots (``_unit_sweep``) counts the
-quotient exactly.  It runs twice: over Z/p^2, which leaves rows that are
-all divisible by p, and then over Z/p on those rows divided by p, where
+One plain-int elimination with unit pivots (``_unit_sweep``) gives the
+rank over GF(p).  Over ZZ it runs twice: over Z/p^2, which leaves rows that
+are all divisible by p, and then over Z/p on those rows divided by p, where
 every nonzero entry is a unit, so its pivot count is their F_p rank.  The
 u unit pivot rows span a free module of length 2u, and the residual lies
 in p*F, where length is F_p rank, so 2u + r_p is the length of the row
 module: the order of the rows and of the pivots, and repeated rows, cannot
 change it.  A column, once eliminated, is deleted, so later row updates
-get shorter.
+get shorter.  Over QQ the rank comes from an exact integer elimination
+(``_rational_rank``) that divides each updated row by its content.
 """
 
 from __future__ import annotations
 
 from itertools import product as _iterproduct
+from math import gcd, lcm
 
 from .errors import InternalConsistencyError, OracleResourceError, PointNotOnVariety
-from .groebner import groebner_basis, order_key, standard_monomial_count
 from .poly import (
     MultiPoly,
     TriangularPoint,
@@ -66,10 +66,14 @@ from .poly import (
 )
 from .rings import ZZ, ModularRing
 
-# The Z/p^2 count over ZZ forms (r + n)*d_t rows of (n + 1)*d_t entries for
-# r relations, n variables and residue degree d_t; its memory grows as d_t^2
-# and its time as d_t^3, so the matrix is bounded before any of it is formed.
+# The count forms r*d_t rows over a field, (r + n)*d_t over ZZ, of
+# (n + 1)*d_t entries for r relations, n variables and residue degree d_t;
+# its memory grows as d_t^2 and its time as d_t^3, so the matrix is bounded
+# before any of it is formed.  A field point has at most MAX_FIELD_VARIABLES
+# variables, the Groebner dimension supplier's bound too, so a field job's
+# variable limit does not depend on whether it supplies dim.
 MAX_ORACLE_ENTRIES = 10**6
+MAX_FIELD_VARIABLES = 4
 
 
 def _require_on_variety(point, relations):
@@ -98,11 +102,12 @@ def _canonical_monomials(degrees):
 
 
 def _oracle_rows(point: TriangularPoint, relations) -> list:
-    """Coordinates in A*, reduced mod p^2, of rho*M for every generator rho
-    of I + p*m and canonical monomial M."""
+    """Coordinates in A* of rho*M for every canonical monomial M and every
+    rho: over ZZ each generator of I + p*m, reduced mod p^2; over a field
+    each relation."""
     p = point.prime
-    m2 = p * p
-    ring = ModularRing(m2)
+    ring = point.ring if p is None else ModularRing(p * p)
+    m = ring.modulus
     n = point.n
     ghat = normalized_generators(point, ring)
     system = TriangularPoint(tuple(ghat))
@@ -151,13 +156,15 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
                     off = layer * d_t
                     for k, a in cols[r][1] if layer else cols[r][0]:
                         out[off + k] += c * a
-        return [x % m2 for x in out]
+        return [x % m for x in out] if m else out
 
     # every monomial but 1 is its predecessor times x_i, i its last variable
     last = [max(i for i, e in enumerate(mono) if e) for mono in monomials[1:]]
-    mod_relations = [MultiPoly(ring, f.vars, f.terms) for f in relations]
+    rhos = relations
+    if p is not None:
+        rhos = [MultiPoly(ring, f.vars, f.terms) for f in rhos] + [g.scale(p) for g in ghat]
     rows = []
-    for rho in mod_relations + [g.scale(p) for g in ghat]:
+    for rho in rhos:
         walked = [nf2_vector(rho)]
         for j, i in enumerate(last, 1):
             walked.append(times(walked[j - strides[i]], i))
@@ -165,32 +172,44 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
     return rows
 
 
-def _arithmetic_cotangent(point: TriangularPoint, relations) -> int:
-    n, d_t = point.n, point.residue_degree
-    width = (n + 1) * d_t
-    entries = (len(relations) + n) * d_t * width
-    if entries > MAX_ORACLE_ENTRIES:
-        raise OracleResourceError(
-            "the Z/p^2 count needs %d matrix entries, above the limit of %d"
-            % (entries, MAX_ORACLE_ENTRIES)
-        )
-    rows = _oracle_rows(point, relations)
-    log_quotient = 2 * width - _row_module_length(rows, point.prime)
-    log_residue = d_t  # [kappa : F_p] = product of level degrees
-    s = log_quotient - log_residue
-    if s < 0 or s % d_t != 0:
-        raise InternalConsistencyError(
-            "cotangent length %d is not a multiple of the residue degree %d"
-            % (s, d_t)
-        )
-    return s // d_t
-
-
 def _row_module_length(rows, p):
     """Length over Z/p^2 of the module spanned by ``rows``."""
     u, residual = _unit_sweep(rows, p, p * p)
     r_p, _ = _unit_sweep([[x // p for x in r] for r in residual], p, p)
     return 2 * u + r_p
+
+
+def _rational_rank(rows):
+    """Rank over QQ of rows of Fractions and ints.  Each row is made a
+    primitive integer row, and every row a pivot updates is divided by its
+    content again, so no entry outgrows the minors it stands for."""
+    pending = []
+    for r in rows:
+        d = lcm(*[x.denominator for x in r])
+        r = [x.numerator * (d // x.denominator) for x in r]
+        c = gcd(*r)
+        if c:
+            pending.append([x // c for x in r])
+    rank = 0
+    while pending:
+        row = pending.pop()
+        ci = next(c for c, x in enumerate(row) if x)
+        a = row.pop(ci)
+        out = []
+        for r in pending:
+            f = r.pop(ci)
+            if f:
+                g = gcd(a, f)
+                r = [(a // g) * x - (f // g) * y for x, y in zip(r, row)]
+                c = gcd(*r)
+                if not c:
+                    continue
+                if c > 1:
+                    r = [x // c for x in r]
+            out.append(r)
+        pending = out
+        rank += 1
+    return rank
 
 
 def _clear(rows, ci, pivot, m):
@@ -234,29 +253,6 @@ def _unit_sweep(rows, p, m):
     return u, residual
 
 
-def _geometric_cotangent(point: TriangularPoint, relations) -> int:
-    ring = point.ring
-    gens = list(relations)
-    gcount = len(point.generators)
-    for i in range(gcount):
-        for j in range(i, gcount):
-            gens.append(point.generators[i] * point.generators[j])
-    key = order_key("grevlex")
-    basis = groebner_basis(gens, "grevlex")
-    total = standard_monomial_count(basis, key)
-    if total <= 0:
-        raise InternalConsistencyError(
-            "cotangent quotient came out empty or infinite at a genuine point"
-        )
-    residue_degree = point.residue_degree
-    if total % residue_degree != 0:
-        raise InternalConsistencyError(
-            "quotient length %d is not a multiple of the residue degree %d"
-            % (total, residue_degree)
-        )
-    return total // residue_degree - 1
-
-
 def cotangent_dimension(point: TriangularPoint, relations) -> int:
     """dim over the residue field of m/(I + m^2), computed from scratch.
 
@@ -268,6 +264,33 @@ def cotangent_dimension(point: TriangularPoint, relations) -> int:
         if f.vars != point.vars or f.ring != point.ring:
             raise ValueError("relation and point disagree on variables or ring")
     _require_on_variety(point, relations)
-    if point.prime is not None:
-        return _arithmetic_cotangent(point, relations)
-    return _geometric_cotangent(point, relations)
+    n, d_t, p = point.n, point.residue_degree, point.prime
+    if p is None and n > MAX_FIELD_VARIABLES:
+        raise OracleResourceError(
+            "the cotangent count over a field supports at most %d variables, got %d"
+            % (MAX_FIELD_VARIABLES, n)
+        )
+    width = (n + 1) * d_t
+    entries = (len(relations) + (n if p else 0)) * d_t * width
+    if entries > MAX_ORACLE_ENTRIES:
+        raise OracleResourceError(
+            "the %s count needs %d matrix entries, above the limit of %d"
+            % ("Z/p^2" if p else point.ring.name, entries, MAX_ORACLE_ENTRIES)
+        )
+    rows = _oracle_rows(point, relations)
+    q = point.ring.modulus
+    if p is not None:
+        # lengths over Z/p^2, where a free module of rank w has length 2*w
+        length = 2 * width - _row_module_length(rows, p)
+    elif q:
+        length = width - _unit_sweep(rows, q, q)[0]
+    else:
+        length = width - _rational_rank(rows)
+    # the residue field has length d_t, the product of the level degrees
+    s = length - d_t
+    if s < 0 or s % d_t != 0:
+        raise InternalConsistencyError(
+            "cotangent length %d is not a multiple of the residue degree %d"
+            % (s, d_t)
+        )
+    return s // d_t

@@ -199,11 +199,6 @@ class MultiPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]), reverse=True)
 
-    def convert(self, ring, coeff_map):
-        return MultiPoly(
-            ring, self.vars, {e: coeff_map(c) for e, c in self.terms.items()}
-        )
-
     # ---- hashing and display ------------------------------------------
 
     def __eq__(self, other):

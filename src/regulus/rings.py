@@ -104,6 +104,9 @@ class IntegerRing:
     def elem_str(self, a) -> str:
         return str(a)
 
+    def __reduce__(self):
+        return "ZZ"
+
     def __repr__(self):
         return "ZZ"
 
@@ -142,6 +145,9 @@ class RationalField:
 
     def elem_str(self, a) -> str:
         return str(a)
+
+    def __reduce__(self):
+        return "QQ"
 
     def __repr__(self):
         return "QQ"
@@ -206,6 +212,9 @@ class PrimeField(ModularRing):
     def __init__(self, p: int):
         self.modulus = p
         self.name = "GF(%d)" % p
+
+    def __reduce__(self):
+        return PrimeField, (self.modulus,)
 
     def inv(self, a: int) -> int:
         p = self.modulus

@@ -11,12 +11,14 @@ import itertools
 from fractions import Fraction
 
 from regulus import (
+    FieldMatrix,
     IdealNotMaximal,
     MultiPoly,
     PrimeField,
     QQ,
     TriangularPoint,
     ZZ,
+    groebner_basis,
     leading_term,
     order_key,
     parse_poly,
@@ -174,13 +176,22 @@ def random_poly(ring, vars, rng, max_exp=2, terms=3):
     return MultiPoly(ring, vars, data)
 
 
+def convert(f, ring, coeff_map):
+    """f over ``ring``, each coefficient mapped by ``coeff_map``."""
+    return MultiPoly(ring, f.vars, {e: coeff_map(c) for e, c in f.terms.items()})
+
+
+def transpose(m):
+    return FieldMatrix(m.field, [list(col) for col in zip(*m.rows)])
+
+
 def rationalize(f):
     """View an integer polynomial over QQ."""
     if f.ring is QQ:
         return f
     if f.ring is not ZZ:
         raise ValueError("rationalize expects an integer polynomial")
-    return f.convert(QQ, Fraction)
+    return convert(f, QQ, Fraction)
 
 
 def _bounded(ring, a):
@@ -547,6 +558,67 @@ def reference_groebner_basis(gens, order):
     return basis, taken
 
 
+def standard_monomial_count(basis, key) -> int:
+    """Number of monomials outside the leading-term ideal; -1 when the
+    count is infinite (the quotient has positive dimension)."""
+    if not basis:
+        return -1
+    n = len(basis[0].vars)
+    lts = [leading_term(g, key)[0] for g in basis]
+    if any(sum(e) == 0 for e in lts):
+        return 0
+    # bound per variable: some leading term must be a pure power of it,
+    # otherwise the quotient is infinite-dimensional
+    bounds = []
+    for i in range(n):
+        b = None
+        for e in lts:
+            if e[i] > 0 and all(x == 0 for j, x in enumerate(e) if j != i):
+                b = e[i] if b is None else min(b, e[i])
+        if b is None:
+            return -1
+        bounds.append(b)
+    count = 0
+    stack = [(0, ())]
+    while stack:
+        i, prefix = stack.pop()
+        if i == n:
+            if not any(_divides(lt, prefix) for lt in lts):
+                count += 1
+            continue
+        for e in range(bounds[i]):
+            stack.append((i + 1, prefix + (e,)))
+    return count
+
+
+def reference_cotangent_dimension(point, relations):
+    """dim m/(I + m^2) over a field base the Groebner way: count the
+    standard monomials of a grevlex basis of the relations and every
+    g_i*g_j, and subtract one copy of the residue field."""
+    gens = list(relations)
+    g = point.generators
+    gens += [g[i] * g[j] for i in range(len(g)) for j in range(i, len(g))]
+    total = standard_monomial_count(groebner_basis(gens, "grevlex"), order_key("grevlex"))
+    assert total > 0 and total % point.residue_degree == 0
+    return total // point.residue_degree - 1
+
+
+def fraction_rank(rows):
+    """Rank of a matrix of Fractions by plain Gaussian elimination."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 class ReferenceTower:
     """The residue tower of a triangular point with nested elements: a
     level-k element is a tuple of d_k level-(k-1) elements, base scalars at
@@ -847,7 +919,7 @@ def reference_oracle_rows(point, relations):
             vec[(layer + 1) * d_t + index_of[e]] = c % m2
         return vec
 
-    mod_relations = [f.convert(ring, ring.coerce) for f in relations]
+    mod_relations = [convert(f, ring, ring.coerce) for f in relations]
     row_gens = mod_relations + [g.scale(p) for g in ghat]
 
     rows = []

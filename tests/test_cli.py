@@ -500,6 +500,31 @@ def test_exit_code_3_for_oracle_matrix_above_the_limit(tmp_path):
     }
 
 
+DEGREE_EIGHT_ORACLE_JOB = """\
+[ring]
+vars = x, y
+base = QQ
+relations = y^2 - x^3
+
+[point]
+generators = x^4 - 2, y^2 - x^3
+
+[task]
+kind = oracle-crosscheck
+dim = 1
+"""
+
+
+def test_field_oracle_counts_above_the_groebner_degree_bound(tmp_path):
+    # (y^2 - x^3)^2 has degree 8, above the Groebner engine's input bound
+    # of 6; the field count walks rows instead and needs no basis
+    result = run_cli([write_job(tmp_path, DEGREE_EIGHT_ORACLE_JOB)], timeout=20)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["cotangent"] == {"rank_based": 1, "oracle": 1, "agree": True}
+
+
 def read_project_scripts(text):
     """The ``[project.scripts]`` table of a pyproject.toml.
 

@@ -17,7 +17,6 @@ from regulus import (
     order_key,
 )
 from regulus import groebner
-from regulus.groebner import standard_monomial_count
 
 from helpers import (
     VAR_POOL,
@@ -26,6 +25,7 @@ from helpers import (
     random_poly,
     reference_groebner_basis,
     reference_normal_form,
+    standard_monomial_count,
 )
 
 

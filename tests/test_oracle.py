@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,24 +9,29 @@ from regulus import (
     PointNotOnVariety,
     PresentedVariety,
     PrimeField,
+    QQ,
     TriangularPoint,
     ZZ,
     arithmetic_jacobian,
     cotangent_dimension,
     generalized_jacobian,
 )
-from regulus.oracle import _oracle_rows, _row_module_length, _unit_sweep
+from regulus import oracle
+from regulus.oracle import _oracle_rows, _rational_rank, _row_module_length, _unit_sweep
 from regulus.poly import lift_int
 
 from helpers import (
+    QQ_RADICANDS,
     VAR_POOL,
     expand_copies,
+    fraction_rank,
     irreducible_quadratic,
     parse,
     random_arithmetic_point,
     random_arithmetic_relation,
     random_member,
     random_point,
+    reference_cotangent_dimension,
     reference_module_length,
     reference_oracle_rows,
     reference_unit_sweep,
@@ -103,6 +109,72 @@ def test_oracle_variable_guard():
     point = TriangularPoint(tuple(parse(v, vars, F) for v in vars))
     with pytest.raises(OracleResourceError):
         cotangent_dimension(point, [])
+
+
+def test_field_count_bounds_its_matrix_before_forming_rows(monkeypatch):
+    vars = ("x", "y")
+    F = PrimeField(3)
+    point = TriangularPoint((parse("x", vars, F), parse("y^2 + 1", vars, F)))
+    # one relation, D = 2: 2 rows of 3*2 entries
+    monkeypatch.setattr(oracle, "MAX_ORACLE_ENTRIES", 11)
+    monkeypatch.setattr(oracle, "_oracle_rows", lambda *args: pytest.fail("rows formed"))
+    with pytest.raises(OracleResourceError, match=r"the GF\(3\) count needs 12 matrix entries"):
+        cotangent_dimension(point, [parse("x*y", vars, F)])
+
+
+# ---- the walked count over a field matches the Groebner count ----------
+
+
+def test_field_count_matches_the_groebner_count():
+    rng = random.Random(443)
+    points = []
+    for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(101)):
+        for _ in range(25):
+            points.append(random_point(VAR_POOL[: rng.randrange(1, 4)], field, rng))
+    # multiquadratic towers of degree 8 over QQ
+    for _ in range(8):
+        radicands = rng.sample(QQ_RADICANDS, 3)
+        vars = VAR_POOL[:3]
+        points.append(TriangularPoint(tuple(
+            parse("%s^2 - %d" % (v, r), vars) for v, r in zip(vars, radicands)
+        )))
+    dims = set()
+    fractional = 0
+    for point in points:
+        rels = [random_member(point, rng) for _ in range(rng.randrange(3))]
+        expected = reference_cotangent_dimension(point, rels)
+        assert cotangent_dimension(point, rels) == expected
+        dims.add(expected)
+        fractional += any(
+            isinstance(c, Fraction) and c.denominator > 1 for f in rels for c in f.terms.values()
+        )
+    assert dims == {0, 1, 2, 3}
+    assert fractional >= 10
+
+
+def test_rational_rank_matches_fraction_elimination():
+    rng = random.Random(449)
+
+    def entry():
+        return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+
+    deficient = 0
+    for _ in range(200):
+        nrows, ncols, inner = rng.randrange(1, 8), rng.randrange(1, 8), rng.randrange(1, 5)
+        if rng.randrange(2):
+            # a product through `inner` columns keeps the rank at most `inner`
+            a = [[entry() for _ in range(inner)] for _ in range(nrows)]
+            b = [[entry() for _ in range(ncols)] for _ in range(inner)]
+            rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] for r in a]
+        else:
+            # int zeros among Fractions, as in the walked rows
+            rows = [[entry() if rng.randrange(3) else 0 for _ in range(ncols)] for _ in range(nrows)]
+        before = [list(r) for r in rows]
+        expected = fraction_rank(rows)
+        assert _rational_rank(rows) == expected
+        assert rows == before
+        deficient += expected < min(nrows, ncols)
+    assert deficient >= 50
 
 
 # ---- agreement with the rank route ------------------------------------

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -8,6 +9,16 @@ import pytest
 
 from regulus import MultiPoly, PrimeField, QQ, ZZ, parse_poly
 from regulus.rings import PRIME_BOUND, ModularRing, is_prime
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, PrimeField(5)])
+def test_polynomial_pickles_over_the_same_ring(ring):
+    f = parse_poly("3*x^2*y - 2*y + 4", ("x", "y"), ring)
+    if ring is QQ:
+        f = f.scale(QQ.fraction(1, 3))
+    g = pickle.loads(pickle.dumps(f))
+    assert g.ring is ring
+    assert g == f
 
 
 def test_is_prime_small():
