@@ -200,29 +200,19 @@ def default_dimension(X: PresentedVariety, point: TriangularPoint) -> int:
     The global dimension agrees with the local one at the point whenever
     the component through the point has maximal dimension; reports carry
     the provenance so a user override can correct the other cases."""
-    if point.prime is not None:
-        field = PrimeField(point.prime)
-        fiber = [reduce_mod(f, field) for f in X.relations]
-        fiber = [f for f in fiber if not f.is_zero()]
-        return 1 + (ideal_dimension(fiber) if fiber else X.n)
-    rels = [f for f in X.relations if not f.is_zero()]
-    return ideal_dimension(rels) if rels else X.n
-
-
-def _resolve_dimension(X, point, dim_override):
-    if dim_override is not None:
-        if dim_override < 0:
-            raise ValueError("a local dimension cannot be negative")
-        return dim_override, USER_SUPPLIED
-    return default_dimension(X, point), ORACLE_GLOBAL
+    p = point.prime
+    rels = [f if p is None else reduce_mod(f, PrimeField(p)) for f in X.relations]
+    rels = [f for f in rels if not f.is_zero()]
+    return (p is not None) + (ideal_dimension(rels) if rels else X.n)
 
 
 # ---- regularity checks ------------------------------------------------
 
 
-def _check(X, point, dim_override):
+def _check(X, point, dim, provenance=USER_SUPPLIED):
     """Rank J over a field base, or J with the extra column appended over
-    ZZ, and compare the cotangent dimension with the local dimension."""
+    ZZ, and compare the cotangent dimension with the local dimension (the
+    default dimension when dim is None)."""
     tower, rows, extra = _jacobian(X, point)
     jac = FieldMatrix(tower, rows)
     if extra is None:
@@ -231,7 +221,10 @@ def _check(X, point, dim_override):
     else:
         rank = FieldMatrix(tower, [row + [e] for row, e in zip(rows, extra)]).rank()
         cotangent = X.n + 1 - rank
-    dim, provenance = _resolve_dimension(X, point, dim_override)
+    if dim is None:
+        dim, provenance = default_dimension(X, point), ORACLE_GLOBAL
+    elif dim < 0:
+        raise ValueError("a local dimension cannot be negative")
     if cotangent < dim:
         raise DimensionMismatch(
             "cotangent dimension %d is below the local dimension %d (%s)"
@@ -291,7 +284,10 @@ def base_change_verdict(
     fiber point is regular exactly when J v = extra-column is solvable over
     the residue field; the verdict does not depend on which extension is
     taken, only on the ramified flag."""
-    report = check_arithmetic(X, point, dim_override)
+    return _base_change(check_arithmetic(X, point, dim_override), ramified)
+
+
+def _base_change(report, ramified):
     if not report.regular:
         raise PointNotRegular(
             "base-change analysis is only defined at a regular point; this "
@@ -339,20 +335,22 @@ def special_fiber_verdict(
     Unramified case: regularity is preserved outright, and fiber verdicts
     are reported for information only.
 
-    A user-supplied dimension applies to the arithmetic points; the fiber
-    inherits it minus one (the fiber is a hypersurface section of the
-    arithmetic model)."""
+    The local dimension, supplied or defaulted, is computed once, at the
+    arithmetic point.  Every lifted point shares X and p with it and takes
+    the same dimension.  The fiber is a hypersurface section of the
+    arithmetic model, so its dimension is the upstairs one minus one, with
+    the same provenance."""
     upstairs = check_arithmetic(X, point, dim_override)
     if not upstairs.regular:
         raise PointNotRegular(
             "the special-fiber route assumes the variety is regular at the "
             "supplied point; this one is singular"
         )
+    dim, provenance = upstairs.local_dimension, upstairs.dimension_provenance
     p = point.prime
     field = PrimeField(p)
     fiber_relations = tuple(reduce_mod(f, field) for f in X.relations)
     X_fiber = PresentedVariety(X.vars, field, fiber_relations)
-    fiber_dim = None if dim_override is None else dim_override - 1
     entries = []
     all_regular = True
     for fp in fiber_points:
@@ -362,12 +360,12 @@ def special_fiber_verdict(
                 "fiber points must be given over GF(%d), the residue field of "
                 "the prime" % p
             )
-        freport = check_geometric(X_fiber, fp, fiber_dim)
+        freport = _check(X_fiber, fp, dim - 1, provenance)
         if ramified:
             lifted = TriangularPoint(
                 tuple(lift_int(g) for g in fp.generators), prime=p
             )
-            direct = base_change_verdict(X, lifted, True, dim_override)
+            direct = _base_change(_check(X, lifted, dim, provenance), True)
             if direct.fiber_regular != freport.regular:
                 raise InternalConsistencyError(
                     "fiber-route and solvability-route verdicts disagree at a "

@@ -357,13 +357,24 @@ def _dispatch(job: Job) -> dict:
     X = PresentedVariety(job.vars, job.ring, job.relations)
     doc = {"task": job.task, "ring": _ring_echo(job), "point": _point_echo(job.point)}
 
-    if job.task == "check":
+    if job.task in ("check", "oracle-crosscheck"):
         report = check_point(X, job.point, job.dim)
         doc.update(_report_fields(report))
-        doc["warnings"] = _warnings(report)
-        return doc
-
-    if job.task == "base-change":
+        if job.task == "oracle-crosscheck":
+            ambient = X.n + (1 if job.point.prime is not None else 0)
+            rank_based = ambient - report.rank
+            oracle_dim = cotangent_dimension(job.point, list(job.relations))
+            if rank_based != oracle_dim:
+                raise InternalConsistencyError(
+                    "rank-based cotangent dimension %d disagrees with the direct "
+                    "count %d" % (rank_based, oracle_dim)
+                )
+            doc["cotangent"] = {
+                "rank_based": rank_based,
+                "oracle": oracle_dim,
+                "agree": True,
+            }
+    elif job.task == "base-change":
         verdict = base_change_verdict(X, job.point, job.ramified, job.dim)
         report = verdict.report
         doc.update(_report_fields(report))
@@ -377,40 +388,19 @@ def _dispatch(job: Job) -> dict:
             ),
             "fiber_regular": verdict.fiber_regular,
         }
-        doc["warnings"] = _warnings(report)
-        return doc
-
-    if job.task == "theorem-f":
+    elif job.task == "theorem-f":
         result = special_fiber_verdict(
             X, job.point, job.fiber_points, job.ramified, job.dim
         )
+        report = result.upstairs
         doc["ramified"] = result.ramified
-        doc["upstairs"] = _report_fields(result.upstairs)
+        doc["upstairs"] = _report_fields(report)
         doc["fiber"] = [
             {"generators": [str(g) for g in fp.generators], **_report_fields(rep)}
             for fp, rep in result.fiber
         ]
         doc["regular_after_base_change"] = result.regular_after_base_change
-        doc["warnings"] = _warnings(result.upstairs)
-        return doc
-
-    if job.task == "oracle-crosscheck":
-        report = check_point(X, job.point, job.dim)
-        ambient = X.n + (1 if job.point.prime is not None else 0)
-        rank_based = ambient - report.rank
-        oracle_dim = cotangent_dimension(job.point, list(job.relations))
-        if rank_based != oracle_dim:
-            raise InternalConsistencyError(
-                "rank-based cotangent dimension %d disagrees with the direct "
-                "count %d" % (rank_based, oracle_dim)
-            )
-        doc.update(_report_fields(report))
-        doc["cotangent"] = {
-            "rank_based": rank_based,
-            "oracle": oracle_dim,
-            "agree": True,
-        }
-        doc["warnings"] = _warnings(report)
-        return doc
-
-    raise InternalConsistencyError("unhandled task %r" % job.task)
+    else:
+        raise InternalConsistencyError("unhandled task %r" % job.task)
+    doc["warnings"] = _warnings(report)
+    return doc

@@ -22,6 +22,7 @@ from regulus import (
     check_point,
     default_dimension,
     generalized_jacobian,
+    ideal_dimension,
     parse_poly,
     partial_derivative,
     special_fiber_verdict,
@@ -352,6 +353,55 @@ def test_special_fiber_rejects_fiber_point_off_variety():
     off = TriangularPoint((parse_poly("x - 1", vars, F), parse_poly("y - 1", vars, F)))
     with pytest.raises(PointNotOnVariety):
         special_fiber_verdict(X, point, [off], ramified=True)
+
+
+@pytest.mark.parametrize(
+    "ramified, dim_override, dimension_calls",
+    [(True, None, 1), (False, None, 1), (True, 2, 0), (False, 2, 0)],
+)
+def test_special_fiber_derives_the_dimension_once(
+    monkeypatch, ramified, dim_override, dimension_calls
+):
+    # the parabola y = x^2 at (5, x, y), with three regular fiber points;
+    # (x - 3, y - 4) lifts to a point where y - x^2 leaves -5
+    import regulus.criteria
+
+    vars = ("x", "y")
+    X = PresentedVariety(vars, ZZ, (parse("y - x^2", vars, ZZ),))
+    point = TriangularPoint((parse("x", vars, ZZ), parse("y", vars, ZZ)), prime=5)
+    F = PrimeField(5)
+    fiber_points = [
+        TriangularPoint((parse_poly(gx, vars, F), parse_poly(gy, vars, F)))
+        for gx, gy in (("x", "y"), ("x - 1", "y - 1"), ("x - 3", "y - 4"))
+    ]
+    calls = []
+
+    def counting_dimension(gens):
+        calls.append(gens)
+        return ideal_dimension(gens)
+
+    monkeypatch.setattr(regulus.criteria, "ideal_dimension", counting_dimension)
+    result = special_fiber_verdict(X, point, fiber_points, ramified, dim_override)
+    assert len(calls) == dimension_calls
+    upstairs = result.upstairs
+    assert upstairs.local_dimension == 2
+    assert len(result.fiber) == 3
+    for _, freport in result.fiber:
+        assert freport.regular
+        assert freport.local_dimension == upstairs.local_dimension - 1
+        assert freport.dimension_provenance == upstairs.dimension_provenance
+    assert result.regular_after_base_change is True
+
+
+def test_special_fiber_rejects_a_negative_fiber_dimension():
+    # Z/(3) at (3, x) is regular of dimension 0, so the fiber would have -1
+    vars = ("x",)
+    X = PresentedVariety(vars, ZZ, (parse("3", vars, ZZ), parse("x", vars, ZZ)))
+    point = TriangularPoint((parse("x", vars, ZZ),), prime=3)
+    assert check_arithmetic(X, point, 0).regular
+    fiber_point = TriangularPoint((parse_poly("x", vars, PrimeField(3)),))
+    with pytest.raises(ValueError, match="cannot be negative"):
+        special_fiber_verdict(X, point, [fiber_point], ramified=True, dim_override=0)
 
 
 # ---- the defining identity, checked from outside -----------------------
