@@ -46,9 +46,9 @@ every nonzero entry is a unit, so its pivot count is their F_p rank.  The
 u unit pivot rows span a free module of length 2u, and the residual lies
 in p*F, where length is F_p rank, so 2u + r_p is the length of the row
 module: the order of the rows and of the pivots, and repeated rows, cannot
-change it.  A column, once eliminated, is deleted, so later row updates
-get shorter.  Over QQ the rank comes from an exact integer elimination
-(``_rational_rank``) that divides each updated row by its content.
+change it.  Row updates touch only the pivot row's nonzero columns, and an
+eliminated column is deleted.  Over QQ the rank comes from an exact integer
+elimination (``_rational_rank``) that divides each updated row by its content.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ from .errors import InternalConsistencyError, OracleResourceError, PointNotOnVar
 from .poly import (
     MultiPoly,
     TriangularPoint,
-    _divide_single,
+    _divide,
+    _level,
     membership_certificate,
     triangular_divide,
 )
@@ -89,11 +90,9 @@ def normalized_generators(point: TriangularPoint, ring) -> list:
     each one canonical (degree below each lower level degree) in the lower
     variables, still monic of the same degree in its own."""
     ghat = []
-    for i, g in enumerate(point.generators):
+    for g in point.generators:
         cur = MultiPoly(ring, g.vars, g.terms) if g.ring is ZZ else g
-        for j in reversed(range(i)):
-            _, cur = _divide_single(cur, ghat[j], j)
-        ghat.append(cur)
+        ghat.append(_divide(cur, [_level(h, j) for j, h in enumerate(ghat)])[1])
     return ghat
 
 
@@ -212,14 +211,15 @@ def _rational_rank(rows):
     return rank
 
 
-def _clear(rows, ci, pivot, m):
-    """``rows`` with column ci eliminated by ``pivot`` (1 there, the column
-    already popped off it) and deleted; zero rows are dropped."""
+def _clear(rows, ci, support, m):
+    """``rows`` with column ci eliminated by a unit pivot (1 at ci) and deleted,
+    updating only its ``support``, nonzero (column, entry) pairs; drops zero rows."""
     out = []
     for r in rows:
         f = r.pop(ci)
         if f:
-            r = [(a - f * b) % m for a, b in zip(r, pivot)]
+            for j, b in support:
+                r[j] = (r[j] - f * b) % m
             if not any(r):
                 continue
         out.append(r)
@@ -246,9 +246,9 @@ def _unit_sweep(rows, p, m):
             residual.append(row)
             continue
         inv = pow(row.pop(ci), -1, m)
-        row = [(x * inv) % m for x in row]
-        pending = _clear(pending, ci, row, m)
-        residual = _clear(residual, ci, row, m)
+        support = [(j, x * inv % m) for j, x in enumerate(row) if x]
+        pending = _clear(pending, ci, support, m)
+        residual = _clear(residual, ci, support, m)
         u += 1
     return u, residual
 

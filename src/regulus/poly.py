@@ -9,12 +9,14 @@ The module also holds the triangular machinery: ``TriangularPoint`` describes
 a general closed point by a triangular system (g_1, ..., g_n), each g_i monic
 in its main variable t_i and free of the later variables, optionally together
 with a prime for points of arithmetic schemes.  ``triangular_divide`` is the
-deterministic division that every downstream criterion builds on.
+deterministic division that every downstream criterion builds on; it reduces
+one dict of terms in place and forms no polynomial per step.
 """
 
 from __future__ import annotations
 
 from math import comb, lcm, log10, prod
+from operator import add
 
 from .errors import InvalidPoint, PolySyntaxError
 from .record import FrozenRecord
@@ -539,8 +541,13 @@ class TriangularPoint(FrozenRecord):
     """A general closed point given by a triangular system, with an optional
     prime when the ambient scheme lives over the integers."""
 
+    __slots__ = ("_levels",)  # triangular_divide's cache, not a field
+
     def __init__(self, generators: tuple, prime: int | None = None):
         self.__dict__.update(generators=generators, prime=prime)
+
+    def __reduce__(self):
+        return TriangularPoint, (self.generators, self.prime)
 
     @property
     def vars(self):
@@ -601,52 +608,55 @@ class TriangularPoint(FrozenRecord):
         return self
 
 
-def _divide_single(f: MultiPoly, g: MultiPoly, index: int):
-    """Divide f by g with respect to g's main variable; g must be monic in it.
+def _level(g: MultiPoly, i: int):
+    """g's degree d in t_i and its terms below t_i^d, in g's order."""
+    d = g.degree_in(i)
+    return d, [(e, c) for e, c in g.terms.items() if e[i] < d]
 
-    Returns (quotient, remainder) with remainder degree in that variable
-    strictly below g's.  Deterministic: always cancels the full top slice.
-    Over ZZ and QQ each new quotient coefficient is checked as a derived
-    number; every other number division forms becomes a later quotient
-    coefficient or lies in the final remainder, a few products of g's
-    coefficients beyond checked ones.  Over Z/m every coefficient is
-    bounded by m, since ``MultiPoly`` reduces it on construction.
-    """
-    d = g.degree_in(index)
-    quotient = MultiPoly.zero(f.ring, f.vars)
-    rem = f
-    numeric = f.ring is ZZ or f.ring is QQ
-    while True:
-        top = rem.degree_in(index)
-        if top < d:
-            return quotient, rem
-        piece_terms = {
-            e[:index] + (e[index] - d,) + e[index + 1 :]: c
-            for e, c in rem.terms.items()
-            if e[index] == top
-        }
-        if numeric:
-            for c in piece_terms.values():
-                check_derived(max(abs(c.numerator), c.denominator))
-        piece = MultiPoly(f.ring, f.vars, piece_terms)
-        quotient = quotient + piece
-        rem = rem - piece * g
+
+def _divide(f: MultiPoly, levels):
+    """``triangular_divide`` by ``levels``, the ``_level`` of each generator."""
+    ring, m = f.ring, f.ring.modulus
+    work, quotients = f.terms, []
+    for i in reversed(range(len(levels))):
+        (d, tail), q = levels[i], {}
+        while (top := max([e[i] for e in work], default=0)) >= d:
+            work = dict(work) if work is f.terms else work
+            touched = set()
+            for e in [e for e in work if e[i] == top]:
+                c = work.pop(e)
+                if not m:  # ZZ or QQ
+                    check_derived(max(abs(c.numerator), c.denominator))
+                s = e[:i] + (top - d,) + e[i + 1 :]
+                q[s] = c
+                for te, a in tail:
+                    k = tuple(map(add, s, te))
+                    cur = work.get(k, 0) - c * a
+                    work[k] = cur % m if m else cur
+                    touched.add(k)
+            for k in [k for k in touched if not work[k]]:
+                del work[k]
+        quotients.insert(0, MultiPoly(ring, f.vars, q))
+    return tuple(quotients), f if work is f.terms else MultiPoly(ring, f.vars, work)
 
 
 def triangular_divide(f: MultiPoly, point: TriangularPoint):
     """Write f = sum_i h_i * g_i + r with r reduced below every level degree.
 
-    Division eliminates main variables from g_n down to g_1, so the quotients
-    and the remainder are deterministic for a fixed input.
+    One dict of f's terms is reduced in place, from g_n down to g_1.  A step
+    pops the top slice in t_i into the quotient and subtracts
+    slice * (g_i - t_i^d): g_i's monic leading term cancels the slice exactly.
+    Over ZZ and QQ each quotient coefficient passes ``check_derived``; every
+    other number formed becomes one or lies in the remainder.  New terms are
+    appended in the order ``rem - slice * g_i`` would append them, so term
+    order is deterministic too.  A reduced f comes back itself.
     """
     gens = point.generators
     if f.vars != gens[0].vars or f.ring != gens[0].ring:
         raise ValueError("polynomial and point disagree on variables or ring")
-    quotients = [None] * len(gens)
-    rem = f
-    for i in reversed(range(len(gens))):
-        quotients[i], rem = _divide_single(rem, gens[i], i)
-    return tuple(quotients), rem
+    if not hasattr(point, "_levels"):
+        object.__setattr__(point, "_levels", [_level(g, i) for i, g in enumerate(gens)])
+    return _divide(f, point._levels)
 
 
 def membership_certificate(f: MultiPoly, point: TriangularPoint) -> bool:

@@ -991,3 +991,86 @@ def reference_module_length(rows, p):
     u, residual = reference_unit_sweep(rows, p, p * p)
     r_p, _ = reference_unit_sweep([[x // p for x in r] for r in residual], p, p)
     return 2 * u + r_p
+
+
+def reference_divide_single(f, g, index):
+    """Divide f by g, monic in the variable at ``index``, one top slice at a
+    time with polynomial arithmetic: each step forms the slice, slice * g,
+    its negation and ``rem - slice * g`` as polynomials.  Over ZZ and QQ
+    each slice coefficient passes ``check_derived`` before it is used."""
+    d = g.degree_in(index)
+    quotient = MultiPoly.zero(f.ring, f.vars)
+    rem = f
+    numeric = f.ring is ZZ or f.ring is QQ
+    while True:
+        top = rem.degree_in(index)
+        if top < d:
+            return quotient, rem
+        piece_terms = {
+            e[:index] + (e[index] - d,) + e[index + 1 :]: c
+            for e, c in rem.terms.items()
+            if e[index] == top
+        }
+        if numeric:
+            for c in piece_terms.values():
+                check_derived(max(abs(c.numerator), c.denominator))
+        piece = MultiPoly(f.ring, f.vars, piece_terms)
+        quotient = quotient + piece
+        rem = rem - piece * g
+
+
+def reference_triangular_divide(f, point):
+    """``triangular_divide`` by ``reference_divide_single``, from the last
+    level down to the first."""
+    gens = point.generators
+    quotients = [None] * len(gens)
+    rem = f
+    for i in reversed(range(len(gens))):
+        quotients[i], rem = reference_divide_single(rem, gens[i], i)
+    return tuple(quotients), rem
+
+
+def reference_normalized_generators(point, ring):
+    """``normalized_generators`` by ``reference_divide_single``."""
+    ghat = []
+    for i, g in enumerate(point.generators):
+        cur = MultiPoly(ring, g.vars, g.terms) if g.ring is ZZ else g
+        for j in reversed(range(i)):
+            _, cur = reference_divide_single(cur, ghat[j], j)
+        ghat.append(cur)
+    return ghat
+
+
+def reference_clear(rows, ci, pivot, m):
+    """``rows`` with column ci eliminated by ``pivot`` (1 there, the column
+    already popped off it) and deleted, every row updated over its full
+    width; zero rows are dropped."""
+    out = []
+    for r in rows:
+        f = r.pop(ci)
+        if f:
+            r = [(a - f * b) % m for a, b in zip(r, pivot)]
+            if not any(r):
+                continue
+        out.append(r)
+    return out
+
+
+def dense_unit_sweep(rows, p, m):
+    """``oracle._unit_sweep`` with full-width row updates: the same pivots
+    in the same order, so the same (u, residual), row for row."""
+    pending = [rr for rr in ([x % m for x in r] for r in reversed(rows)) if any(rr)]
+    residual = []
+    u = 0
+    while pending:
+        row = pending.pop()
+        ci = next((c for c, x in enumerate(row) if x % p), None)
+        if ci is None:
+            residual.append(row)
+            continue
+        inv = pow(row.pop(ci), -1, m)
+        row = [(x * inv) % m for x in row]
+        pending = reference_clear(pending, ci, row, m)
+        residual = reference_clear(residual, ci, row, m)
+        u += 1
+    return u, residual

@@ -23,6 +23,7 @@ from regulus.poly import lift_int
 from helpers import (
     QQ_RADICANDS,
     VAR_POOL,
+    dense_unit_sweep,
     expand_copies,
     fraction_rank,
     irreducible_quadratic,
@@ -221,6 +222,34 @@ def test_unit_sweep_modulo_p_is_the_field_rank():
         field = PrimeField(p)
         expected = FieldMatrix(field, [[field.from_int(x) for x in r] for r in rows]).rank()
         assert _unit_sweep(rows, p, p) == (expected, [])
+
+
+def test_unit_sweep_matches_the_dense_reference():
+    # updating only the pivot's nonzero columns gives the same pivots, the
+    # same u and the same residual, row for row, as full-width updates
+    rng = random.Random(439)
+    dropped = 0
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        m = rng.choice((p, p * p))
+        ncols = rng.randrange(1, 9)
+        rows = []
+        for _ in range(rng.randrange(1, 9)):
+            kind = rng.randrange(4)
+            if kind == 0 and rows:
+                # a multiple of an earlier row, which the sweep can clear to zero
+                rows.append([rng.randrange(m) * x for x in rng.choice(rows)])
+            elif kind == 1:
+                rows.append([0 if rng.randrange(2) else rng.randrange(m) for _ in range(ncols)])
+            else:
+                rows.append([rng.randrange(-m, 2 * m) for _ in range(ncols)])
+        before = [list(r) for r in rows]
+        expected = dense_unit_sweep(rows, p, m)
+        assert _unit_sweep(rows, p, m) == expected
+        assert rows == before
+        u, residual = expected
+        dropped += sum(1 for r in rows if any(x % m for x in r)) > u + len(residual)
+    assert dropped >= 50
 
 
 def _sweep_invariants(rows, p):

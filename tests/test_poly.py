@@ -1,9 +1,12 @@
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
 from regulus import (
     InvalidPoint,
+    OracleResourceError,
     MultiPoly,
     PolySyntaxError,
     PrimeField,
@@ -23,6 +26,8 @@ from regulus.poly import (
     lift_int,
     reduce_mod,
 )
+from regulus.oracle import normalized_generators
+from regulus.rings import ModularRing
 
 from helpers import (
     VAR_POOL,
@@ -31,9 +36,12 @@ from helpers import (
     random_arithmetic_relation,
     random_member,
     random_point,
+    random_coeff,
     random_poly,
     rationalize,
+    reference_normalized_generators,
     reference_parse_poly,
+    reference_triangular_divide,
 )
 
 
@@ -395,6 +403,109 @@ def test_divide_is_deterministic():
     point = TriangularPoint((P("x^2 - 2", vars), P("y^2 - x", vars)))
     f = P("y^4 + x*y^2 + 3", vars)
     assert triangular_divide(f, point) == triangular_divide(f, point)
+
+
+def _random_monic_system(ring, vars, rng):
+    """Generators g_i monic of degree 1-3 in x_i, free of later variables,
+    with a tail of up to four terms in x_1..x_i.  The tails are not reduced
+    by the lower levels, so division also meets lower-level terms above
+    their level degree."""
+    n = len(vars)
+    gens = []
+    for i in range(n):
+        d = rng.randrange(1, 4)
+        terms = {tuple(d if k == i else 0 for k in range(n)): ring.one()}
+        for _ in range(rng.randrange(5)):
+            e = [rng.randrange(3) for _ in range(i)] + [rng.randrange(d)] + [0] * (n - i - 1)
+            terms[tuple(e)] = random_coeff(ring, rng)
+        gens.append(MultiPoly(ring, vars, terms))
+    return TriangularPoint(tuple(gens))
+
+
+def _assert_same_division(f, point):
+    quotients, rem = triangular_divide(f, point)
+    ref_quotients, ref_rem = reference_triangular_divide(f, point)
+    assert quotients == ref_quotients
+    assert [list(q.terms) for q in quotients] == [list(q.terms) for q in ref_quotients]
+    assert rem == ref_rem
+    assert list(rem.terms) == list(ref_rem.terms)
+    assert (rem is f) == (ref_rem is f)
+    return quotients, rem
+
+
+DIVISION_RINGS = (
+    ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(101), ModularRing(4), ModularRing(9)
+)
+
+
+@pytest.mark.parametrize("ring", DIVISION_RINGS, ids=lambda r: r.name)
+def test_divide_matches_the_reference_division(ring):
+    # quotients, remainder and the insertion order of every term dict equal
+    # those of dividing one top slice at a time with polynomial arithmetic
+    rng = random.Random(467 + DIVISION_RINGS.index(ring))
+    steps = reduced = 0
+    for _ in range(60):
+        vars = VAR_POOL[: rng.randrange(1, 4)]
+        point = _random_monic_system(ring, vars, rng)
+        if ring is ZZ:
+            point = TriangularPoint(point.generators, prime=rng.choice((2, 3, 5)))
+        for _ in range(4):
+            f = random_poly(ring, vars, rng, max_exp=rng.randrange(1, 7), terms=8)
+            quotients, rem = _assert_same_division(f, point)
+            steps += any(q.terms for q in quotients)
+            # an already reduced f comes back itself, with zero quotients
+            again, same = _assert_same_division(rem, point)
+            assert same is rem
+            assert not any(q.terms for q in again)
+            reduced += 1
+        ghat = normalized_generators(point, ring)
+        ref = reference_normalized_generators(point, ring)
+        assert ghat == ref
+        assert [list(g.terms) for g in ghat] == [list(g.terms) for g in ref]
+    assert steps >= 100 and reduced == 240
+
+
+def test_division_trips_the_digit_limit_like_the_reference():
+    # two oversize coefficients in one top slice, the smaller one first in
+    # dict order and the larger one first in grlex order: the first one
+    # checked, in dict order, names its digit count
+    vars = ("x", "y")
+    big, bigger = Fraction(10**4005, 3), Fraction(7, 10**4100)
+    f = MultiPoly(QQ, vars, {(1, 1): big, (2, 1): bigger, (0, 0): Fraction(1, 2)})
+    point = TriangularPoint((P("x^2 - 1/2", vars), P("y - 2/3*x", vars)))
+    with pytest.raises(OracleResourceError) as ref:
+        reference_triangular_divide(f, point)
+    with pytest.raises(OracleResourceError) as got:
+        triangular_divide(f, point)
+    assert str(got.value) == str(ref.value)
+    assert "about 4006 digits" in str(got.value)
+    # a number that division itself grows trips at the same step
+    n = 10**999
+    g = MultiPoly(QQ, ("x",), {(1,): QQ.one(), (0,): Fraction(-n, 7)})
+    f = MultiPoly(QQ, ("x",), {(6,): QQ.one(), (1,): Fraction(1, 3)})
+    point = TriangularPoint((g,))
+    with pytest.raises(OracleResourceError) as ref:
+        reference_triangular_divide(f, point)
+    with pytest.raises(OracleResourceError) as got:
+        triangular_divide(f, point)
+    assert str(got.value) == str(ref.value)
+
+
+def test_point_keeps_its_fields_after_division():
+    # the levels that division reads are kept on the point, but they are
+    # not a field: equality, hash, repr and pickling are unchanged
+    vars = ("x", "y")
+    point = TriangularPoint((P("x^2 - 2", vars), P("y^2 - x", vars)))
+    fresh = TriangularPoint(point.generators)
+    before = repr(point)
+    triangular_divide(P("y^4 + x*y^2 + 3", vars), point)
+    assert point == fresh and hash(point) == hash(fresh)
+    assert repr(point) == before
+    # polynomials pickle from protocol 2 on
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(point, protocol))
+        assert copy == point
+        assert triangular_divide(P("y^3", vars), copy) == triangular_divide(P("y^3", vars), point)
 
 
 def test_membership_random():
