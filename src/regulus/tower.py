@@ -15,10 +15,12 @@ is already a plain int; over QQ a ``Fraction`` is split into numerator and
 denominator on the way in (``coerce``) and rebuilt on the way out (printing).
 
 A product is formed densely in an extended layout, radix 2*d_k - 1 per
-level, where exponents add without carries, and then folded down in place
-from the top level with the level tails.  A tail with denominators scales
-the blocks not yet folded by a constant of its level, so the common
-denominator of a product is fixed by the tower alone.
+level, where exponents add without carries, and then folded in place by a
+flat plan that each level makes once per tower: a step adds the nonzero
+coefficient at an overflow position times the level tails below it, and
+each block of the level below folds by that level's plan, shifted.  A tail
+with denominators scales the blocks not yet folded by a constant of its
+level, so the common denominator of a product is fixed by the tower alone.
 
 A polynomial maps into the tower through a per-tower table of monomial
 images, filled lazily.  Each variable has one chain of powers, x_i^e =
@@ -89,26 +91,27 @@ class ResidueTower:
         ext, exps = [0], [()]
         scales = [1]
         # level k folds as (degree, block size, leaf positions of a block,
-        # sparse tails, scale factor, nearest level below that folds); a
-        # degree-1 level never overflows and is skipped
+        # tail pairs, scale factor, nearest level below that folds), and
+        # _plan reads nothing else; a tail pair (t, v) adds v times the
+        # coefficient at an overflow position q to position q + t < q
         self._folds = [None]
+        self._plans = [()]  # each level's plan, made once by _plan
         self._minpolys = [None]  # each level polynomial, flat as in _inv
         below = 0
         for k, lv in enumerate(self.levels, start=1):
             d, width = lv.degree, ext_sizes[-1]
             den = lcm(*(c[1] for c in lv.tail))
-            tails = [
-                [(ext[r], v * (den // c[1])) for r, v in enumerate(c[0]) if v]
-                for c in lv.tail
-            ]
+            pairs = tuple(
+                ((j - d) * width + ext[r], v * (den // c[1]))
+                for j, c in enumerate(lv.tail) for r, v in enumerate(c[0]) if v
+            )
             factor = scales[-1] * den
             minpoly = [-v * (den // c[1]) for c in lv.tail for v in c[0]]
             self._minpolys.append(self._norm(minpoly + [den] + [0] * (sizes[-1] - 1), den))
+            self._folds.append((d, width, ext, pairs, factor, below))
+            self._plans.append(None)
             if d > 1:
-                self._folds.append((d, width, ext, tails, factor, below))
                 below = k
-            else:
-                self._folds.append(self._folds[below])
             scales.append(scales[-1] * factor ** (d - 1))
             ext = [q + e * width for e in range(d) for q in ext]
             exps = [x + (e,) for e in range(d) for x in exps]
@@ -194,36 +197,48 @@ class ResidueTower:
                 at = ext[i]
                 for q, y in ys:
                     prod[at + q] += x * y
-        self._fold(k, prod, 0)
+        plan = self._plans[k]
+        if plan is None:
+            plan = self._plan(k)
+        for at, pairs in plan:
+            if pairs.__class__ is int:  # a scale step: prod[at] is a slice
+                prod[at] = [x * pairs for x in prod[at]]
+                continue
+            c = prod[at]
+            if c:
+                for t, v in pairs:
+                    prod[at + t] += c * v
         return [prod[q] for q in ext[: self._sizes[k]]]
 
-    def _fold(self, k, prod, off):
-        """Reduce the extended levels-1..k block at ``prod[off:]`` in place
-        modulo the level polynomials.  Afterwards leaf r sits at
-        ``prod[off + ext[r]]``, multiplied by the level-k scale."""
-        if self._folds[k] is None:
-            return
-        d, width, low, tails, factor, below = self._folds[k]
+    def _plan(self, k):
+        """Steps that reduce an extended levels-1..k block in place modulo
+        the level polynomials, in the order of a fold from the top level
+        down: a fold step (at, pairs) adds c * v at at + t for each tail
+        pair, c the coefficient at ``at``, and a scale step (slice, factor)
+        multiplies the blocks not yet folded.  Leaf r ends at ext[r]."""
+        d, width, low, pairs, factor, below = self._folds[k]
+        sub = self._plans[below]
+        if sub is None:
+            sub = self._plan(below)
+
+        def shifted(s):
+            return [
+                (slice(at.start + s, at.stop + s), v) if v.__class__ is int else (at + s, v)
+                for at, v in sub
+            ]
+
+        plan = []
         for e in range(2 * d - 2, d - 1, -1):
-            top = off + e * width
+            top = e * width
             if factor != 1:
-                for q in range(off, top):
-                    prod[q] *= factor
-            if below:
-                if not any(prod[top : top + width]):
-                    continue
-                self._fold(below, prod, top)
-            coeff = [(q, prod[top + q]) for q in low if prod[top + q]]
-            if not coeff:
-                continue
-            for j, tail in enumerate(tails):
-                at = top - (d - j) * width
-                for tq, v in tail:
-                    for q, c in coeff:
-                        prod[at + tq + q] += c * v
-        if below:
-            for e in range(d):
-                self._fold(below, prod, off + e * width)
+                plan.append((slice(0, top), factor))
+            plan += shifted(top)
+            plan += [(top + q, pairs) for q in low]
+        plan += sub  # block 0 needs no shift
+        for e in range(1, d):
+            plan += shifted(e * width)
+        self._plans[k] = plan
+        return plan
 
     def _blocks(self, k, a):
         """The coefficients in x_k of a level-k element, one level down."""

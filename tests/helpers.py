@@ -8,6 +8,7 @@ that consume them never need to swallow library errors.
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
 
 from regulus import (
@@ -861,6 +862,37 @@ class ReferenceTower:
 
     def elem_str(self, a):
         return self._str_data(len(self.degrees), a)
+
+
+def reference_fold(tower, k, prod, off=0):
+    """The fold of a product's extended layout as one recursion per block:
+    reduce the extended levels-1..k block at ``prod[off:]`` in place modulo
+    the level polynomials, from the top overflow degree down, each block
+    folded one level down first.  Afterwards leaf r sits at
+    ``prod[off + ext[r]]``, multiplied by the level-k scale.  The tails and
+    scale factors come from the levels, not from the tower's plans."""
+    while k and tower.levels[k - 1].degree == 1:
+        k -= 1
+    if not k:
+        return
+    level = tower.levels[k - 1]
+    d, width = level.degree, tower._ext_sizes[k - 1]
+    low = tower._ext[: tower._sizes[k - 1]]
+    den = math.lcm(*(c[1] for c in level.tail))
+    tails = [[(low[r], v * (den // c[1])) for r, v in enumerate(c[0]) if v] for c in level.tail]
+    factor = tower._scales[k - 1] * den
+    for e in range(2 * d - 2, d - 1, -1):
+        top = off + e * width
+        for q in range(off, top):
+            prod[q] *= factor
+        reference_fold(tower, k - 1, prod, top)
+        for j, tail in enumerate(tails):
+            at = top - (d - j) * width
+            for tq, v in tail:
+                for q in low:
+                    prod[at + tq + q] += prod[top + q] * v
+    for e in range(d):
+        reference_fold(tower, k - 1, prod, off + e * width)
 
 
 def nested_data(elem):

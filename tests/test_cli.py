@@ -100,7 +100,8 @@ def test_check_success(tmp_path):
 
 def test_check_at_the_residue_degree_limit_finishes(tmp_path):
     # a single level of degree 256, the residue degree limit: its power
-    # chain folds each product past x^255 without walking empty degrees
+    # chain folds each product past x^255 and skips the tail of every
+    # empty overflow degree
     job = CHECK_JOB.replace("x^3 + x + 3", "").replace("x^2 + 1", "x^256 + x + 2")
     result = run_cli([write_job(tmp_path, job)], timeout=60)
     assert result.returncode == 0

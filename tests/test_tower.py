@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from regulus import (
     tower_invert,
     tower_reduce,
 )
-from regulus.tower import MAX_RESIDUE_DEGREE, ResidueTower, build_tower
+from regulus.tower import MAX_RESIDUE_DEGREE, ResidueTower, TowerElem, build_tower
 
 from helpers import (
     VAR_POOL,
@@ -33,6 +34,7 @@ from helpers import (
     random_poly,
     random_rational_tower,
     random_tower_element,
+    reference_fold,
     tower_size,
     parse,
 )
@@ -453,8 +455,8 @@ def test_non_maximal_witnesses_match_reference():
 
 
 def test_a_level_at_the_residue_degree_limit_matches_reference():
-    # one level of degree MAX_RESIDUE_DEGREE: the fold skips the overflow
-    # degrees a sparse product leaves empty
+    # one level of degree MAX_RESIDUE_DEGREE: the fold plan skips, one
+    # position at a time, the overflow degrees a sparse product leaves empty
     F = PrimeField(3)
     point = TriangularPoint((parse_poly("x^%d + x + 2" % MAX_RESIDUE_DEGREE, ("x",), F),))
     tower, ref = residue_field(point), ReferenceTower(point)
@@ -465,6 +467,121 @@ def test_a_level_at_the_residue_degree_limit_matches_reference():
     for a, b in ((u, u), (u, v), (v, x), (x ** 200, x ** 100)):
         assert nested_data(a * b) == ref.mul(nested_data(a), nested_data(b))
     assert _compare_inverse(tower, ref, u)[0] in (0, 1)
+
+
+# ---- the flat fold plans against the recursive fold -------------------
+
+
+def _plans_match_reference_fold(tower):
+    """Fold a unit vector at every extended position of every level, formed
+    by ``_prod`` as the product of two leaves whose exponents add up to it,
+    and compare the leaves with ``reference_fold``.  The fold is linear, so
+    equal leaves on every unit vector make the plans equal to the recursion
+    on every input."""
+    for k in range(1, len(tower.levels) + 1):
+        degrees = [lv.degree for lv in tower.levels[:k]]
+        size, ext = tower._sizes[k], tower._ext[: tower._sizes[k]]
+        for digits in itertools.product(*(range(2 * d - 1) for d in degrees)):
+            xs, ys = [0] * size, [0] * size
+            i = sum(min(e, d - 1) * s for e, d, s in zip(digits, degrees, tower._sizes))
+            j = sum((e - min(e, d - 1)) * s for e, d, s in zip(digits, degrees, tower._sizes))
+            xs[i] = ys[j] = 1
+            prod = [0] * tower._ext_sizes[k]
+            prod[ext[i] + ext[j]] = 1
+            reference_fold(tower, k, prod)
+            assert tower._prod(k, xs, ys) == [prod[q] for q in ext]
+
+
+def _scale_offsets(plan):
+    return {at.start for at, step in plan if step.__class__ is int}
+
+
+def test_fold_plans_match_reference_fold_on_deep_towers():
+    rng = random.Random(241)
+    fields = (QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7))
+    scaled = 0
+    for round_no in range(15):
+        point, _ = _random_level_point(fields[round_no % len(fields)], rng, deep=True)
+        tower = residue_field(point)
+        _plans_match_reference_fold(tower)
+        scaled += bool(_scale_offsets(tower._plans[-1]))
+    assert scaled >= 2
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ("x^2 - 1/2", "y - 1/3*x", "z^2 + 1/5*x*z - 3/7"),
+        ("x^3 - 1/2*x + 1/3", "y - 2/5*x^2", "z^2 - 1/3*y*z + x", "w^2 + 1/7*z - y"),
+    ],
+)
+def test_fold_plans_match_reference_fold_with_shifted_scale_steps(gens):
+    # two folding levels whose tails have denominators, a degree-1 level
+    # between them: the top plan scales its own blocks from offset 0 and
+    # holds the lower level's scale steps shifted to each block
+    vars = VAR_POOL[: len(gens)]
+    tower = residue_field(TriangularPoint(tuple(parse(g, vars) for g in gens)))
+    _plans_match_reference_fold(tower)
+    offsets = _scale_offsets(tower._plans[-1])
+    assert 0 in offsets and len(offsets) > 1
+
+
+def test_each_level_plan_is_made_once_per_tower(monkeypatch):
+    vars = ("x", "y", "z")
+    point = TriangularPoint(
+        (parse("x^2 - 1/2", vars), parse("y - 1/3*x", vars), parse("z^2 + x*z - 3", vars))
+    )
+    tower = residue_field(point)
+    plan = ResidueTower._plan
+    made = []
+
+    def counted(self, k):
+        made.append((self, k))
+        return plan(self, k)
+
+    monkeypatch.setattr(ResidueTower, "_plan", counted)
+    u = tower_reduce(parse("x*y*z + 2*z - x", vars), tower)
+    for _ in range(3):
+        v = (u * u).inverse() * u
+        assert v * u * u == u
+        u = u + v
+    assert sorted(k for _, k in made) == [1, 2, 3]
+    assert all(t is tower for t, _ in made)
+
+
+@pytest.mark.parametrize("shape", ["quadratic", "quartic", "dense"])
+def test_fold_plans_at_the_residue_degree_limit(shape):
+    # D = 256 over GF(101) as eight quadratic levels, four quartic levels
+    # (both the field of the 256th root of 2) or one level with a dense
+    # tail: the first product makes every plan it needs within 2 MB
+    F, rng = PrimeField(101), random.Random(251)
+    if shape == "dense":
+        vars = ("x",)
+        tail = " + ".join("%d*x^%d" % (rng.randrange(1, 101), j) for j in range(256))
+        gens = ("x^%d + %s" % (MAX_RESIDUE_DEGREE, tail),)
+    else:
+        d = 2 if shape == "quadratic" else 4
+        vars = tuple("x%d" % i for i in range(16 // d))
+        gens = ("x0^%d - 2" % d,) + tuple("x%d^%d - x%d" % (i, d, i - 1) for i in range(1, len(vars)))
+    point = TriangularPoint(tuple(parse(g, vars, F) for g in gens))
+    tower = residue_field(point)
+    assert tower.degree_over_base == MAX_RESIDUE_DEGREE
+    u, v = (
+        TowerElem(tower, tower._norm([rng.randrange(101) for _ in range(MAX_RESIDUE_DEGREE)], 1))
+        for _ in range(2)
+    )
+    tracemalloc.start()
+    try:
+        w = u * v
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
+    assert nested_data(w) == ReferenceTower(point).mul(nested_data(u), nested_data(v))
+    try:
+        assert u.inverse() * u == tower.one()
+    except IdealNotMaximal:
+        assert shape == "dense"
 
 
 def test_products_are_canonical_over_rationals():
