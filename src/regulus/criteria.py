@@ -26,6 +26,7 @@ from .errors import (
     GeneratorsNotIndependent,
     InternalConsistencyError,
     InvalidPoint,
+    OracleResourceError,
     PointNotOnVariety,
     PointNotRegular,
 )
@@ -46,6 +47,11 @@ from .tower import ResidueTower, residue_field, tower_reduce
 
 USER_SUPPLIED = "user-supplied"
 ORACLE_GLOBAL = "oracle-global-dimension"
+
+# The derivative identity forms r*n^2 tower products for r relations in n
+# variables and the generator matrix's rank up to n^3, so a job whose
+# (r + n)*n^2 is above this is refused before any division.
+MAX_RANK_WORK = 600_000
 
 
 class PresentedVariety(FrozenRecord):
@@ -117,6 +123,12 @@ def _validated_context(X: PresentedVariety, point: TriangularPoint):
         )
     if point.ring != X.ring:
         raise InvalidPoint("point generators are not over the variety's base ring")
+    work = (len(X.relations) + X.n) * X.n**2
+    if work > MAX_RANK_WORK:
+        raise OracleResourceError(
+            "the rank path forms up to %d tower products, above the limit of %d"
+            % (work, MAX_RANK_WORK)
+        )
     divisions = []
     for f in X.relations:
         quotients, rem = triangular_divide(f, point)

@@ -28,6 +28,7 @@ inputs.
 from __future__ import annotations
 
 from .criteria import (
+    ORACLE_GLOBAL,
     PresentedVariety,
     RegularityReport,
     base_change_verdict,
@@ -340,7 +341,7 @@ def _report_fields(report: RegularityReport) -> dict:
 
 
 def _warnings(report: RegularityReport) -> list:
-    if report.dimension_provenance == "oracle-global-dimension":
+    if report.dimension_provenance == ORACLE_GLOBAL:
         return [GLOBAL_DIMENSION_WARNING]
     return []
 

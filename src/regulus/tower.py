@@ -1,13 +1,17 @@
 """Residue fields presented as towers of monogenic extensions.
 
 A tower starts from QQ or GF(p) and stacks one level per point generator:
-level i adjoins a root of g_i, read off the triangular system.  An element
-is one flat vector of D integer leaves, D the product of the level degrees.
-Leaf r is the coefficient of the monomial whose exponents are the mixed-radix
-digits of r, level 1 least significant, every exponent strictly below its
-level degree.  So a level-k element is the first D_k leaves of a level-n one,
-and the i-th block of D_(k-1) leaves of a level-k element is its coefficient
-of x_k^i.  Over QQ the leaves are numerators over one common positive
+level i adjoins a root of g_i, read off the triangular system.  The tower
+of a point is built once, level by level; the tail of level i, the
+coefficients of g_i below its leading power, is reduced by the monomial
+table (below) of levels 1..i-1, and each new level starts a fresh table.
+
+An element is one flat vector of D integer leaves, D the product of the
+level degrees.  Leaf r is the coefficient of the monomial whose exponents
+are the mixed-radix digits of r, level 1 least significant, every exponent
+strictly below its level degree.  So a level-k element is the first D_k
+leaves of a level-n one, and the i-th block of D_(k-1) leaves of a level-k
+element is its coefficient of x_k^i.  Over QQ the leaves are numerators over one common positive
 denominator, over GF(p) residues in [0, p) over denominator 1; every
 operation ends in one normalization (content removed, or residues taken), so
 the form is canonical and equality is structural.  Over GF(p) a base scalar
@@ -75,21 +79,22 @@ def _display_name(i):
 
 
 class ResidueTower:
-    """kappa_x as a chain of monogenic extensions of QQ or GF(p)."""
+    """kappa_x as a chain of monogenic extensions of QQ or GF(p).
 
-    def __init__(self, base, levels):
+    The tower of a triangular point is built once, level by level: the tail
+    of level k is read off generator k and reduced by the monomial table of
+    the levels already stacked, and each new level starts a fresh table."""
+
+    def __init__(self, base, point):
         self.base = base
-        self.levels = tuple(levels)
-        self._sig = (
-            getattr(base, "name", repr(base)),
-            tuple((lv.var, lv.degree, lv.tail) for lv in self.levels),
-        )
-        self._p = base.modulus
-        # per level k = 0..n: leaf count D_k, extended size E_k, the extended
-        # position of each leaf, and the exponent tuple of each leaf
-        sizes, ext_sizes = [1], [1]
-        ext, exps = [0], [()]
-        scales = [1]
+        self.vars = point.vars
+        self.levels = ()
+        self._p = p = base.modulus
+        # per level k = 0..n: leaf count D_k, extended size E_k, and the
+        # extra denominator of a folded level-k product; the extended
+        # position and the exponent tuple of each leaf at the top level
+        sizes, ext_sizes, scales = self._sizes, self._ext_sizes, self._scales = [1], [1], [1]
+        self._ext, self._exps = [0], [()]
         # level k folds as (degree, block size, leaf positions of a block,
         # tail pairs, scale factor, nearest level below that folds), and
         # _plan reads nothing else; a tail pair (t, v) adds v times the
@@ -98,37 +103,47 @@ class ResidueTower:
         self._plans = [()]  # each level's plan, made once by _plan
         self._minpolys = [None]  # each level polynomial, flat as in _inv
         below = 0
-        for k, lv in enumerate(self.levels, start=1):
-            d, width = lv.degree, ext_sizes[-1]
-            den = lcm(*(c[1] for c in lv.tail))
+        self._start_table()
+        for k, g in enumerate(point.generators, start=1):
+            # t_k^d = -sum_j c_j t_k^j, each c_j moved into the base and
+            # reduced through levels 1..k-1
+            d, width, ext = g.degree_in(k - 1), ext_sizes[-1], self._ext
+            coeffs = [{} for _ in range(d)]
+            for e, c in g.terms.items():
+                if e[k - 1] < d and (p is None or c % p):
+                    coeffs[e[k - 1]][e[: k - 1]] = c
+            tail = tuple(self._neg(self._reduce(c)) for c in coeffs)
+            self.levels += (TowerLevel(self.vars[k - 1], _display_name(k - 1), d, tail),)
+            den = lcm(*(c[1] for c in tail))
             pairs = tuple(
                 ((j - d) * width + ext[r], v * (den // c[1]))
-                for j, c in enumerate(lv.tail) for r, v in enumerate(c[0]) if v
+                for j, c in enumerate(tail) for r, v in enumerate(c[0]) if v
             )
             factor = scales[-1] * den
-            minpoly = [-v * (den // c[1]) for c in lv.tail for v in c[0]]
+            minpoly = [-v * (den // c[1]) for c in tail for v in c[0]]
             self._minpolys.append(self._norm(minpoly + [den] + [0] * (sizes[-1] - 1), den))
             self._folds.append((d, width, ext, pairs, factor, below))
             self._plans.append(None)
             if d > 1:
                 below = k
             scales.append(scales[-1] * factor ** (d - 1))
-            ext = [q + e * width for e in range(d) for q in ext]
-            exps = [x + (e,) for e in range(d) for x in exps]
+            self._ext = [q + e * width for e in range(d) for q in ext]
+            self._exps = [x + (e,) for e in range(d) for x in self._exps]
             sizes.append(sizes[-1] * d)
             ext_sizes.append(width * (2 * d - 1))
+            self._start_table()
         self.degree_over_base = sizes[-1]
-        self._sizes = tuple(sizes)
-        self._ext_sizes = tuple(ext_sizes)
-        self._ext = ext
-        self._exps = exps
-        self._scales = tuple(scales)  # extra denominator of a folded level-k product
-        self._gens = tuple(self._gen_image(i) for i in range(len(self.levels)))
-        # the monomial table: x_i^0, x_i^1, ... per variable, and exponent
-        # tuple -> (data, nonzero (leaf, value) pairs) of each monomial image
-        one = self._embed(len(self.levels), 1)
+        self._sig = (base.name, tuple((lv.var, lv.degree, lv.tail) for lv in self.levels))
+
+    def _start_table(self):
+        """An empty monomial table over the levels stacked so far: x_i^0,
+        x_i^1, ... per variable, and exponent tuple -> (data, nonzero
+        (leaf, value) pairs) of each monomial image."""
+        n = len(self.levels)
+        self._gens = tuple(self._gen_image(i) for i in range(n))
+        one = self._embed(n, 1)
         self._powers = [[one, g.data] for g in self._gens]
-        self._monos = {(0,) * len(self.levels): (one, [(0, one[0][0])])}
+        self._monos = {(0,) * n: (one, [(0, one[0][0])])}
 
     # ---- identity ------------------------------------------------------
 
@@ -137,10 +152,6 @@ class ResidueTower:
 
     def __hash__(self):
         return hash(self._sig)
-
-    @property
-    def vars(self):
-        return tuple(lv.var for lv in self.levels)
 
     # ---- flat-data primitives: (leaves, den) pairs at level k ----------
 
@@ -561,32 +572,6 @@ class TowerElem:
         return "TowerElem(%s)" % self
 
 
-# ---- construction from a triangular point -----------------------------
-
-
-def build_tower(point, base_field) -> ResidueTower:
-    """Stack one level per generator of a (checked) triangular point.
-
-    Generator coefficients are transported into the base field (mod p over
-    ZZ) and then reduced through the levels already built, so every tail is
-    in canonical form.
-    """
-    tower = ResidueTower(base_field, ())
-    for i, g in enumerate(point.generators):
-        d = g.degree_in(i)
-        partial_vars = tower.vars
-        tail = []
-        for power in range(d):
-            coeff_poly = g.coefficient_in(i, power)
-            shrunk = MultiPoly(
-                base_field, partial_vars, {e[:i]: c for e, c in coeff_poly.terms.items()}
-            )
-            tail.append(tower._neg(tower_reduce(shrunk, tower).data))
-        level = TowerLevel(point.vars[i], _display_name(i), d, tuple(tail))
-        tower = ResidueTower(base_field, tower.levels + (level,))
-    return tower
-
-
 def residue_field(point) -> ResidueTower:
     """The residue tower of a triangular point over its natural base."""
     point.check()
@@ -603,7 +588,7 @@ def residue_field(point) -> ResidueTower:
         base = point.ring
     else:
         raise ValueError("unsupported base ring for a residue field")
-    return build_tower(point, base)
+    return ResidueTower(base, point)
 
 
 def tower_reduce(expr: MultiPoly, tower: ResidueTower) -> TowerElem:

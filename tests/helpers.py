@@ -895,6 +895,38 @@ def reference_fold(tower, k, prod, off=0):
         reference_fold(tower, k - 1, prod, off + e * width)
 
 
+def reference_build_tower(point, base):
+    """The levels of a point's tower as the prefix-tower construction made
+    them, one tower per prefix of levels: tail j of level i is the
+    coefficient of t_i^j moved into ``base`` (zero residues dropped),
+    reduced through levels 1..i-1 and negated.  The reduction is
+    ``ReferenceTower``'s nested recursion, made canonical in the flat
+    (leaves, den) form, so it shares no arithmetic with the tower's
+    constructor.  Returns the (var, degree, tail) triples and the tower's
+    ``_sig``."""
+    ref = ReferenceTower(point)
+
+    def flat(k, a):
+        return (a,) if k == 0 else tuple(x for block in a for x in flat(k - 1, block))
+
+    levels = []
+    for i, g in enumerate(point.generators):
+        d = g.degree_in(i)
+        tail = []
+        for power in range(d):
+            coeff = MultiPoly(base, point.vars, g.coefficient_in(i, power).terms)
+            xs = flat(i, ref._neg(i, ref.reduce(coeff, i)))
+            den = 1
+            if base is QQ:
+                den = math.lcm(*(x.denominator for x in xs))
+                xs = [x.numerator * (den // x.denominator) for x in xs]
+                content = math.gcd(den, *xs)
+                xs, den = tuple(x // content for x in xs), den // content
+            tail.append((xs, den))
+        levels.append((point.vars[i], d, tuple(tail)))
+    return tuple(levels), (base.name, tuple(levels))
+
+
 def nested_data(elem):
     """A flat tower element in the nested shape of ``ReferenceTower``: leaf
     r, whose mixed-radix digits (level 1 least significant) are its

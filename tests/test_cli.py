@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -363,6 +364,39 @@ def test_exit_code_3_for_oversized_division_quotient(tmp_path, base, prime):
     }
 
 
+TAIL_NUMBER_JOB = """\
+[ring]
+vars = x, y
+base = QQ
+relations = x - {n}, y - x^{e}
+
+[point]
+generators = x - {n}, y - x^{e}
+
+[task]
+kind = check
+dim = 0
+"""
+
+
+@pytest.mark.parametrize("e", [13, 14])
+def test_exit_code_3_for_an_oversized_tail(tmp_path, e):
+    # the tail of y is N^e, formed while the tower is built as the power
+    # chain of x in the monomial table of level 1: N^13 has 3900 digits,
+    # N^14 4201; no division forms either number
+    result = run_cli([write_job(tmp_path, TAIL_NUMBER_JOB.format(n="9" * 300, e=e))], timeout=20)
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    if e == 13:
+        assert result.returncode == 0 and doc["regular"] is True
+        return
+    assert result.returncode == 3
+    assert doc["error"] == {
+        "kind": "oracle-resource",
+        "message": "a derived number of about 4201 digits is above the limit of 4000",
+    }
+
+
 def test_high_degree_relation_evaluates(tmp_path):
     # the derivative 1000*x^999 is evaluated at the point; its powers of x
     # must not cost one stack frame per exponent
@@ -499,6 +533,60 @@ def test_exit_code_3_for_oracle_matrix_above_the_limit(tmp_path):
             "message": "the Z/p^2 count needs 1310720 matrix entries, above the limit of 1000000",
         }
     }
+
+
+LINEAR_JOB = """\
+[ring]
+vars = {vars}
+base = QQ
+relations = {gens}
+
+[point]
+generators = {gens}
+
+[task]
+kind = check
+dim = 0
+"""
+
+
+def linear_job(n):
+    """A QQ job in n variables at the point x_i = 1, with the n generators
+    as its relations."""
+    names = ["x%d" % i for i in range(1, n + 1)]
+    return LINEAR_JOB.format(vars=", ".join(names), gens=", ".join(v + " - 1" for v in names))
+
+
+def test_exit_code_3_for_rank_work_above_the_limit(tmp_path):
+    # r = n = 160: the derivative identity alone would form r*n^2, about 4
+    # million tower products; the job is refused before any division
+    start = time.perf_counter()
+    result = run_cli([write_job(tmp_path, linear_job(160))], timeout=20)
+    assert time.perf_counter() - start < 1
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {
+        "error": {
+            "kind": "oracle-resource",
+            "message": "the rank path forms up to 8192000 tower products, above the limit of 600000",
+        }
+    }
+
+
+@pytest.mark.parametrize("n", [66, 67])
+def test_rank_work_at_the_limit(tmp_path, n):
+    # (r + n)*n^2 is 574992 at n = 66, under the limit, and 601526 at n = 67
+    result = run_cli([write_job(tmp_path, linear_job(n))], timeout=60)
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    if n == 66:
+        assert result.returncode == 0
+        assert (doc["rank"], doc["regular"]) == (66, True)
+    else:
+        assert result.returncode == 3
+        assert doc["error"]["message"] == (
+            "the rank path forms up to 601526 tower products, above the limit of 600000"
+        )
 
 
 DEGREE_EIGHT_ORACLE_JOB = """\

@@ -20,7 +20,7 @@ from regulus import (
     tower_invert,
     tower_reduce,
 )
-from regulus.tower import MAX_RESIDUE_DEGREE, ResidueTower, TowerElem, build_tower
+from regulus.tower import MAX_RESIDUE_DEGREE, ResidueTower, TowerElem
 
 from helpers import (
     VAR_POOL,
@@ -34,6 +34,7 @@ from helpers import (
     random_poly,
     random_rational_tower,
     random_tower_element,
+    reference_build_tower,
     reference_fold,
     tower_size,
     parse,
@@ -276,7 +277,7 @@ def test_build_tower_reduces_tails():
             parse_poly("y - x", vars, F),
         )
     )
-    tower = build_tower(point, F)
+    tower = ResidueTower(F, point)
     # y's image is x's image, so reducing y - x gives zero
     assert tower_reduce(parse_poly("y - x", vars, F), tower).is_zero()
     assert tower_reduce(parse_poly("y^2", vars, F), tower) == tower.from_int(-2)
@@ -467,6 +468,85 @@ def test_a_level_at_the_residue_degree_limit_matches_reference():
     for a, b in ((u, u), (u, v), (v, x), (x ** 200, x ** 100)):
         assert nested_data(a * b) == ref.mul(nested_data(a), nested_data(b))
     assert _compare_inverse(tower, ref, u)[0] in (0, 1)
+
+
+# ---- one stacked tower per point against the prefix towers -----------
+
+
+def _assert_matches_prefix_towers(point):
+    tower = residue_field(point)
+    levels, sig = reference_build_tower(point, tower.base)
+    assert tuple((lv.var, lv.degree, lv.tail) for lv in tower.levels) == levels
+    assert tower._sig == sig
+    return tower
+
+
+def test_stacked_levels_match_the_prefix_towers():
+    rng = random.Random(263)
+    fields = (QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7))
+    rational_tails = 0
+    for round_no in range(20):
+        point, _ = _random_level_point(fields[round_no % len(fields)], rng, deep=True)
+        tower = _assert_matches_prefix_towers(point)
+        rational_tails += any(c[1] > 1 for lv in tower.levels for c in lv.tail)
+    assert rational_tails >= 2
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ("x^2 - 1/2", "y - 1/3*x", "z^2 + 1/5*x*z - 3/7"),
+        ("x^3 - 1/2*x + 1/3", "y^2 - 2/5*x^2*y + 1/4", "z - 1/6*x*y", "w^2 + 1/7*z*w - y"),
+    ],
+)
+def test_stacked_levels_match_the_prefix_towers_with_denominators(gens):
+    vars = VAR_POOL[: len(gens)]
+    tower = _assert_matches_prefix_towers(TriangularPoint(tuple(parse(g, vars) for g in gens)))
+    # tails above level 1 carry denominators
+    assert sum(c[1] > 1 for lv in tower.levels[1:] for c in lv.tail) >= 2
+
+
+def _zz_level_point(p, rng):
+    """A ZZ point at p: a deep GF(p) level point with every coefficient below
+    the leading one moved by a random multiple of p, plus terms whose
+    coefficients are nonzero multiples of p, so they vanish mod p."""
+    point, _ = _random_level_point(PrimeField(p), rng, deep=True)
+    gens = []
+    for i, g in enumerate(point.generators):
+        d = g.degree_in(i)
+        terms = {e: c + p * rng.randrange(-3, 4) if e[i] < d else c for e, c in g.terms.items()}
+        for _ in range(2):
+            e = [rng.randrange(3) if k < i else 0 for k in range(len(g.vars))]
+            e[i] = rng.randrange(d)
+            terms.setdefault(tuple(e), p * rng.choice((-2, -1, 1, 3)))
+        gens.append(MultiPoly(ZZ, g.vars, terms))
+    return TriangularPoint(tuple(gens), prime=p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_stacked_levels_match_the_prefix_towers_over_zz(p):
+    rng = random.Random(269 + p)
+    for _ in range(4):
+        point = _zz_level_point(p, rng)
+        assert any(c % p == 0 for g in point.generators for c in g.terms.values())
+        _assert_matches_prefix_towers(point)
+
+
+def test_residue_field_builds_one_tower_per_point(monkeypatch):
+    init = ResidueTower.__init__
+    built = []
+
+    def counted(self, base, point):
+        built.append(point)
+        init(self, base, point)
+
+    monkeypatch.setattr(ResidueTower, "__init__", counted)
+    rng = random.Random(271)
+    for field in (QQ, PrimeField(3)):
+        point, degrees = _random_level_point(field, rng, deep=True)
+        built.clear()
+        assert len(residue_field(point).levels) == len(degrees) >= 4
+        assert len(built) == 1 and built[0] is point
 
 
 # ---- the flat fold plans against the recursive fold -------------------
