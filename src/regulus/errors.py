@@ -83,9 +83,9 @@ class EmptyVariety(RegulusError):
 
 
 class OracleResourceError(RegulusError):
-    """Resource guard tripped: too many variables, degree too high, the
-    pair budget ran out, a derived number passed its digit limit, or the
-    residue degree or the Z/p^2 matrix is above its bound."""
+    """Resource guard tripped: too many variables or relations, degree too
+    high, the pair budget ran out, a derived number passed its digit limit,
+    or the residue degree or the Z/p^2 matrix is above its bound."""
 
     kind = "oracle-resource"
     exit_code = 3

@@ -35,13 +35,25 @@ from .criteria import (
     check_point,
     special_fiber_verdict,
 )
-from .errors import InternalConsistencyError, JobFileError, RegulusError
+from .errors import (
+    InternalConsistencyError,
+    JobFileError,
+    OracleResourceError,
+    RegulusError,
+)
 from .oracle import cotangent_dimension
 from .poly import MAX_DIGITS, PolySyntaxError, TriangularPoint, parse_poly
 from .record import Record
 from .rings import QQ, ZZ, PrimeField, is_prime
 
 TASKS = ("check", "base-change", "theorem-f", "oracle-crosscheck")
+
+# Each relation costs a division and n^2 re-check products, and
+# criteria.MAX_RANK_WORK alone admits 599,999 relations at n = 1.  At this
+# limit a QQ job in 8 variables with relations x_i - 1 at x_i = 1 takes
+# about 1.9 s on a shared 2-CPU VM.  Counted from the comma-separated
+# pieces, so that a huge file is refused before it is parsed.
+MAX_RELATIONS = 3000
 
 GLOBAL_DIMENSION_WARNING = (
     "dimension defaulted to the variety's global ideal dimension; if the "
@@ -211,8 +223,14 @@ def parse_job(text: str) -> Job:
     ring_sec = sections["ring"]
     vars = _parse_vars(_take("ring", ring_sec, "vars", required=True))
     ring = _parse_base(_take("ring", ring_sec, "base", required=True))
+    relation_entries = _take("ring", ring_sec, "relations", repeatable=True)
+    count = sum(value.count(",") + 1 for _, value in relation_entries if value)
+    if count > MAX_RELATIONS:
+        raise OracleResourceError(
+            "the job lists %d relations, above the limit of %d" % (count, MAX_RELATIONS)
+        )
     relations = []
-    for entry in _take("ring", ring_sec, "relations", repeatable=True):
+    for entry in relation_entries:
         relations.extend(_parse_poly_list(entry, "ring.relations", vars, ring, True))
     _reject_unknown("ring", ring_sec)
 

@@ -6,6 +6,7 @@ instances that come out are valid inputs by construction, so the tests
 that consume them never need to swallow library errors.
 """
 
+import argparse
 import heapq
 import itertools
 import math
@@ -34,7 +35,7 @@ from regulus.groebner import (
     _to_integers,
 )
 from regulus.oracle import _canonical_monomials, normalized_generators
-from regulus.errors import PolySyntaxError
+from regulus.errors import JobFileError, PolySyntaxError
 from regulus.poly import (
     MAX_DEGREE,
     MAX_NESTING,
@@ -1138,3 +1139,41 @@ def dense_unit_sweep(rows, p, m):
         residual = reference_clear(residual, ci, row, m)
         u += 1
     return u, residual
+
+
+class _HelpRequested(Exception):
+    pass
+
+
+class _ReferenceArgumentParser(argparse.ArgumentParser):
+    # usage problems exit 1, as in the command line before it stopped
+    # using argparse; a help request raises instead of printing and exiting
+    def error(self, message):
+        raise JobFileError("usage: %s" % message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested
+
+
+def reference_parse_args(argv):
+    """The argparse command line that ``regulus.cli.parse_args`` replaced:
+    ``(job_file, report, pretty)``, None for a help request, or the usage
+    message of the JobFileError it raises."""
+    parser = _ReferenceArgumentParser(
+        prog="regulus",
+        description="Decide regularity of closed points from a job file.",
+    )
+    parser.add_argument("job_file", help="path to a sectioned job file")
+    parser.add_argument(
+        "--report", metavar="PATH", help="also write the report document here"
+    )
+    parser.add_argument(
+        "--pretty", action="store_true", help="indent the report for reading"
+    )
+    try:
+        args = parser.parse_args(argv)
+    except _HelpRequested:
+        return None
+    except JobFileError as exc:
+        return exc.message
+    return args.job_file, args.report, args.pretty

@@ -1,15 +1,24 @@
+import itertools
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+from regulus.cli import main, parse_args
+from regulus.errors import JobFileError
+
+from helpers import reference_parse_args
+
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 # the `regulus` an installer put on PATH, looked up before any test runs
 INSTALLED_REGULUS = shutil.which("regulus")
@@ -170,6 +179,136 @@ def test_exit_code_1_for_usage_and_file_problems(tmp_path):
     assert missing.returncode == 1
     doc = json.loads(missing.stdout)
     assert "cannot read job file" in doc["error"]["message"]
+
+
+def cli_parse(argv):
+    """``parse_args`` with a usage error read as its message, the form
+    ``reference_parse_args`` returns."""
+    try:
+        return parse_args(argv)
+    except JobFileError as exc:
+        return exc.message
+
+
+J, P = "job.rg", "out.json"
+
+ARGV_TABLE = [
+    [],
+    [J],
+    [J, "--pretty"],
+    ["--pretty", J],
+    [J, "--report", P],
+    ["--report=" + P, J],
+    ["--report=", J],
+    [J, "--rep", P],
+    [J, "--pre"],
+    ["--rep=" + P, J],
+    [J, "--pretty", "--pretty"],
+    ["--report", P, J, "--report", "last.json"],
+    ["--", J],
+    [J, J],
+    [J, "a", "b"],
+    ["--bogus", J],
+    [J, "--report"],
+    ["--report", "--pretty", J],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_TABLE, ids=lambda argv: " ".join(argv) or "empty")
+def test_command_line_reads_as_argparse_did(argv):
+    assert cli_parse(argv) == reference_parse_args(argv)
+
+
+def test_command_line_usage_messages():
+    assert [cli_parse(argv) for argv in ([], [J, "a", "b"], [J, "--report"])] == [
+        "usage: the following arguments are required: job_file",
+        "usage: unrecognized arguments: a b",
+        "usage: argument --report: expected one argument",
+    ]
+
+
+def test_double_dash_ends_the_options():
+    assert [
+        cli_parse(argv)
+        for argv in (
+            ["--pretty", "--", "--report"],
+            [J, "--", "K"],
+            [J, "--pretty", "--", "K"],
+            [J, "--report", "--", P],
+        )
+    ] == [
+        ("--report", None, True),
+        "usage: unrecognized arguments: K",
+        "usage: unrecognized arguments: K",
+        "usage: argument --report: expected one argument",
+    ]
+
+
+# Arguments on which argparse reads alike on every supported Python.  Left
+# out: "--" after the job file, where argparse lists the "--" among the
+# unrecognized arguments only when another argument separates the two, and
+# "-h" with more text in the same argument ("-hx", "-h=x"), which argparse
+# reads as a help flag with a value.
+ARGUMENTS = [
+    J, "K", P, "", "-", "-5", "-1.5", "a b",
+    "--pretty", "--pre", "--p", "--pretty=x",
+    "--report", "--rep", "--report=" + P, "--rep=Q", "--report=",
+    "--bogus", "--bogus=x", "-x", "-h", "--help", "--he", "--help=x",
+]
+
+
+def test_command_line_reads_as_argparse_did_on_random_argv():
+    short = [list(argv) for k in range(3) for argv in itertools.product(ARGUMENTS, repeat=k)]
+    rng = random.Random(21)
+    longer = [rng.choices(ARGUMENTS, k=rng.randint(3, 6)) for _ in range(1500)]
+    for argv in short + longer:
+        assert cli_parse(argv) == reference_parse_args(argv), argv
+
+
+HELP_TEXT = """\
+usage: regulus [-h] [--report PATH] [--pretty] job_file
+
+Decide regularity of closed points from a job file.
+
+positional arguments:
+  job_file       path to a sectioned job file
+
+options:
+  -h, --help     show this help message and exit
+  --report PATH  also write the report document here
+  --pretty       indent the report for reading
+"""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], [J, "-h"], ["--bogus", "-h"]])
+def test_help_prints_a_fixed_text_and_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (HELP_TEXT, "")
+
+
+def test_help_from_the_command_line_exits_0():
+    result = run_cli(["-h"])
+    assert (result.returncode, result.stdout, result.stderr) == (0, HELP_TEXT, "")
+
+
+def test_a_job_loads_no_argument_parser(tmp_path):
+    # argparse's first use imports gettext and locale and searches for
+    # message catalogs: about 3 ms of every job process; -S keeps site out,
+    # so sys.modules shows what regulus itself imports
+    code = textwrap.dedent("""\
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import regulus.cli
+        code = regulus.cli.main([sys.argv[2]])
+        loaded = {"argparse", "gettext", "locale"} & set(sys.modules)
+        print(code, *sorted(loaded))
+    """)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src"), write_job(tmp_path, CHECK_JOB)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0"
 
 
 def test_exit_code_1_for_parse_errors(tmp_path):
@@ -589,6 +728,43 @@ def test_rank_work_at_the_limit(tmp_path, n):
         )
 
 
+def relations_job(count, last="x - 1"):
+    """A QQ job in one variable at x = 1 whose relations, ``x - 1`` and
+    then ``last``, fill ``count`` pieces on two ``relations =`` lines."""
+    pieces = ["x - 1"] * (count - 1) + [last]
+    half = count // 2
+    return (
+        "[ring]\nvars = x\nbase = QQ\n"
+        "relations = %s\nrelations = %s\n"
+        "[point]\ngenerators = x - 1\n[task]\nkind = check\ndim = 0\n"
+        % (", ".join(pieces[:half]), ", ".join(pieces[half:]))
+    )
+
+
+def test_exit_code_3_for_relations_above_the_limit(tmp_path):
+    # the rank-work bound admits 599,999 relations in one variable; the
+    # pieces are counted before any is parsed, so the unparsable last one
+    # is never reached
+    start = time.perf_counter()
+    result = run_cli([write_job(tmp_path, relations_job(3001, last="x -"))], timeout=20)
+    assert time.perf_counter() - start < 1
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {
+        "error": {
+            "kind": "oracle-resource",
+            "message": "the job lists 3001 relations, above the limit of 3000",
+        }
+    }
+
+
+def test_relations_at_the_limit(tmp_path):
+    result = run_cli([write_job(tmp_path, relations_job(3000))], timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    doc = json.loads(result.stdout)
+    assert (len(doc["ring"]["relations"]), doc["regular"]) == (3000, True)
+
+
 DEGREE_EIGHT_ORACLE_JOB = """\
 [ring]
 vars = x, y
@@ -688,9 +864,23 @@ def test_console_script_is_installed(tmp_path):
 
 @pytest.mark.skipif(INSTALLED_REGULUS is None, reason="no regulus on PATH")
 def test_installed_console_script(tmp_path):
+    # the installed entry point reads its flags from sys.argv
+    def run_installed(args):
+        return subprocess.run([INSTALLED_REGULUS] + args, capture_output=True, text=True)
+
     path = write_job(tmp_path, CHECK_JOB)
-    result = subprocess.run(
-        [INSTALLED_REGULUS, path], capture_output=True, text=True
-    )
+    result = run_installed([path])
     assert result.returncode == 0
     assert json.loads(result.stdout)["regular"] is True
+
+    pretty = run_installed(["--pretty", path])
+    assert pretty.returncode == 0
+    assert pretty.stdout == json.dumps(json.loads(result.stdout), indent=2) + "\n"
+
+    out = tmp_path / "report.json"
+    reported = run_installed(["--report=%s" % out, path])
+    assert reported.returncode == 0
+    assert out.read_text() == reported.stdout == result.stdout
+
+    helped = run_installed(["-h"])
+    assert (helped.returncode, helped.stdout, helped.stderr) == (0, HELP_TEXT, "")
