@@ -7,15 +7,11 @@ from .criteria import (
     PresentedVariety,
     RegularityReport,
     SpecialFiberReport,
-    arithmetic_jacobian,
     base_change_verdict,
-    check_arithmetic,
-    check_geometric,
     check_point,
     default_dimension,
     generalized_jacobian,
     special_fiber_verdict,
-    validate_point,
 )
 from .errors import (
     DimensionMismatch,
@@ -43,8 +39,8 @@ from .poly import (
     partial_derivative,
     triangular_divide,
 )
-from .rings import QQ, ZZ, Fraction, PrimeField, Rational
-from .tower import ResidueTower, TowerElem, residue_field, tower_invert, tower_reduce
+from .rings import QQ, ZZ, Fraction, PrimeField
+from .tower import ResidueTower, TowerElem, residue_field, tower_reduce
 
 __version__ = "0.1.0"
 
@@ -68,7 +64,6 @@ __all__ = [
     "PresentedVariety",
     "PrimeField",
     "QQ",
-    "Rational",
     "RegularityReport",
     "RegulusError",
     "ResidueTower",
@@ -76,10 +71,7 @@ __all__ = [
     "TowerElem",
     "TriangularPoint",
     "ZZ",
-    "arithmetic_jacobian",
     "base_change_verdict",
-    "check_arithmetic",
-    "check_geometric",
     "check_point",
     "cotangent_dimension",
     "default_dimension",
@@ -96,8 +88,6 @@ __all__ = [
     "residue_field",
     "run_job",
     "special_fiber_verdict",
-    "tower_invert",
     "tower_reduce",
     "triangular_divide",
-    "validate_point",
 ]

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import JobFileError, RegulusError
-from .jobfile import parse_job, run_job
+from .jobfile import MAX_JOB_CHARS, parse_job, run_job
 
 HELP = """\
 usage: regulus [-h] [--report PATH] [--pretty] job_file
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
         job_file, report_path, pretty = args
         try:
             with open(job_file, "r", encoding="utf-8") as handle:
-                text = handle.read()
+                text = handle.read(MAX_JOB_CHARS + 1)
         except (OSError, UnicodeDecodeError) as exc:
             raise JobFileError("cannot read job file: %s" % exc) from exc
         job = parse_job(text)

@@ -1,22 +1,26 @@
 """Regularity criteria for closed points, and base-change verdicts.
 
-The pipeline for a presented variety X and a triangular point x:
+One matrix and one check.  For a presented variety X and a triangular
+point x, ``generalized_jacobian`` runs steps 1 and 2 and ``check_point``
+step 3:
 
-1. validate and divide: each relation f_i is divided once through the
-   triangular system, f_i = sum_j h_ij g_j + r_i.  The relation vanishes
-   at x when r_i = 0 (field base) or every coefficient of r_i is divisible
-   by p (over ZZ, where r_i = p*w_i).  The derivative matrix of the point
-   generators must be invertible over the residue tower, so the g_i cut
-   out m_x/m_x^2 independently.
+1. validate and divide: the point must match X, and each relation f_i is
+   divided once through the triangular system, f_i = sum_j h_ij g_j + r_i.
+   The relation vanishes at x when r_i = 0 (field base) or every
+   coefficient of r_i is divisible by p (over ZZ, where r_i = p*w_i).  The
+   derivative matrix of the point generators must be invertible over the
+   residue tower, so the g_i cut out m_x/m_x^2 independently.
 2. reduce: the h_ij reduced into the residue field form the
-   derivative-with-respect-to-generators matrix, and the w_i form the
+   derivative-with-respect-to-generators matrix J, and the w_i form the
    extra column.
-3. rank: regularity is rank = n - dim (field base) or rank of the
+3. rank: regularity is rank J = n - dim (field base) or rank of the
    augmented matrix = n + 1 - dim (over ZZ at a prime).
 
 Every computed matrix is re-checked against its defining property
 (d f_i/d t_j)(x) = J * (d g_i/d t_j)(x) before it is used, so a division
-bug cannot silently corrupt a verdict.
+bug cannot silently corrupt a verdict.  ``base_change_verdict`` and
+``special_fiber_verdict`` answer the base-change questions from the same
+check over ZZ.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ ORACLE_GLOBAL = "oracle-global-dimension"
 
 # The derivative identity forms r*n^2 tower products for r relations in n
 # variables and the generator matrix's rank up to n^3, so a job whose
-# (r + n)*n^2 is above this is refused before any division.
+# (r + n)*n^2 is above this is refused before any division, and a job file
+# before any polynomial is parsed.
 MAX_RANK_WORK = 600_000
 
 
@@ -87,11 +92,10 @@ class RegularityReport(Record):
 
 class BaseChangeVerdict(Record):
     def __init__(
-        self, ramified: bool, point_regular_upstairs: bool, system_solvable: bool | None,
-        fiber_regular: bool, witness: list | None, report: RegularityReport,
+        self, ramified: bool, system_solvable: bool | None, fiber_regular: bool,
+        witness: list | None, report: RegularityReport,
     ):
         self.ramified = ramified
-        self.point_regular_upstairs = point_regular_upstairs
         self.system_solvable = system_solvable  # ramified case only
         self.fiber_regular = fiber_regular
         self.witness = witness
@@ -109,12 +113,29 @@ class SpecialFiberReport(Record):
         self.regular_after_base_change = regular_after_base_change
 
 
-# ---- validation -------------------------------------------------------
+# ---- the derivative-with-respect-to-generators matrix -----------------
 
 
-def _validated_context(X: PresentedVariety, point: TriangularPoint):
-    """(tower, generator derivative matrix, (quotients, remainder) of each
-    relation)."""
+def check_rank_work(relations: int, n: int) -> None:
+    """Refuse a job whose rank path would form more than MAX_RANK_WORK tower
+    products: (relations + n)*n^2 for n variables."""
+    work = (relations + n) * n**2
+    if work > MAX_RANK_WORK:
+        raise OracleResourceError(
+            "the rank path forms up to %d tower products, above the limit of %d"
+            % (work, MAX_RANK_WORK)
+        )
+
+
+def generalized_jacobian(X: PresentedVariety, point: TriangularPoint):
+    """(J, extra): J is the r x n matrix of derivatives of the relations with
+    respect to the point generators, over the residue tower ``J.field``;
+    extra is the column of relation remainders divided by the prime over
+    ZZ, and None over a field.
+
+    The point is validated first: it must match X, every relation must
+    vanish at it, and the generators must be independent there.  Every
+    entry is re-checked against the defining identity."""
     point.check()
     if point.vars != X.vars:
         raise InvalidPoint(
@@ -123,12 +144,8 @@ def _validated_context(X: PresentedVariety, point: TriangularPoint):
         )
     if point.ring != X.ring:
         raise InvalidPoint("point generators are not over the variety's base ring")
-    work = (len(X.relations) + X.n) * X.n**2
-    if work > MAX_RANK_WORK:
-        raise OracleResourceError(
-            "the rank path forms up to %d tower products, above the limit of %d"
-            % (work, MAX_RANK_WORK)
-        )
+    n = X.n
+    check_rank_work(len(X.relations), n)
     divisions = []
     for f in X.relations:
         quotients, rem = triangular_divide(f, point)
@@ -136,7 +153,6 @@ def _validated_context(X: PresentedVariety, point: TriangularPoint):
             raise PointNotOnVariety("relation %s does not vanish at the point" % f)
         divisions.append((quotients, rem))
     tower = residue_field(point)
-    n = X.n
     gmat = [
         [tower_reduce(partial_derivative(g, j), tower) for j in range(n)]
         for g in point.generators
@@ -147,26 +163,9 @@ def _validated_context(X: PresentedVariety, point: TriangularPoint):
             "they are dependent modulo the square of the ideal; choose "
             "different generators"
         )
-    return tower, gmat, divisions
-
-
-def validate_point(X: PresentedVariety, point: TriangularPoint) -> ResidueTower:
-    """Check the relations vanish at the point and the generators are
-    independent there; returns the residue tower."""
-    return _validated_context(X, point)[0]
-
-
-# ---- the derivative-with-respect-to-generators matrix -----------------
-
-
-def _jacobian(X: PresentedVariety, point: TriangularPoint):
-    """(tower, rows h-bar_ij, and in the arithmetic case the extra column
-    w-bar_i, else None), with the defining identity rechecked entrywise."""
-    tower, gmat, divisions = _validated_context(X, point)
     p = point.prime
-    n = X.n
     rows = []
-    extra = []
+    extra = None if p is None else []
     for f, (quotients, rem) in zip(X.relations, divisions):
         if p is not None:
             w = MultiPoly(ZZ, f.vars, {e: c // p for e, c in rem.terms.items()})
@@ -183,22 +182,6 @@ def _jacobian(X: PresentedVariety, point: TriangularPoint):
                     % (f, j + 1)
                 )
         rows.append(row)
-    return tower, rows, (extra if p is not None else None)
-
-
-def generalized_jacobian(X: PresentedVariety, point: TriangularPoint) -> FieldMatrix:
-    """The r x n matrix of derivatives of the relations with respect to the
-    point generators, over the residue tower."""
-    tower, rows, _ = _jacobian(X, point)
-    return FieldMatrix(tower, rows)
-
-
-def arithmetic_jacobian(X: PresentedVariety, point: TriangularPoint):
-    """(J, extra): the generator-derivative matrix together with the column
-    of relation remainders divided by the prime."""
-    if point.prime is None:
-        raise InvalidPoint("the augmented matrix needs an arithmetic point")
-    tower, rows, extra = _jacobian(X, point)
     return FieldMatrix(tower, rows), extra
 
 
@@ -225,13 +208,12 @@ def _check(X, point, dim, provenance=USER_SUPPLIED):
     """Rank J over a field base, or J with the extra column appended over
     ZZ, and compare the cotangent dimension with the local dimension (the
     default dimension when dim is None)."""
-    tower, rows, extra = _jacobian(X, point)
-    jac = FieldMatrix(tower, rows)
+    jac, extra = generalized_jacobian(X, point)
     if extra is None:
         rank = jac.rank()
         cotangent = X.n - rank
     else:
-        rank = FieldMatrix(tower, [row + [e] for row, e in zip(rows, extra)]).rank()
+        rank = FieldMatrix(jac.field, [row + [e] for row, e in zip(jac.rows, extra)]).rank()
         cotangent = X.n + 1 - rank
     if dim is None:
         dim, provenance = default_dimension(X, point), ORACLE_GLOBAL
@@ -243,7 +225,7 @@ def _check(X, point, dim, provenance=USER_SUPPLIED):
             % (cotangent, dim, provenance)
         )
     return RegularityReport(
-        tower=tower,
+        tower=jac.field,
         jacobian=jac,
         extra_column=extra,
         rank=rank,
@@ -253,31 +235,12 @@ def _check(X, point, dim, provenance=USER_SUPPLIED):
     )
 
 
-def check_geometric(
-    X: PresentedVariety, point: TriangularPoint, dim_override: int | None = None
-) -> RegularityReport:
-    """Regularity over a field base: regular iff rank = n - dim."""
-    if X.ring is ZZ:
-        raise ValueError("use check_arithmetic over ZZ")
-    return _check(X, point, dim_override)
-
-
-def check_arithmetic(
-    X: PresentedVariety, point: TriangularPoint, dim_override: int | None = None
-) -> RegularityReport:
-    """Regularity over ZZ at a prime: regular iff the augmented rank equals
-    n + 1 - dim."""
-    if X.ring is not ZZ or point.prime is None:
-        raise ValueError("check_arithmetic needs a ZZ base and a prime")
-    return _check(X, point, dim_override)
-
-
 def check_point(
     X: PresentedVariety, point: TriangularPoint, dim_override: int | None = None
 ) -> RegularityReport:
-    if point.prime is not None:
-        return check_arithmetic(X, point, dim_override)
-    return check_geometric(X, point, dim_override)
+    """Regularity at the point: over a field base, regular iff rank = n - dim;
+    over ZZ at the point's prime, iff the augmented rank = n + 1 - dim."""
+    return _check(X, point, dim_override)
 
 
 # ---- base change ------------------------------------------------------
@@ -296,7 +259,9 @@ def base_change_verdict(
     fiber point is regular exactly when J v = extra-column is solvable over
     the residue field; the verdict does not depend on which extension is
     taken, only on the ramified flag."""
-    return _base_change(check_arithmetic(X, point, dim_override), ramified)
+    if point.prime is None:
+        raise ValueError("base change needs a point with a prime")
+    return _base_change(_check(X, point, dim_override), ramified)
 
 
 def _base_change(report, ramified):
@@ -309,7 +274,6 @@ def _base_change(report, ramified):
     if not ramified:
         return BaseChangeVerdict(
             ramified=False,
-            point_regular_upstairs=True,
             system_solvable=None,
             fiber_regular=True,
             witness=None,
@@ -319,7 +283,6 @@ def _base_change(report, ramified):
     solvable = witness is not None
     return BaseChangeVerdict(
         ramified=True,
-        point_regular_upstairs=True,
         system_solvable=solvable,
         fiber_regular=solvable,
         witness=witness,
@@ -352,7 +315,9 @@ def special_fiber_verdict(
     the same dimension.  The fiber is a hypersurface section of the
     arithmetic model, so its dimension is the upstairs one minus one, with
     the same provenance."""
-    upstairs = check_arithmetic(X, point, dim_override)
+    if point.prime is None:
+        raise ValueError("the special-fiber route needs a point with a prime")
+    upstairs = _check(X, point, dim_override)
     if not upstairs.regular:
         raise PointNotRegular(
             "the special-fiber route assumes the variety is regular at the "

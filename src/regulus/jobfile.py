@@ -33,6 +33,7 @@ from .criteria import (
     RegularityReport,
     base_change_verdict,
     check_point,
+    check_rank_work,
     special_fiber_verdict,
 )
 from .errors import (
@@ -54,6 +55,12 @@ TASKS = ("check", "base-change", "theorem-f", "oracle-crosscheck")
 # about 1.9 s on a shared 2-CPU VM.  Counted from the comma-separated
 # pieces, so that a huge file is refused before it is parsed.
 MAX_RELATIONS = 3000
+
+# A job file is read and parsed whole, so its length is bounded too: the
+# command line reads at most one character more than this.  At this limit
+# 25 relations of 1,000 terms in one variable, over ZZ at 3 at x = 1, take
+# about 1.9 s on a shared 2-CPU VM.
+MAX_JOB_CHARS = 200_000
 
 GLOBAL_DIMENSION_WARNING = (
     "dimension defaulted to the variety's global ideal dimension; if the "
@@ -218,6 +225,10 @@ def _parse_nonneg(entry, field):
 
 
 def parse_job(text: str) -> Job:
+    if len(text) > MAX_JOB_CHARS:
+        raise OracleResourceError(
+            "the job is longer than the limit of %d characters" % MAX_JOB_CHARS
+        )
     sections = _split_sections(text)
 
     ring_sec = sections["ring"]
@@ -229,6 +240,7 @@ def parse_job(text: str) -> Job:
         raise OracleResourceError(
             "the job lists %d relations, above the limit of %d" % (count, MAX_RELATIONS)
         )
+    check_rank_work(count, len(vars))
     relations = []
     for entry in relation_entries:
         relations.extend(_parse_poly_list(entry, "ring.relations", vars, ring, True))

@@ -104,9 +104,6 @@ class FieldMatrix:
                 )
         return x
 
-    def solvable(self, rhs) -> bool:
-        return self.solve(rhs) is not None
-
     def __repr__(self):
         return "FieldMatrix(%d x %d over %s)" % (
             self.nrows,

@@ -1,8 +1,8 @@
 """Exact coefficient arithmetic: integers, rationals, integers mod m.
 
-``Rational`` is stdlib ``fractions.Fraction``, which already maintains the
-canonical-form invariants (gcd(|numerator|, denominator) = 1, denominator > 0,
-zero stored as 0/1), so it is used directly as the rational coefficient type.
+The rational coefficient type is stdlib ``fractions.Fraction``, which already
+maintains the canonical-form invariants (gcd(|numerator|, denominator) = 1,
+denominator > 0, zero stored as 0/1).
 
 The ring objects below give polynomials, towers, and matrices a uniform way to
 construct, test, coerce, and print coefficients.  The elements themselves are
@@ -17,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import OracleResourceError
-
-Rational = Fraction
 
 # Every number the program derives has at most MAX_DERIVED_DIGITS decimal
 # digits where it is checked: each power of a point coordinate formed while

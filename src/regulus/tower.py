@@ -550,6 +550,8 @@ class TowerElem:
         return result
 
     def inverse(self):
+        """Raises IdealNotMaximal with a witness factor when the extended
+        gcd finds one, ZeroDivisionError on zero."""
         return self.tower.inv(self)
 
     def is_zero(self) -> bool:
@@ -610,8 +612,3 @@ def tower_reduce(expr: MultiPoly, tower: ResidueTower) -> TowerElem:
         raise TypeError("element of %s used in %s" % (ring.name, tower.base.name))
     return TowerElem(tower, tower._reduce(expr.terms))
 
-
-def tower_invert(a: TowerElem) -> TowerElem:
-    """Multiplicative inverse; raises IdealNotMaximal with a witness factor
-    when the extended gcd finds one, ZeroDivisionError on zero."""
-    return a.inverse()

@@ -14,6 +14,7 @@ import pytest
 
 from regulus.cli import main, parse_args
 from regulus.errors import JobFileError
+from regulus.jobfile import MAX_JOB_CHARS
 
 from helpers import reference_parse_args
 
@@ -763,6 +764,66 @@ def test_relations_at_the_limit(tmp_path):
     assert (result.returncode, result.stderr) == (0, "")
     doc = json.loads(result.stdout)
     assert (len(doc["ring"]["relations"]), doc["regular"]) == (3000, True)
+
+
+def test_exit_code_3_for_variables_above_the_rank_work(tmp_path):
+    # 6,000 variables and no relations (82 KB): (0 + n)*n^2 is refused as
+    # soon as the relations are counted.  Parsing the generators and
+    # checking the point are both quadratic in n, and the job used to run
+    # about 19 s before the same refusal
+    names = ", ".join("x%d" % i for i in range(6000))
+    text = (
+        "[ring]\nvars = %s\nbase = QQ\n[point]\ngenerators = %s\n"
+        "[task]\nkind = check\n" % (names, names)
+    )
+    start = time.perf_counter()
+    result = run_cli([write_job(tmp_path, text)], timeout=60)
+    assert time.perf_counter() - start < 1
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {
+        "error": {
+            "kind": "oracle-resource",
+            "message": "the rank path forms up to 216000000000 tower products, above the limit of 600000",
+        }
+    }
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_job_file_at_and_above_the_character_limit(tmp_path, extra):
+    # a comment pads CHECK_JOB to the limit, plus one character
+    text = CHECK_JOB + "#" * (MAX_JOB_CHARS - len(CHECK_JOB) - 1 + extra) + "\n"
+    assert len(text) == MAX_JOB_CHARS + extra
+    start = time.perf_counter()
+    result = run_cli([write_job(tmp_path, text)], timeout=20)
+    assert time.perf_counter() - start < 1
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    if not extra:
+        assert (result.returncode, doc["regular"]) == (0, True)
+        return
+    assert result.returncode == 3
+    assert doc == {
+        "error": {
+            "kind": "oracle-resource",
+            "message": "the job is longer than the limit of 200000 characters",
+        }
+    }
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_exit_code_3_for_an_endless_job_file():
+    # the whole file used to be read: memory grew until a MemoryError
+    # traceback, or until the machine ran out
+    start = time.perf_counter()
+    result = run_cli(["/dev/zero"], timeout=20)
+    assert time.perf_counter() - start < 1
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["error"] == {
+        "kind": "oracle-resource",
+        "message": "the job is longer than the limit of 200000 characters",
+    }
 
 
 DEGREE_EIGHT_ORACLE_JOB = """\

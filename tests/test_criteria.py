@@ -15,10 +15,7 @@ from regulus import (
     QQ,
     TriangularPoint,
     ZZ,
-    arithmetic_jacobian,
     base_change_verdict,
-    check_arithmetic,
-    check_geometric,
     check_point,
     default_dimension,
     generalized_jacobian,
@@ -28,7 +25,6 @@ from regulus import (
     special_fiber_verdict,
     tower_reduce,
     triangular_divide,
-    validate_point,
 )
 from regulus.poly import reduce_mod
 
@@ -74,35 +70,64 @@ def test_variety_validation():
         PresentedVariety(("x", "x"), QQ, ())
 
 
-def test_validate_point_mismatches():
+def test_jacobian_validation_rejects_mismatched_points():
     vars = ("x", "y")
     X = PresentedVariety(vars, QQ, (parse("x*y - 2", vars),))
     with pytest.raises(InvalidPoint):
-        validate_point(X, TriangularPoint((parse_poly("x", ("x",), QQ),)))
+        generalized_jacobian(X, TriangularPoint((parse_poly("x", ("x",), QQ),)))
     F = PrimeField(3)
     with pytest.raises(InvalidPoint):
-        validate_point(
+        generalized_jacobian(
             X, TriangularPoint((parse_poly("x", vars, F), parse_poly("y", vars, F)))
         )
 
 
-def test_validate_point_membership():
+def test_jacobian_validation_checks_membership():
     vars = ("x", "y")
     X = PresentedVariety(vars, QQ, (parse("x*y - 2", vars),))
     with pytest.raises(PointNotOnVariety):
-        validate_point(X, TriangularPoint((parse("x - 1", vars), parse("y - 1", vars))))
-    tower = validate_point(
+        generalized_jacobian(
+            X, TriangularPoint((parse("x - 1", vars), parse("y - 1", vars)))
+        )
+    J, extra = generalized_jacobian(
         X, TriangularPoint((parse("x - 2", vars), parse("y - 1", vars)))
     )
-    assert tower.describe() == "QQ"
+    assert J.field.describe() == "QQ"
+    assert extra is None
 
 
-def test_validate_point_rejects_dependent_generators():
+def test_jacobian_validation_rejects_dependent_generators():
     # x^2 + 1 = (x + 1)^2 over GF(2): derivative vanishes identically
     F = PrimeField(2)
     X = PresentedVariety(("x",), F, ())
     with pytest.raises(GeneratorsNotIndependent):
-        validate_point(X, TriangularPoint((parse_poly("x^2 + 1", ("x",), F),)))
+        generalized_jacobian(X, TriangularPoint((parse_poly("x^2 + 1", ("x",), F),)))
+
+
+def test_generalized_jacobian_carries_the_extra_column_over_zz():
+    X, point = number_ring_fixture()
+    J, extra = generalized_jacobian(X, point)
+    assert J.field.describe() == "GF(3)[a]/(a^2+1)"
+    assert [[str(e) for e in row] for row in J.rows] == [["a"]]
+    assert [str(e) for e in extra] == ["1"]
+
+
+def test_check_point_rejects_a_zz_point_without_a_prime():
+    vars = ("x",)
+    X = PresentedVariety(vars, ZZ, (parse("x^2 + 1", vars, ZZ),))
+    point = TriangularPoint((parse("x^2 + 1", vars, ZZ),))
+    with pytest.raises(InvalidPoint, match="points over ZZ need a prime"):
+        check_point(X, point)
+
+
+def test_base_change_routes_need_a_prime():
+    vars = ("x", "y")
+    X = PresentedVariety(vars, QQ, (parse("x*y - 2", vars),))
+    point = TriangularPoint((parse("x - 2", vars), parse("y - 1", vars)))
+    with pytest.raises(ValueError, match="needs a point with a prime"):
+        base_change_verdict(X, point, ramified=True)
+    with pytest.raises(ValueError, match="needs a point with a prime"):
+        special_fiber_verdict(X, point, [point], ramified=True)
 
 
 # ---- geometric checks --------------------------------------------------
@@ -112,7 +137,7 @@ def test_geometric_smooth_point():
     vars = ("x", "y")
     X = PresentedVariety(vars, QQ, (parse("x*y - 2", vars),))
     point = TriangularPoint((parse("x - 2", vars), parse("y - 1", vars)))
-    report = check_geometric(X, point)
+    report = check_point(X, point)
     assert report.rank == 1
     assert report.local_dimension == 1
     assert report.dimension_provenance == "oracle-global-dimension"
@@ -123,7 +148,7 @@ def test_geometric_singular_node():
     vars = ("x", "y")
     X = PresentedVariety(vars, QQ, (parse("y^2 - x^3 - x^2", vars),))
     point = TriangularPoint((parse("x", vars), parse("y", vars)))
-    report = check_geometric(X, point)
+    report = check_point(X, point)
     assert report.rank == 0
     assert report.local_dimension == 1
     assert not report.regular
@@ -133,7 +158,7 @@ def test_geometric_quartic_field_point():
     vars = ("x", "y")
     X = PresentedVariety(vars, QQ, (parse("y^2 - x^3 + x", vars),))
     point = TriangularPoint((parse("x^2 - 2", vars), parse("y^2 - x", vars)))
-    report = check_geometric(X, point)
+    report = check_point(X, point)
     assert report.rank == 1
     assert report.local_dimension == 1
     assert report.regular
@@ -149,9 +174,9 @@ def test_dimension_override_on_smaller_component():
         (parse("x - 1", vars), parse("y", vars), parse("z", vars))
     )
     with pytest.raises(DimensionMismatch) as info:
-        check_geometric(X, point)
+        check_point(X, point)
     assert "oracle-global-dimension" in str(info.value)
-    report = check_geometric(X, point, dim_override=1)
+    report = check_point(X, point, dim_override=1)
     assert report.regular
     assert report.dimension_provenance == "user-supplied"
 
@@ -161,7 +186,7 @@ def test_dimension_override_mismatch_names_user():
     X = PresentedVariety(vars, QQ, (parse("x*y - 2", vars),))
     point = TriangularPoint((parse("x - 2", vars), parse("y - 1", vars)))
     with pytest.raises(DimensionMismatch) as info:
-        check_geometric(X, point, dim_override=2)
+        check_point(X, point, dim_override=2)
     assert "user-supplied" in str(info.value)
 
 
@@ -170,7 +195,7 @@ def test_dimension_override_mismatch_names_user():
 
 def test_number_ring_fixture_report():
     X, point = number_ring_fixture()
-    report = check_arithmetic(X, point)
+    report = check_point(X, point)
     assert report.tower.describe() == "GF(3)[a]/(a^2+1)"
     assert [[str(e) for e in row] for row in report.jacobian.rows] == [["a"]]
     assert [str(e) for e in report.extra_column] == ["1"]
@@ -181,7 +206,7 @@ def test_number_ring_fixture_report():
 
 def test_hyperbola_fixture_report():
     X, point = hyperbola_fixture()
-    report = check_arithmetic(X, point)
+    report = check_point(X, point)
     assert report.rank == 1
     assert report.local_dimension == 2
     assert report.regular
@@ -230,7 +255,7 @@ def test_arithmetic_singular_point():
     vars = ("x",)
     X = PresentedVariety(vars, ZZ, (parse("x^2 - 12", vars, ZZ),))
     point = TriangularPoint((parse("x", vars, ZZ),), prime=2)
-    report = check_arithmetic(X, point)
+    report = check_point(X, point)
     assert not report.regular
 
 
@@ -254,7 +279,7 @@ def test_default_dimensions():
 def test_base_change_ramified_hyperbola():
     X, point = hyperbola_fixture()
     verdict = base_change_verdict(X, point, ramified=True)
-    assert verdict.point_regular_upstairs
+    assert verdict.report.regular
     assert verdict.system_solvable is False
     assert verdict.fiber_regular is False
     assert verdict.witness is None
@@ -398,7 +423,7 @@ def test_special_fiber_rejects_a_negative_fiber_dimension():
     vars = ("x",)
     X = PresentedVariety(vars, ZZ, (parse("3", vars, ZZ), parse("x", vars, ZZ)))
     point = TriangularPoint((parse("x", vars, ZZ),), prime=3)
-    assert check_arithmetic(X, point, 0).regular
+    assert check_point(X, point, 0).regular
     fiber_point = TriangularPoint((parse_poly("x", vars, PrimeField(3)),))
     with pytest.raises(ValueError, match="cannot be negative"):
         special_fiber_verdict(X, point, [fiber_point], ramified=True, dim_override=0)
@@ -417,8 +442,8 @@ def test_jacobian_identity_geometric():
         point = random_point(vars, field, rng)
         rels = tuple(random_member(point, rng) for _ in range(rng.randrange(1, 3)))
         X = PresentedVariety(vars, field, rels)
-        tower = validate_point(X, point)
-        J = generalized_jacobian(X, point)
+        J, _ = generalized_jacobian(X, point)
+        tower = J.field
         for i, f in enumerate(rels):
             for j in range(n):
                 lhs = tower_reduce(partial_derivative(f, j), tower)
@@ -437,8 +462,8 @@ def test_jacobian_identity_arithmetic():
         fiber, point = random_arithmetic_point(vars, p, rng)
         rels = tuple(random_arithmetic_relation(fiber, p, rng) for _ in range(rng.randrange(1, 3)))
         X = PresentedVariety(vars, ZZ, rels)
-        tower = validate_point(X, point)
-        J, extra = arithmetic_jacobian(X, point)
+        J, extra = generalized_jacobian(X, point)
+        tower = J.field
         F = PrimeField(p)
         for i, f in enumerate(rels):
             for j in range(n):
@@ -467,8 +492,8 @@ def test_rational_points_reduce_to_classical_jacobian():
         point = TriangularPoint(tuple(gens))
         rels = tuple(random_member(point, rng, multiplier_exp=2) for _ in range(rng.randrange(1, 3)))
         X = PresentedVariety(vars, field, rels)
-        tower = validate_point(X, point)
-        J = generalized_jacobian(X, point)
+        J, _ = generalized_jacobian(X, point)
+        tower = J.field
         for i, f in enumerate(rels):
             for j in range(n):
                 classical = evaluate(partial_derivative(f, j), coords, field)
@@ -489,12 +514,12 @@ def test_rank_is_stable_under_relation_permutation():
         point = random_point(vars, field, rng)
         rels = [random_member(point, rng) for _ in range(rng.randrange(1, 4))]
         X = PresentedVariety(vars, field, tuple(rels))
-        rank = generalized_jacobian(X, point).rank()
+        rank = generalized_jacobian(X, point)[0].rank()
         cot = cotangent_dimension(point, rels)
         perm = rels[:]
         rng.shuffle(perm)
         Xp = PresentedVariety(vars, field, tuple(perm))
-        assert generalized_jacobian(Xp, point).rank() == rank
+        assert generalized_jacobian(Xp, point)[0].rank() == rank
         assert cotangent_dimension(point, perm) == cot
 
 
@@ -507,10 +532,10 @@ def test_report_is_stable_under_renaming():
 
     X = PresentedVariety(vars, QQ, (parse("y^2 - x^3 + x", vars),))
     point = TriangularPoint((parse("x^2 - 2", vars), parse("y^2 - x", vars)))
-    r1 = check_geometric(X, point)
+    r1 = check_point(X, point)
     X2 = PresentedVariety(new, QQ, tuple(rename(f) for f in X.relations))
     point2 = TriangularPoint(tuple(rename(g) for g in point.generators))
-    r2 = check_geometric(X2, point2)
+    r2 = check_point(X2, point2)
     assert r1.rank == r2.rank
     assert r1.local_dimension == r2.local_dimension
     assert r1.regular == r2.regular

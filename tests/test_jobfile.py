@@ -1,6 +1,6 @@
 import pytest
 
-from regulus import JobFileError, PrimeField, QQ, ZZ, parse_job, run_job
+from regulus import JobFileError, OracleResourceError, PrimeField, QQ, ZZ, parse_job, run_job
 from regulus.jobfile import GLOBAL_DIMENSION_WARNING
 
 NUMBER_RING_JOB = """\
@@ -376,3 +376,17 @@ kind = oracle-crosscheck
     )
     assert code == 3
     assert doc["error"]["kind"] == "oracle-resource"
+
+
+def test_rank_work_is_refused_before_any_polynomial_is_parsed():
+    # (1 + 100)*100^2 = 1,010,000 products; neither polynomial would parse
+    names = ", ".join("x%d" % i for i in range(100))
+    text = (
+        "[ring]\nvars = %s\nbase = QQ\nrelations = x0 -\n"
+        "[point]\ngenerators = x0 -\n[task]\nkind = check\n" % names
+    )
+    with pytest.raises(OracleResourceError) as info:
+        parse_job(text)
+    assert str(info.value) == (
+        "the rank path forms up to 1010000 tower products, above the limit of 600000"
+    )

@@ -59,7 +59,6 @@ def test_solve_examples():
     assert sol[0] == tower.from_int(2) * a
     # inconsistent: 0 * v = 1
     assert FieldMatrix(tower, [[tower.zero(), tower.zero()]]).solve([one]) is None
-    assert not FieldMatrix(tower, [[tower.zero(), tower.zero()]]).solvable([one])
 
 
 def test_solve_prefers_zero_free_variables():
@@ -126,7 +125,7 @@ def test_augmented_rank_dichotomy():
         aug = FieldMatrix(tower, [row + [x] for row, x in zip(m.rows, b)])
         ra = aug.rank()
         assert ra in (r, r + 1)
-        assert m.solvable(b) == (ra == r)
+        assert (m.solve(b) is not None) == (ra == r)
 
 
 def test_consistent_square_system_random():
