@@ -136,7 +136,6 @@ def generalized_jacobian(X: PresentedVariety, point: TriangularPoint):
     The point is validated first: it must match X, every relation must
     vanish at it, and the generators must be independent there.  Every
     entry is re-checked against the defining identity."""
-    point.check()
     if point.vars != X.vars:
         raise InvalidPoint(
             "point variables (%s) do not match the variety's (%s)"
@@ -331,7 +330,6 @@ def special_fiber_verdict(
     entries = []
     all_regular = True
     for fp in fiber_points:
-        fp.check()
         if fp.ring is not field:
             raise InvalidPoint(
                 "fiber points must be given over GF(%d), the residue field of "

@@ -2,8 +2,9 @@
 
 Every error carries a stable machine-readable ``kind`` that appears in report
 documents, plus the process exit code the CLI maps it to: 1 for input that
-could not be read, 2 for mathematically rejected input, 3 for resource
-exhaustion (oracle bounds, derived-number digits).
+could not be read, 2 for mathematically rejected input and for a failed
+internal cross-check, 3 for resource exhaustion (oracle bounds,
+derived-number digits).
 """
 
 

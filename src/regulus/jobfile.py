@@ -17,8 +17,8 @@ plus optional ``dim`` (local-dimension override), repeatable
 ``fiber_points`` lines (theorem-f), and ``report`` (output path).  Comments
 run from ``#`` to end of line.  File-level problems (syntax, missing or
 contradictory keys) raise JobFileError and exit 1; mathematical rejections
-(point not on the variety, non-maximal ideal, ...) surface from the
-criteria with exit 2, and resource exhaustion with exit 3.
+(a malformed point, once every file-level check has passed, a point not on
+the variety, a non-maximal ideal, ...) exit 2, and resource exhaustion 3.
 
 ``run_job`` returns a plain document (nested dicts/lists/scalars) with a
 fixed key order, so serialized reports are byte-identical for identical
@@ -61,6 +61,12 @@ MAX_RELATIONS = 3000
 # 25 relations of 1,000 terms in one variable, over ZZ at 3 at x = 1, take
 # about 1.9 s on a shared 2-CPU VM.
 MAX_JOB_CHARS = 200_000
+
+# Each theorem-f fiber point costs a fiber check, and a lifted check when
+# the job is ramified.  At this limit 500 ramified points of residue degree
+# 16 in 4 variables take about 1.3 s on a shared 2-CPU VM.  Counted from the
+# fiber_points lines, before any of them is parsed.
+MAX_FIBER_POINTS = 500
 
 GLOBAL_DIMENSION_WARNING = (
     "dimension defaulted to the variety's global ideal dimension; if the "
@@ -264,7 +270,6 @@ def parse_job(text: str) -> Job:
             )
         prime = None
     generators = _parse_poly_list(gen_entry, "point.generators", vars, ring, False)
-    point = TriangularPoint(generators, prime=prime)
 
     task_sec = sections["task"]
     kind_entry = _take("task", task_sec, "kind", required=True)
@@ -307,16 +312,20 @@ def parse_job(text: str) -> Job:
             "line %d: task.fiber_points only applies to a theorem-f task"
             % fiber_entries[0][0]
         )
-    fiber_points = []
+    fiber_gens = []
     if kind == "theorem-f":
         if not fiber_entries:
             raise JobFileError("task.fiber_points is required for a theorem-f task")
+        if len(fiber_entries) > MAX_FIBER_POINTS:
+            raise OracleResourceError(
+                "the job lists %d fiber points, above the limit of %d"
+                % (len(fiber_entries), MAX_FIBER_POINTS)
+            )
         fiber_field = PrimeField(prime)
         for entry in fiber_entries:
-            gens = _parse_poly_list(
-                entry, "task.fiber_points", vars, fiber_field, False
+            fiber_gens.append(
+                _parse_poly_list(entry, "task.fiber_points", vars, fiber_field, False)
             )
-            fiber_points.append(TriangularPoint(gens, prime=None))
 
     report_path = report_entry[1] if report_entry else None
     if report_entry and not report_path:
@@ -326,11 +335,11 @@ def parse_job(text: str) -> Job:
         vars=vars,
         ring=ring,
         relations=tuple(relations),
-        point=point,
+        point=TriangularPoint(generators, prime=prime),
         task=kind,
         ramified=ramified,
         dim=dim,
-        fiber_points=tuple(fiber_points),
+        fiber_points=tuple(TriangularPoint(gens) for gens in fiber_gens),
         report_path=report_path,
     )
 

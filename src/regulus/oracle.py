@@ -259,7 +259,6 @@ def cotangent_dimension(point: TriangularPoint, relations) -> int:
     ``relations`` generate I; they must vanish at the point.  The point is
     arithmetic (over ZZ with a prime) or geometric (over QQ or GF(p)), and
     the ambient coordinate ring matches the relations."""
-    point.check()
     for f in relations:
         if f.vars != point.vars or f.ring != point.ring:
             raise ValueError("relation and point disagree on variables or ring")

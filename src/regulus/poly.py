@@ -539,12 +539,51 @@ def parse_poly(text: str, vars, ring) -> MultiPoly:
 
 class TriangularPoint(FrozenRecord):
     """A general closed point given by a triangular system, with an optional
-    prime when the ambient scheme lives over the integers."""
+    prime when the ambient scheme lives over the integers.  It is checked
+    when it is made, and the first rule broken raises ``InvalidPoint``."""
 
-    __slots__ = ("_levels",)  # triangular_divide's cache, not a field
+    __slots__ = ("_levels",)  # the _level of each generator, not a field
 
     def __init__(self, generators: tuple, prime: int | None = None):
         self.__dict__.update(generators=generators, prime=prime)
+        if not generators:
+            raise InvalidPoint("a point needs at least one generator")
+        vars, ring = generators[0].vars, generators[0].ring
+        if len(generators) != len(vars):
+            raise InvalidPoint(
+                "expected %d generators for variables (%s), got %d"
+                % (len(vars), ", ".join(vars), len(generators))
+            )
+        if prime is not None:
+            if ring is not ZZ:
+                raise InvalidPoint("a prime is only meaningful over ZZ")
+            if not is_prime(prime):
+                raise InvalidPoint("%d is not prime" % prime)
+        elif ring is ZZ:
+            raise InvalidPoint("points over ZZ need a prime")
+        levels = []
+        for i, g in enumerate(generators):
+            if g.vars != vars or g.ring != ring:
+                raise InvalidPoint("generators disagree on variables or ring")
+            d, tail = _level(g, i)
+            if d < 1:
+                raise InvalidPoint(
+                    "generator %d must involve its main variable %s" % (i + 1, vars[i])
+                )
+            for j in range(i + 1, len(vars)):
+                if g.degree_in(j) > 0:
+                    raise InvalidPoint(
+                        "generator %d may not involve the later variable %s"
+                        % (i + 1, vars[j])
+                    )
+            lead = g.coefficient_in(i, d)
+            if not (lead.is_constant() and lead.constant_value() == ring.one()):
+                raise InvalidPoint(
+                    "generator %d is not monic in its main variable %s"
+                    % (i + 1, vars[i])
+                )
+            levels.append((d, tail))
+        object.__setattr__(self, "_levels", levels)
 
     def __reduce__(self):
         return TriangularPoint, (self.generators, self.prime)
@@ -565,47 +604,7 @@ class TriangularPoint(FrozenRecord):
     def residue_degree(self):
         """The product of the level degrees: the residue field's degree over
         the base."""
-        return prod(g.degree_in(i) for i, g in enumerate(self.generators))
-
-    def check(self):
-        gens = self.generators
-        if not gens:
-            raise InvalidPoint("a point needs at least one generator")
-        vars = gens[0].vars
-        ring = gens[0].ring
-        if len(gens) != len(vars):
-            raise InvalidPoint(
-                "expected %d generators for variables (%s), got %d"
-                % (len(vars), ", ".join(vars), len(gens))
-            )
-        if self.prime is not None:
-            if ring is not ZZ:
-                raise InvalidPoint("a prime is only meaningful over ZZ")
-            if not is_prime(self.prime):
-                raise InvalidPoint("%d is not prime" % self.prime)
-        elif ring is ZZ:
-            raise InvalidPoint("points over ZZ need a prime")
-        for i, g in enumerate(gens):
-            if g.vars != vars or g.ring != ring:
-                raise InvalidPoint("generators disagree on variables or ring")
-            d = g.degree_in(i)
-            if d < 1:
-                raise InvalidPoint(
-                    "generator %d must involve its main variable %s" % (i + 1, vars[i])
-                )
-            for j in range(i + 1, len(vars)):
-                if g.degree_in(j) > 0:
-                    raise InvalidPoint(
-                        "generator %d may not involve the later variable %s"
-                        % (i + 1, vars[j])
-                    )
-            lead = g.coefficient_in(i, d)
-            if not (lead.is_constant() and lead.constant_value() == ring.one()):
-                raise InvalidPoint(
-                    "generator %d is not monic in its main variable %s"
-                    % (i + 1, vars[i])
-                )
-        return self
+        return prod(d for d, _ in self._levels)
 
 
 def _level(g: MultiPoly, i: int):
@@ -651,11 +650,8 @@ def triangular_divide(f: MultiPoly, point: TriangularPoint):
     appended in the order ``rem - slice * g_i`` would append them, so term
     order is deterministic too.  A reduced f comes back itself.
     """
-    gens = point.generators
-    if f.vars != gens[0].vars or f.ring != gens[0].ring:
+    if f.vars != point.vars or f.ring != point.ring:
         raise ValueError("polynomial and point disagree on variables or ring")
-    if not hasattr(point, "_levels"):
-        object.__setattr__(point, "_levels", [_level(g, i) for i, g in enumerate(gens)])
     return _divide(f, point._levels)
 
 

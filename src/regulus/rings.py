@@ -85,11 +85,6 @@ class IntegerRing:
     def from_int(self, n: int) -> int:
         return int(n)
 
-    def coerce(self, c) -> int:
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise TypeError("cannot coerce %r into ZZ" % (c,))
-        return c
-
     def zero(self) -> int:
         return 0
 

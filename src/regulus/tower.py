@@ -104,13 +104,13 @@ class ResidueTower:
         self._minpolys = [None]  # each level polynomial, flat as in _inv
         below = 0
         self._start_table()
-        for k, g in enumerate(point.generators, start=1):
+        for k, (d, terms) in enumerate(point._levels, start=1):
             # t_k^d = -sum_j c_j t_k^j, each c_j moved into the base and
             # reduced through levels 1..k-1
-            d, width, ext = g.degree_in(k - 1), ext_sizes[-1], self._ext
+            width, ext = ext_sizes[-1], self._ext
             coeffs = [{} for _ in range(d)]
-            for e, c in g.terms.items():
-                if e[k - 1] < d and (p is None or c % p):
+            for e, c in terms:
+                if p is None or c % p:
                     coeffs[e[k - 1]][e[: k - 1]] = c
             tail = tuple(self._neg(self._reduce(c)) for c in coeffs)
             self.levels += (TowerLevel(self.vars[k - 1], _display_name(k - 1), d, tail),)
@@ -140,9 +140,8 @@ class ResidueTower:
         x_i^1, ... per variable, and exponent tuple -> (data, nonzero
         (leaf, value) pairs) of each monomial image."""
         n = len(self.levels)
-        self._gens = tuple(self._gen_image(i) for i in range(n))
         one = self._embed(n, 1)
-        self._powers = [[one, g.data] for g in self._gens]
+        self._powers = [[one, self._gen_image(i)] for i in range(n)]
         self._monos = {(0,) * n: (one, [(0, one[0][0])])}
 
     # ---- identity ------------------------------------------------------
@@ -455,15 +454,16 @@ class ResidueTower:
 
     def gen(self, i):
         """The image of the i-th generator variable (0-based)."""
-        return self._gens[i]
+        return TowerElem(self, self._powers[i][1])
 
     def _gen_image(self, i):
-        """x_i: one unit leaf, or its own tail when its level has degree 1."""
+        """The data of x_i: one unit leaf, or its own tail when its level
+        has degree 1."""
         if self.levels[i].degree == 1:
             leaves, den = self.levels[i].tail[0]
         else:
             leaves, den = (0,) * self._sizes[i] + (1,), 1
-        return TowerElem(self, (leaves + (0,) * (self._sizes[-1] - len(leaves)), den))
+        return leaves + (0,) * (self._sizes[-1] - len(leaves)), den
 
     # ---- printing ------------------------------------------------------
 
@@ -576,7 +576,6 @@ class TowerElem:
 
 def residue_field(point) -> ResidueTower:
     """The residue tower of a triangular point over its natural base."""
-    point.check()
     if point.residue_degree > MAX_RESIDUE_DEGREE:
         raise OracleResourceError(
             "a residue degree of %d is above the limit of %d"

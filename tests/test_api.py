@@ -1,10 +1,11 @@
-"""Names that code outside the package looks up by string.
+"""Names that code and documents outside the package look up by string.
 
 jobbench's tracer finds the layers it times by module and attribute name,
 so a renamed or removed layer would only show as a traced run that
-crashes or reads zero calls.
+crashes or reads zero calls.  README names every bound as ``module.NAME``.
 """
 
+import ast
 import importlib
 import runpy
 from pathlib import Path
@@ -32,3 +33,17 @@ def test_every_exported_name_resolves():
     assert len(set(regulus.__all__)) == len(regulus.__all__)
     for name in regulus.__all__:
         assert hasattr(regulus, name), name
+
+
+def test_every_bound_is_named_in_the_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    bounds = []
+    for path in sorted((ROOT / "src" / "regulus").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    name = getattr(target, "id", "")
+                    if name.startswith("MAX_") or name == "PAIR_BUDGET":
+                        bounds.append("%s.%s" % (path.stem, name))
+    assert "groebner.PAIR_BUDGET" in bounds and "tower.MAX_RESIDUE_DEGREE" in bounds
+    assert [b for b in bounds if "`%s`" % b not in readme] == []

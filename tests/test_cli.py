@@ -14,7 +14,7 @@ import pytest
 
 from regulus.cli import main, parse_args
 from regulus.errors import JobFileError
-from regulus.jobfile import MAX_JOB_CHARS
+from regulus.jobfile import MAX_FIBER_POINTS, MAX_JOB_CHARS
 
 from helpers import reference_parse_args
 
@@ -808,6 +808,101 @@ def test_job_file_at_and_above_the_character_limit(tmp_path, extra):
             "kind": "oracle-resource",
             "message": "the job is longer than the limit of 200000 characters",
         }
+    }
+
+
+FIBER_POINTS_JOB = """\
+[ring]
+vars = x
+base = ZZ
+
+[point]
+prime = 3
+generators = x
+
+[task]
+kind = theorem-f
+ramified = true
+dim = 2
+"""
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_fiber_points_at_and_above_the_limit(tmp_path, extra):
+    # the points are counted before any of them is parsed; 4,000 of them
+    # used to run for 1.5 s
+    count = MAX_FIBER_POINTS + extra
+    text = FIBER_POINTS_JOB + "fiber_points = x\n" * count
+    start = time.perf_counter()
+    result = run_cli([write_job(tmp_path, text)], timeout=20)
+    elapsed = time.perf_counter() - start
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    if not extra:
+        assert result.returncode == 0
+        assert len(doc["fiber"]) == MAX_FIBER_POINTS
+        return
+    assert elapsed < 1
+    assert result.returncode == 3
+    assert doc == {
+        "error": {
+            "kind": "oracle-resource",
+            "message": "the job lists 501 fiber points, above the limit of 500",
+        }
+    }
+
+
+# x*y - 1 does not vanish at (2, x, y), and the fiber point has one
+# generator for two variables
+INVALID_FIBER_POINT_JOB = """\
+[ring]
+vars = x, y
+base = ZZ
+relations = x*y - 1
+
+[point]
+prime = 2
+generators = x, y
+
+[task]
+kind = theorem-f
+ramified = true
+fiber_points = x
+"""
+
+
+def test_an_invalid_fiber_point_is_reported_before_the_upstairs_check(tmp_path):
+    # the points are made, and check themselves, when the job is parsed;
+    # the upstairs point-not-on-variety rejection used to come first
+    result = run_cli([write_job(tmp_path, INVALID_FIBER_POINT_JOB)])
+    assert result.returncode == 2
+    assert json.loads(result.stdout) == {
+        "error": {
+            "kind": "invalid-point",
+            "message": "expected 2 generators for variables (x, y), got 1",
+        }
+    }
+    valid = INVALID_FIBER_POINT_JOB.replace("fiber_points = x", "fiber_points = x, y")
+    result = run_cli([write_job(tmp_path, valid)])
+    assert result.returncode == 2
+    assert json.loads(result.stdout)["error"]["kind"] == "point-not-on-variety"
+
+
+def test_job_file_errors_come_before_an_invalid_point(tmp_path):
+    # the main point is not monic and the last [task] key is empty: every
+    # job-file check runs before any point checks itself
+    text = CHECK_JOB.replace("x^2 + 1", "2*x^2 + 1") + "report =\n"
+    result = run_cli([write_job(tmp_path, text)])
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["error"] == {
+        "kind": "job-file",
+        "message": "line 12: task.report must not be empty",
+    }
+    result = run_cli([write_job(tmp_path, text.replace("report =\n", ""))])
+    assert result.returncode == 2
+    assert json.loads(result.stdout)["error"] == {
+        "kind": "invalid-point",
+        "message": "generator 1 is not monic in its main variable x",
     }
 
 

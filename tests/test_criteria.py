@@ -115,9 +115,8 @@ def test_generalized_jacobian_carries_the_extra_column_over_zz():
 def test_check_point_rejects_a_zz_point_without_a_prime():
     vars = ("x",)
     X = PresentedVariety(vars, ZZ, (parse("x^2 + 1", vars, ZZ),))
-    point = TriangularPoint((parse("x^2 + 1", vars, ZZ),))
     with pytest.raises(InvalidPoint, match="points over ZZ need a prime"):
-        check_point(X, point)
+        check_point(X, TriangularPoint((parse("x^2 + 1", vars, ZZ),)))
 
 
 def test_base_change_routes_need_a_prime():

@@ -341,38 +341,38 @@ def test_derivative_rules_random():
 
 def test_point_validation_rejects_bad_shapes():
     vars = ("x", "y")
-    with pytest.raises(InvalidPoint):
+    with pytest.raises(InvalidPoint, match=r"expected 2 generators for variables \(x, y\), got 1"):
         # generator count must match variable count
-        TriangularPoint((P("x - 1", vars),)).check()
-    with pytest.raises(InvalidPoint):
+        TriangularPoint((P("x - 1", vars),))
+    with pytest.raises(InvalidPoint, match="generator 2 must involve its main variable y"):
         # second generator must use the second variable
-        TriangularPoint((P("x - 1", vars), P("x - 2", vars))).check()
-    with pytest.raises(InvalidPoint):
+        TriangularPoint((P("x - 1", vars), P("x - 2", vars)))
+    with pytest.raises(InvalidPoint, match="generator 1 is not monic in its main variable x"):
         # not monic in its main variable
-        TriangularPoint((P("2*x - 1", vars), P("y", vars))).check()
-    with pytest.raises(InvalidPoint):
+        TriangularPoint((P("2*x - 1", vars), P("y", vars)))
+    with pytest.raises(InvalidPoint, match="generator 1 may not involve the later variable y"):
         # later variable appears in an earlier generator
-        TriangularPoint((P("x - y", vars), P("y", vars))).check()
+        TriangularPoint((P("x - y", vars), P("y", vars)))
     # non-canonical tails are tolerated; they reduce through lower levels
     from regulus import residue_field
 
-    a = residue_field(TriangularPoint((P("x^2 - 2", vars), P("y - x^2", vars))).check())
-    b = residue_field(TriangularPoint((P("x^2 - 2", vars), P("y - 2", vars))).check())
+    a = residue_field(TriangularPoint((P("x^2 - 2", vars), P("y - x^2", vars))))
+    b = residue_field(TriangularPoint((P("x^2 - 2", vars), P("y - 2", vars))))
     assert a.describe() == b.describe()
 
 
 def test_point_validation_arithmetic():
     vars = ("x",)
     g = P("x^2 + 1", vars, ZZ)
-    TriangularPoint((g,), prime=3).check()
-    with pytest.raises(InvalidPoint):
-        TriangularPoint((g,), prime=4).check()
-    with pytest.raises(InvalidPoint):
+    TriangularPoint((g,), prime=3)
+    with pytest.raises(InvalidPoint, match="4 is not prime"):
+        TriangularPoint((g,), prime=4)
+    with pytest.raises(InvalidPoint, match="a prime is only meaningful over ZZ"):
         # prime only makes sense with integer coefficients
-        TriangularPoint((P("x^2 + 1", vars),), prime=3).check()
-    with pytest.raises(InvalidPoint):
+        TriangularPoint((P("x^2 + 1", vars),), prime=3)
+    with pytest.raises(InvalidPoint, match="points over ZZ need a prime"):
         # integer coefficients need a prime
-        TriangularPoint((g,)).check()
+        TriangularPoint((g,))
 
 
 def test_divide_exactness_random():
@@ -405,7 +405,7 @@ def test_divide_is_deterministic():
     assert triangular_divide(f, point) == triangular_divide(f, point)
 
 
-def _random_monic_system(ring, vars, rng):
+def _random_monic_generators(ring, vars, rng):
     """Generators g_i monic of degree 1-3 in x_i, free of later variables,
     with a tail of up to four terms in x_1..x_i.  The tails are not reduced
     by the lower levels, so division also meets lower-level terms above
@@ -419,7 +419,7 @@ def _random_monic_system(ring, vars, rng):
             e = [rng.randrange(3) for _ in range(i)] + [rng.randrange(d)] + [0] * (n - i - 1)
             terms[tuple(e)] = random_coeff(ring, rng)
         gens.append(MultiPoly(ring, vars, terms))
-    return TriangularPoint(tuple(gens))
+    return tuple(gens)
 
 
 def _assert_same_division(f, point):
@@ -446,9 +446,9 @@ def test_divide_matches_the_reference_division(ring):
     steps = reduced = 0
     for _ in range(60):
         vars = VAR_POOL[: rng.randrange(1, 4)]
-        point = _random_monic_system(ring, vars, rng)
-        if ring is ZZ:
-            point = TriangularPoint(point.generators, prime=rng.choice((2, 3, 5)))
+        gens = _random_monic_generators(ring, vars, rng)
+        prime = rng.choice((2, 3, 5)) if ring is ZZ else None
+        point = TriangularPoint(gens, prime=prime)
         for _ in range(4):
             f = random_poly(ring, vars, rng, max_exp=rng.randrange(1, 7), terms=8)
             quotients, rem = _assert_same_division(f, point)

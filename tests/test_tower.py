@@ -150,6 +150,20 @@ def test_level_two_witness_over_finite_field():
     )
 
 
+def test_level_two_witness_with_a_signed_constant_coefficient():
+    # y^2 - 2*x - 3 = (y - x - 1)(y + x + 1) over QQ(sqrt 2): the witness's
+    # constant coefficient -a - 1 prints its own leading sign
+    vars = ("x", "y")
+    point = TriangularPoint((parse("x^2 - 2", vars), parse("y^2 - 2*x - 3", vars)))
+    tower = residue_field(point)
+    with pytest.raises(IdealNotMaximal) as info:
+        tower_reduce(parse("y - x - 1", vars), tower).inverse()
+    assert info.value.witness == "y - a - 1"
+    assert info.value.message == (
+        "the ideal is not maximal: y^2 - 2*a - 3 has the proper factor y - a - 1"
+    )
+
+
 def test_inverting_zero_raises():
     tower = residue_field(gf9_point())
     with pytest.raises(ZeroDivisionError):
@@ -691,6 +705,7 @@ def test_table_reduction_matches_evaluate():
         field = fields[round_no % len(fields)]
         point, degrees = _random_level_point(field, rng)
         tower = residue_field(point)
+        gens = [tower.gen(i) for i in range(len(degrees))]
         linear_between += 1 in degrees[1:-1]
         rational_tails += any(c[1] > 1 for lv in tower.levels for c in lv.tail)
         for _ in range(4):
@@ -699,7 +714,7 @@ def test_table_reduction_matches_evaluate():
                 for _ in range(rng.randrange(1, 9))
             }
             f = MultiPoly(field, point.vars, terms)
-            assert tower_reduce(f, tower) == evaluate(f, tower._gens, tower)
+            assert tower_reduce(f, tower) == evaluate(f, gens, tower)
     assert linear_between >= 5
     assert rational_tails >= 5
 
@@ -735,7 +750,7 @@ def test_table_meets_the_same_first_oversized_power(text):
     f = parse(text, vars)
     tower = residue_field(point)
     with pytest.raises(OracleResourceError) as expected:
-        evaluate(f, tower._gens, tower)
+        evaluate(f, [tower.gen(0), tower.gen(1)], tower)
     with pytest.raises(OracleResourceError) as got:
         tower_reduce(f, residue_field(point))
     assert got.value.message == expected.value.message
