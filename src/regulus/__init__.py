@@ -27,7 +27,7 @@ from .errors import (
     PolySyntaxError,
     RegulusError,
 )
-from .groebner import groebner_basis, ideal_dimension, leading_term, normal_form, order_key
+from .groebner import groebner_basis, ideal_dimension, normal_form
 from .jobfile import Job, parse_job, run_job
 from .linalg import FieldMatrix
 from .oracle import cotangent_dimension
@@ -78,10 +78,8 @@ __all__ = [
     "generalized_jacobian",
     "groebner_basis",
     "ideal_dimension",
-    "leading_term",
     "membership_certificate",
     "normal_form",
-    "order_key",
     "parse_job",
     "parse_poly",
     "partial_derivative",

@@ -4,8 +4,8 @@ Scope is deliberately narrow: the point-checking pipeline only ever asks
 for bases of ideals in at most four variables and modest degree, so the
 engine refuses anything larger (OracleResourceError) instead of heading
 into doubly-exponential territory.  Within that envelope it produces the
-unique reduced basis for the requested order and then re-verifies that
-every input generator reduces to zero against it.
+unique reduced basis and then re-verifies that every input generator
+reduces to zero against it.
 
 Inside the engine every coefficient is a plain int: GF(p) polynomials
 already hold residues in [0, p), and ``Fraction`` is met only where QQ
@@ -45,10 +45,12 @@ The elements that join still make a Groebner basis of the same ideal, and
 the reduced basis of an ideal and an order is unique, so the criteria
 change only how many S-polynomials are reduced, never the result.
 ``PAIR_BUDGET`` counts the pairs formed, one per earlier element each time
-an element joins, whether or not a criterion then drops them.
+an element joins, whether or not a criterion then drops them, and
+``MAX_REDUCTION_WORK`` the tail terms that the reductions of one call
+subtract.
 
-Orders are given by key functions on exponent tuples; comparing keys with
-tuple order realizes the monomial order.
+The monomial order is fixed: graded reverse lexicographic (grevlex), with
+the variables in ring order, the order of the default dimension.
 """
 
 from __future__ import annotations
@@ -64,43 +66,29 @@ from .rings import QQ
 MAX_VARIABLES = 4
 MAX_INPUT_DEGREE = 6
 PAIR_BUDGET = 100000
+MAX_REDUCTION_WORK = 1000000
 
 
-def order_key(order: str):
-    if order == "grevlex":
-        return lambda e: (sum(e), tuple(-x for x in reversed(e)))
-    if order == "grlex":
-        return lambda e: (sum(e), e)
-    if order == "lex":
-        return lambda e: e
-    raise ValueError("unknown monomial order %r" % (order,))
-
-
-def leading_term(f: MultiPoly, key):
-    exps = max(f.terms, key=key)
-    return exps, f.terms[exps]
+def _key(e):
+    """Grevlex key of an exponent tuple: tuple order on keys is the order
+    of the monomials."""
+    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 def _divides(ea, eb) -> bool:
     return all(x <= y for x, y in zip(ea, eb))
 
 
-def _descending(k):
-    """Key whose ascending tuple order is the descending order of the
-    order key ``k``, a tuple of ints and tuples of ints."""
-    return tuple(-x if isinstance(x, int) else _descending(x) for x in k)
-
-
 class _HeapEntries(dict):
-    """Max-heap entry ``(descending key, exponent)`` of each exponent,
-    computed once on first use."""
+    """Max-heap entry ``((-degree, reversed exponent), exponent)`` of each
+    exponent, computed once on first use: ascending tuple order on entries
+    is descending grevlex.  One is made per engine call, and ``work``
+    counts the tail terms its reductions have subtracted."""
 
-    def __init__(self, key):
-        super().__init__()
-        self.key = key
+    work = 0
 
     def __missing__(self, e):
-        entry = self[e] = (_descending(self.key(e)), e)
+        entry = self[e] = ((-sum(e), e[::-1]), e)
         return entry
 
 
@@ -122,12 +110,12 @@ def _from_integers(ring, vars, terms, d) -> MultiPoly:
     return MultiPoly(ring, vars, terms)
 
 
-def _divisor(terms: dict, p, key):
+def _divisor(terms: dict, p):
     """(leading exponent, leading coefficient, tail) of the nonzero integer
     terms, made primitive with a positive leading coefficient over QQ and
     monic over GF(p): what a reduction step by them needs, with the tail as
     (exponent, coefficient) pairs."""
-    e = max(terms, key=key)
+    e = max(terms, key=_key)
     a = terms[e]
     if p:
         inv = pow(a, -1, p)
@@ -147,12 +135,14 @@ def _reduce(work: dict, divisors, p, entries):
     exponent that has left ``work`` since it was pushed is skipped, and so
     is a zero residue.  The first divisor, in list order, whose leading
     exponent divides it is subtracted; if none does, the term moves to the
-    remainder.
+    remainder.  Each subtraction adds the divisor's tail length to
+    ``entries.work``, which may not exceed ``MAX_REDUCTION_WORK``.
     """
     heap = [entries[e] for e in work]
     heapq.heapify(heap)
     rem = {}
     scale = 1
+    spent = entries.work
     while heap:
         e = heapq.heappop(heap)[1]
         c = work.pop(e, None)
@@ -164,6 +154,12 @@ def _reduce(work: dict, divisors, p, entries):
                 continue
         for ge, a, tail in divisors:
             if all(map(le, ge, e)):
+                spent += len(tail)
+                if spent > MAX_REDUCTION_WORK:
+                    raise OracleResourceError(
+                        "basis computation exceeded the reduction work limit (%d terms subtracted)"
+                        % MAX_REDUCTION_WORK
+                    )
                 if a != 1:
                     g = gcd(a, c)
                     if g != a:
@@ -190,17 +186,21 @@ def _reduce(work: dict, divisors, p, entries):
                 break
         else:
             rem[e] = c
+    entries.work = spent
     return rem, scale
 
 
-def normal_form(f: MultiPoly, basis, key) -> MultiPoly:
+def normal_form(f: MultiPoly, basis) -> MultiPoly:
     """Remainder of f under full division by the basis: no remainder term
     is divisible by any basis leading term.  Each step uses the first
-    basis element, in list order, whose leading term divides."""
+    basis element, in list order, whose leading term divides.  Raises
+    ValueError when a basis element has another ring or variables."""
+    for g in basis:
+        f._compat(g)
     p = f.ring.modulus
     d, work = _to_integers(f, p)
-    divisors = [_divisor(_to_integers(g, p)[1], p, key) for g in basis]
-    rem, scale = _reduce(work, divisors, p, _HeapEntries(key))
+    divisors = [_divisor(_to_integers(g, p)[1], p) for g in basis]
+    rem, scale = _reduce(work, divisors, p, _HeapEntries())
     return _from_integers(f.ring, f.vars, rem, d * scale)
 
 
@@ -243,10 +243,12 @@ def _guard(polys):
             )
 
 
-def groebner_basis(gens, order: str = "grevlex"):
-    """Reduced, monic basis for the ideal of ``gens``, sorted by decreasing
-    leading term."""
-    key = order_key(order)
+def groebner_basis(gens):
+    """Reduced, monic grevlex basis for the ideal of ``gens``, sorted by
+    decreasing leading term.  Raises ValueError unless every generator has
+    the first one's field and variables."""
+    for f in gens[1:]:
+        gens[0]._compat(f)
     inputs = [f for f in gens if not f.is_zero()]
     if not inputs:
         return []
@@ -258,16 +260,16 @@ def groebner_basis(gens, order: str = "grevlex"):
     ints = [_to_integers(f, p)[1] for f in inputs]
 
     # divisors[k] is the divisor data of the k-th basis element, built once
-    # when it joins; a pair on the heap is (key(lcm), i, j, lcm), taken in
-    # the order of (key(lcm), i, j), which never changes once it is formed
+    # when it joins; a pair on the heap is (_key(lcm), i, j, lcm), taken in
+    # the order of (_key(lcm), i, j), which never changes once it is formed
     divisors, pairs = [], []
-    entries = _HeapEntries(key)
+    entries = _HeapEntries()
     formed = 0
 
     def join(terms):
         # the Gebauer-Moeller update for the new element h = len(divisors)
         nonlocal formed
-        d = _divisor(terms, p, key)
+        d = _divisor(terms, p)
         eh, h = d[0], len(divisors)
         formed += h
         if formed > PAIR_BUDGET:
@@ -291,7 +293,7 @@ def groebner_basis(gens, order: str = "grevlex"):
         coprime = {m for (e, _, _), m in zip(divisors, lcms) if not any(map(min, e, eh))}
         for m, i in last.items():
             if m not in coprime and not any(o != m and all(map(le, o, m)) for o in last):
-                heapq.heappush(pairs, (key(m), i, h, m))
+                heapq.heappush(pairs, (_key(m), i, h, m))
         divisors.append(d)
 
     for terms in ints:
@@ -308,7 +310,7 @@ def groebner_basis(gens, order: str = "grevlex"):
     # unique reduced basis once each element is made monic (Cox, Little and
     # O'Shea, Ideals, Varieties, and Algorithms, 2.7).
     keep = []
-    for k in sorted(range(len(divisors)), key=lambda k: key(divisors[k][0])):
+    for k in sorted(range(len(divisors)), key=lambda k: _key(divisors[k][0])):
         if not any(_divides(divisors[m][0], divisors[k][0]) for m in keep):
             keep.append(k)
     minimal = [divisors[k] for k in reversed(keep)]
@@ -319,7 +321,7 @@ def groebner_basis(gens, order: str = "grevlex"):
         work[e] = a
         rem = _reduce(work, minimal[:n] + minimal[n + 1 :], p, entries)[0]
         basis.append(_from_integers(ring, vars, rem, rem[e]))
-        reduced.append(_divisor(rem, p, key))
+        reduced.append(_divisor(rem, p))
     for terms in ints:
         if _reduce(dict(terms), reduced, p, entries)[0]:
             raise InternalConsistencyError(
@@ -328,16 +330,15 @@ def groebner_basis(gens, order: str = "grevlex"):
     return basis
 
 
-def ideal_dimension(gens, order: str = "grevlex") -> int:
+def ideal_dimension(gens) -> int:
     """Krull dimension of the quotient by the ideal of ``gens``, read off
-    the leading terms of a basis.
+    the leading terms of its grevlex basis.
 
     The dimension is the largest size of a variable subset U such that no
     leading-term support is contained in U.  Raises EmptyVariety when the
     ideal is the unit ideal.
     """
-    key = order_key(order)
-    basis = groebner_basis(gens, order)
+    basis = groebner_basis(gens)
     if not basis:
         if not gens:
             raise ValueError("no generators and no ambient variable count")
@@ -345,7 +346,7 @@ def ideal_dimension(gens, order: str = "grevlex") -> int:
     n = len(basis[0].vars)
     supports = []
     for g in basis:
-        e, _ = leading_term(g, key)
+        e = max(g.terms, key=_key)
         if sum(e) == 0:
             raise EmptyVariety("the relations generate the unit ideal; the variety is empty")
         supports.append(frozenset(i for i, x in enumerate(e) if x > 0))

@@ -21,8 +21,6 @@ from regulus import (
     TriangularPoint,
     ZZ,
     groebner_basis,
-    leading_term,
-    order_key,
     parse_poly,
 )
 from regulus.groebner import (
@@ -487,17 +485,30 @@ def random_tower_element(tower, rng, depth=2):
     return elem
 
 
-def reference_normal_form(f, divisors, key):
+def grevlex_key(e):
+    """Sort key of the grevlex order on exponent tuples, kept apart from
+    the engine's own: the larger key is the monomial of higher total
+    degree or, at equal degree, of smaller last differing exponent."""
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def grevlex_leading_term(f):
+    """(exponent, coefficient) of the grevlex-largest term of f."""
+    exps = max(f.terms, key=grevlex_key)
+    return exps, f.terms[exps]
+
+
+def reference_normal_form(f, divisors):
     """Remainder of f under full division by ``divisors``, the plain loop:
-    take the leading term of what is left, subtract a multiple of the
-    first divisor whose leading term divides it, else move it to the
+    take the grevlex leading term of what is left, subtract a multiple of
+    the first divisor whose leading term divides it, else move it to the
     remainder.  Any divisor list works, Groebner basis or not."""
     ring = f.ring
     rem = {}
     work = f
-    lts = [leading_term(g, key) for g in divisors]
+    lts = [grevlex_leading_term(g) for g in divisors]
     while not work.is_zero():
-        exps, coeff = leading_term(work, key)
+        exps, coeff = grevlex_leading_term(work)
         hit = None
         for g, (ge, gc) in zip(divisors, lts):
             if all(a <= b for a, b in zip(ge, exps)):
@@ -513,25 +524,25 @@ def reference_normal_form(f, divisors, key):
     return MultiPoly(ring, f.vars, rem)
 
 
-def reference_groebner_basis(gens, order):
-    """(reduced basis, pairs taken) of the Buchberger loop that takes every
-    pair, in the order of (key(lcm), i, j), and skips only those with
-    coprime leading terms (the product criterion).  ``regulus.groebner``
-    drops more pairs by the Gebauer-Moeller criteria, and must give the
-    same basis, with as many pairs formed as this loop takes."""
-    key = order_key(order)
+def reference_groebner_basis(gens):
+    """(reduced grevlex basis, pairs taken) of the Buchberger loop that
+    takes every pair, in the order of (grevlex_key(lcm), i, j), and skips
+    only those with coprime leading terms (the product criterion).
+    ``regulus.groebner`` drops more pairs by the Gebauer-Moeller criteria,
+    and must give the same basis, with as many pairs formed as this loop
+    takes."""
     inputs = [f for f in gens if not f.is_zero()]
     if not inputs:
         return [], 0
     ring = inputs[0].ring
     p = ring.modulus
     divisors, pairs = [], []
-    entries = _HeapEntries(key)
+    entries = _HeapEntries()
 
     def join(terms):
-        d = _divisor(terms, p, key)
+        d = _divisor(terms, p)
         for i, (ei, _, _) in enumerate(divisors):
-            heapq.heappush(pairs, (key(tuple(map(max, ei, d[0]))), i, len(divisors)))
+            heapq.heappush(pairs, (grevlex_key(tuple(map(max, ei, d[0]))), i, len(divisors)))
         divisors.append(d)
 
     for f in inputs:
@@ -547,7 +558,7 @@ def reference_groebner_basis(gens, order):
             join(r)
 
     keep = []
-    for k in sorted(range(len(divisors)), key=lambda k: key(divisors[k][0])):
+    for k in sorted(range(len(divisors)), key=lambda k: grevlex_key(divisors[k][0])):
         if not any(_divides(divisors[m][0], divisors[k][0]) for m in keep):
             keep.append(k)
     minimal = [divisors[k] for k in reversed(keep)]
@@ -560,13 +571,14 @@ def reference_groebner_basis(gens, order):
     return basis, taken
 
 
-def standard_monomial_count(basis, key) -> int:
-    """Number of monomials outside the leading-term ideal; -1 when the
-    count is infinite (the quotient has positive dimension)."""
+def standard_monomial_count(basis) -> int:
+    """Number of monomials outside the leading-term ideal of a grevlex
+    basis; -1 when the count is infinite (the quotient has positive
+    dimension)."""
     if not basis:
         return -1
     n = len(basis[0].vars)
-    lts = [leading_term(g, key)[0] for g in basis]
+    lts = [grevlex_leading_term(g)[0] for g in basis]
     if any(sum(e) == 0 for e in lts):
         return 0
     # bound per variable: some leading term must be a pure power of it,
@@ -600,7 +612,7 @@ def reference_cotangent_dimension(point, relations):
     gens = list(relations)
     g = point.generators
     gens += [g[i] * g[j] for i in range(len(g)) for j in range(i, len(g))]
-    total = standard_monomial_count(groebner_basis(gens, "grevlex"), order_key("grevlex"))
+    total = standard_monomial_count(groebner_basis(gens))
     assert total > 0 and total % point.residue_degree == 0
     return total // point.residue_degree - 1
 

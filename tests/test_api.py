@@ -7,6 +7,7 @@ crashes or reads zero calls.  README names every bound as ``module.NAME``.
 
 import ast
 import importlib
+import inspect
 import runpy
 from pathlib import Path
 
@@ -47,3 +48,41 @@ def test_every_bound_is_named_in_the_readme():
                         bounds.append("%s.%s" % (path.stem, name))
     assert "groebner.PAIR_BUDGET" in bounds and "tower.MAX_RESIDUE_DEGREE" in bounds
     assert [b for b in bounds if "`%s`" % b not in readme] == []
+
+
+def test_every_default_is_overridden_somewhere():
+    """Every defaulted parameter of every function in ``regulus.__all__`` is
+    passed, by position or keyword, by at least one call in the package.
+
+    An option that the package never sets has one value in use, and its
+    other values are code only tests reach.  Calls are matched by the
+    function's name, as ``name(...)`` or ``module.name(...)``.  Classes and
+    their methods are out of scope.
+    """
+    calls = [
+        node
+        for path in sorted((ROOT / "src" / "regulus").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    ]
+
+    def called_name(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def passes(call, index, param):
+        if param.kind is not param.KEYWORD_ONLY and (
+            len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+        ):
+            return True
+        return any(k.arg in (param.name, None) for k in call.keywords)
+
+    unused = []
+    for name in regulus.__all__:
+        func = getattr(regulus, name)
+        if not inspect.isfunction(func):
+            continue
+        mine = [c for c in calls if called_name(c) == func.__name__]
+        for index, param in enumerate(inspect.signature(func).parameters.values()):
+            if param.default is not param.empty and not any(passes(c, index, param) for c in mine):
+                unused.append("%s(%s=)" % (name, param.name))
+    assert unused == []

@@ -946,6 +946,36 @@ def test_field_oracle_counts_above_the_groebner_degree_bound(tmp_path):
     assert doc["cotangent"] == {"rank_based": 1, "oracle": 1, "agree": True}
 
 
+# three dense QQ relations at the origin with no dim: the default dimension's
+# basis computation would subtract about 15.8 million tail terms
+REDUCTION_WORK_JOB = """\
+[ring]
+vars = x, y, z, w
+base = QQ
+relations = 4*x^2*y^1*z^1*w^1 + 3*y^3*w^2 - 6*x^3*y^1*z^2 - 4*x^1*z^1*w^2 + 9*x^4*y^2 + 4*x^3*w^2 - 4*x^2*y^2*w^2 + 5*x^1*y^4 + 7*z^1*w^1 + 2*x^1*y^2, -3*x^2*y^1*z^1 + 6*x^1*y^1*z^2 + 9*y^1*w^5 + 3*y^1*z^1 - 7*w^1 - 1*w^2 + 7*y^2*z^1 - 3*x^4*z^1*w^1 - 2*y^2*z^1*w^2 + 5*y^1*z^3, 6*x^2*z^3*w^1 - 8*x^2*y^4 + 3*x^3*z^2 + 5*x^1*w^3 - 6*z^2*w^4 - 1*y^5 - 6*x^1*z^1*w^1 - 1*y^4*z^2 + 1*x^1*y^2*z^1 + 4*x^3*z^1
+[point]
+generators = x, y, z, w
+[task]
+kind = check
+"""
+
+
+def test_exit_code_3_for_groebner_reduction_work_above_the_limit(tmp_path):
+    # unbounded, this job runs about 25 s; it stops at the million-term
+    # limit in about 2 s
+    start = time.perf_counter()
+    result = run_cli([write_job(tmp_path, REDUCTION_WORK_JOB)], timeout=60)
+    assert time.perf_counter() - start < 10
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {
+        "error": {
+            "kind": "oracle-resource",
+            "message": "basis computation exceeded the reduction work limit (1000000 terms subtracted)",
+        }
+    }
+
+
 def read_project_scripts(text):
     """The ``[project.scripts]`` table of a pyproject.toml.
 
