@@ -43,7 +43,7 @@ from .errors import (
     RegulusError,
 )
 from .oracle import cotangent_dimension
-from .poly import MAX_DIGITS, PolySyntaxError, TriangularPoint, parse_poly
+from .poly import MAX_DIGITS, PolySyntaxError, TriangularPoint, _parse_work, parse_poly
 from .record import Record
 from .rings import QQ, ZZ, PrimeField, is_prime
 
@@ -231,6 +231,15 @@ def _parse_nonneg(entry, field):
 
 
 def parse_job(text: str) -> Job:
+    # every polynomial of the job counts against one parse work limit
+    token = _parse_work.set([0])
+    try:
+        return _parse_job(text)
+    finally:
+        _parse_work.reset(token)
+
+
+def _parse_job(text: str) -> Job:
     if len(text) > MAX_JOB_CHARS:
         raise OracleResourceError(
             "the job is longer than the limit of %d characters" % MAX_JOB_CHARS

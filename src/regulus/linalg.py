@@ -36,6 +36,13 @@ class FieldMatrix:
         self.nrows = len(rows)
         self.ncols = width
 
+    def __eq__(self, other):
+        if other.__class__ is not FieldMatrix:
+            return NotImplemented
+        return self.field == other.field and self.rows == other.rows
+
+    __hash__ = None  # the rows are mutable lists
+
     def rank(self) -> int:
         field = self.field
         rows = [list(r) for r in self.rows]

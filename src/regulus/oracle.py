@@ -4,8 +4,8 @@ The main pipeline decides regularity from ranks of derivative matrices.
 This module answers the same question by brute force, straight from the
 definition: compute the length of m/(I + m^2) at the point and divide by
 the residue degree.  Nothing here shares code with the rank path beyond
-polynomial division (``poly.triangular_divide``), which makes it a
-meaningful cross-check.
+polynomial division (``poly._divide``), which makes it a meaningful
+cross-check.
 
 Every base is counted in the finite ring A* = R[t]/(gg products), with
 R = Z/p^2 over ZZ and R = K over a field K.  A* is a free R-module on the
@@ -14,7 +14,8 @@ products M*g_k (layer k + 1).  Freeness follows by counting: the
 triangular system is a regular sequence of monic polynomials, so the
 associated graded pieces m^0/m^1 and m^1/m^2 have the expected sizes and
 the spanning set cannot collapse.  The generators are transported to R and
-interreduced (``normalized_generators``).
+interreduced (``normalized_generators``); every element of R[t] is a term
+dict with coefficients in R, plain ints mod m or Fractions over QQ.
 
 The images rho*M, for rho a relation (and over ZZ also p*g_j), span the
 denominator of m/(I + m^2) inside A*.  Their coordinate rows come from a
@@ -22,8 +23,8 @@ walk, as in FGLM (Faugere, Gianni, Lazard & Mora 1993), not from one
 division each.  Multiplication by x_i is block lower-triangular on A*:
 x_i*M is again a canonical monomial unless M sits at its top degree
 d_i - 1 in x_i, so only those d_t/d_i columns need a normal form from
-``triangular_divide``; every other column is an index shift, the same on
-every layer.  On layers 1..n a column keeps only its layer-0 part, because
+``_divide``; every other column is an index shift, the same on every
+layer.  On layers 1..n a column keeps only its layer-0 part, because
 g_j*g_k = 0 in A*.  Each rho is divided once, and the row of rho*M is the
 row of rho*M/x_i times x_i (i the last variable of M).  A* being free, an
 element has one coordinate vector, so the walked rows equal those that
@@ -57,15 +58,7 @@ from itertools import product as _iterproduct
 from math import gcd, lcm
 
 from .errors import InternalConsistencyError, OracleResourceError, PointNotOnVariety
-from .poly import (
-    MultiPoly,
-    TriangularPoint,
-    _divide,
-    _level,
-    membership_certificate,
-    triangular_divide,
-)
-from .rings import ZZ, ModularRing
+from .poly import TriangularPoint, _divide, _level, membership_certificate
 
 # The count forms r*d_t rows over a field, (r + n)*d_t over ZZ, of
 # (n + 1)*d_t entries for r relations, n variables and residue degree d_t;
@@ -85,15 +78,22 @@ def _require_on_variety(point, relations):
             )
 
 
-def normalized_generators(point: TriangularPoint, ring) -> list:
-    """The triangular generators, transported to ``ring`` and interreduced:
-    each one canonical (degree below each lower level degree) in the lower
-    variables, still monic of the same degree in its own."""
-    ghat = []
-    for g in point.generators:
-        cur = MultiPoly(ring, g.vars, g.terms) if g.ring is ZZ else g
-        ghat.append(_divide(cur, [_level(h, j) for j, h in enumerate(ghat)])[1])
-    return ghat
+def _mod(terms, m):
+    """A term dict with its coefficients reduced mod m and zeros dropped;
+    itself when m is None."""
+    return {e: c % m for e, c in terms.items() if c % m} if m else terms
+
+
+def normalized_generators(point: TriangularPoint, m) -> tuple:
+    """The triangular generators as term dicts mod m (None over QQ),
+    interreduced: each one canonical (degree below each lower level degree)
+    in the lower variables, still monic of the same degree in its own.
+    Returns them with their ``_level``s."""
+    ghat, levels = [], []
+    for i, g in enumerate(point.generators):
+        ghat.append(_divide(_mod(g.terms, m), levels, m)[1])
+        levels.append(_level(ghat[-1], i))
+    return ghat, levels
 
 
 def _canonical_monomials(degrees):
@@ -105,25 +105,22 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
     rho: over ZZ each generator of I + p*m, reduced mod p^2; over a field
     each relation."""
     p = point.prime
-    ring = point.ring if p is None else ModularRing(p * p)
-    m = ring.modulus
+    m = point.ring.modulus if p is None else p * p
     n = point.n
-    ghat = normalized_generators(point, ring)
-    system = TriangularPoint(tuple(ghat))
-    degrees = [g.degree_in(i) for i, g in enumerate(ghat)]
+    ghat, levels = normalized_generators(point, m)
+    degrees = [d for d, _ in levels]
     monomials = _canonical_monomials(degrees)
     d_t = len(monomials)
     index_of = {mono: k for k, mono in enumerate(monomials)}
     width = (n + 1) * d_t
 
     def nf2_vector(h):
-        quotients, rem = triangular_divide(h, system)
+        quotients, rem = _divide(h, levels, m)
         vec = [0] * width
-        for e, c in rem.terms.items():
+        for e, c in rem.items():
             vec[index_of[e]] = c
         for k, q in enumerate(quotients):
-            _, qrem = triangular_divide(q, system)
-            for e, c in qrem.terms.items():
+            for e, c in _divide(q, levels, m)[1].items():
                 vec[(k + 1) * d_t + index_of[e]] = c
         return vec
 
@@ -138,7 +135,7 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
         cols = [None] * d_t
         for j, mono in enumerate(monomials):
             if mono[i] == d - 1:
-                top = MultiPoly(ring, point.vars, {mono[:i] + (d,) + mono[i + 1 :]: 1})
+                top = {mono[:i] + (d,) + mono[i + 1 :]: 1}
                 full = [(k, a) for k, a in enumerate(nf2_vector(top)) if a]
                 cols[j] = (full, [(k, a) for k, a in full if k < d_t])
         tops.append(cols)
@@ -159,9 +156,9 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
 
     # every monomial but 1 is its predecessor times x_i, i its last variable
     last = [max(i for i, e in enumerate(mono) if e) for mono in monomials[1:]]
-    rhos = relations
+    rhos = [_mod(f.terms, m) for f in relations]
     if p is not None:
-        rhos = [MultiPoly(ring, f.vars, f.terms) for f in rhos] + [g.scale(p) for g in ghat]
+        rhos += [_mod({e: p * c for e, c in g.items()}, m) for g in ghat]
     rows = []
     for rho in rhos:
         walked = [nf2_vector(rho)]

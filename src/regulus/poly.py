@@ -15,10 +15,11 @@ one dict of terms in place and forms no polynomial per step.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from math import comb, lcm, log10, prod
 from operator import add
 
-from .errors import InvalidPoint, PolySyntaxError
+from .errors import InvalidPoint, OracleResourceError, PolySyntaxError
 from .record import FrozenRecord
 from .rings import QQ, ZZ, PrimeField, check_derived, is_prime
 
@@ -75,8 +76,8 @@ def _signed_split(c):
 class MultiPoly:
     """Sparse polynomial over a fixed ring in a fixed tuple of variables.
 
-    Over Z/m (``ring.modulus`` set) the constructor is where a coefficient
-    becomes canonical: it is reduced to [0, m), so arithmetic on the plain
+    Over GF(p) (``ring.modulus`` set) the constructor is where a coefficient
+    becomes canonical: it is reduced to [0, p), so arithmetic on the plain
     int coefficients never has to reduce."""
 
     __slots__ = ("ring", "vars", "terms")
@@ -114,7 +115,7 @@ class MultiPoly:
     # ---- ring structure -----------------------------------------------
 
     def _compat(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
+        if self.ring is not other.ring:
             raise ValueError("mixed coefficient rings")
         if self.vars != other.vars:
             raise ValueError("mixed variable tuples")
@@ -145,19 +146,7 @@ class MultiPoly:
         return MultiPoly(self.ring, self.vars, terms)
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent %d" % n)
-        if n == 0:
-            return MultiPoly.constant(self.ring, self.vars, self.ring.one())
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return _power(self, n, MultiPoly.__mul__)
 
     def scale(self, coeff):
         return MultiPoly(
@@ -214,17 +203,28 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.vars, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
-    def format(self, compact=False) -> str:
-        split = _signed_split if self.ring in (ZZ, QQ) else None
-        return format_terms(
-            self.sorted_terms(), self.vars, self.ring.elem_str, split, compact
-        )
-
     def __str__(self):
-        return self.format()
+        split = _signed_split if self.ring in (ZZ, QQ) else None
+        return format_terms(self.sorted_terms(), self.vars, self.ring.elem_str, split)
 
     def __repr__(self):
         return "MultiPoly(%s, %s)" % (",".join(self.vars), self)
+
+
+def _power(f: MultiPoly, n: int, multiply) -> MultiPoly:
+    """f^n by repeated squaring, each product formed by ``multiply``."""
+    if n < 0:
+        raise ValueError("negative exponent %d" % n)
+    if n == 0:
+        return MultiPoly.constant(f.ring, f.vars, f.ring.one())
+    result = None
+    while True:
+        if n & 1:
+            result = f if result is None else multiply(result, f)
+        n >>= 1
+        if not n:
+            return result
+        f = multiply(f, f)
 
 
 def partial_derivative(f: MultiPoly, index: int) -> MultiPoly:
@@ -276,6 +276,18 @@ MAX_TERMS = 1000
 # every number well inside what CPython converts to and from text.
 MAX_DIGITS = 1000
 _DIGITS_BOUND = 10**MAX_DIGITS
+
+# The products that the parser multiplies out, each one inside a power
+# included, cost at most MAX_PARSE_WORK units, counted before each one is
+# formed: s*t units for factors of s and t terms, and over ZZ and QQ
+# 1 + b // 256 times that, b the bits of the bound on the product's
+# coefficients that ``check_size`` applies.  The count is totalled over every
+# polynomial of a job (``jobfile.parse_job``), and per call for a library
+# ``parse_poly``; past the limit the parse ends as a resource error (exit 3).
+MAX_PARSE_WORK = 250_000
+# the running count of the job being parsed, as a one-item list; outside
+# jobfile.parse_job it is unset, and each parse counts from zero
+_parse_work = ContextVar("_parse_work")
 
 
 def _tokenize(text):
@@ -335,6 +347,7 @@ class _Parser:
         self.ring = ring
         self.one = ring.one()
         self.numeric = ring is ZZ or ring is QQ
+        self.work = _parse_work.get([0])
 
     def peek(self):
         return self.tokens[self.pos]
@@ -391,7 +404,7 @@ class _Parser:
                 self.take()
                 rhs = self.factor()
                 self.check_size(((result, 1), (rhs, 1)), pos)
-                result = result * rhs
+                result = self.multiply(result, rhs)
             else:
                 return result
 
@@ -436,7 +449,7 @@ class _Parser:
         if pos is None:
             return base
         self.check_size(((base, exponent),), pos)
-        return base ** exponent
+        return _power(base, exponent, self.multiply)
 
     def atom(self):
         """A literal or a variable with an optional power, as (variable
@@ -484,6 +497,20 @@ class _Parser:
                 "exponent %d is above the limit of %d" % (exponent, MAX_DEGREE), pos
             )
         return exponent, pos
+
+    def multiply(self, f, g):
+        """f*g, once its work is counted against MAX_PARSE_WORK."""
+        weight = 1
+        if self.numeric:
+            bits = _coefficient_bound(f).bit_length() + _coefficient_bound(g).bit_length()
+            weight += bits // 256
+        self.work[0] += len(f.terms) * len(g.terms) * weight
+        if self.work[0] > MAX_PARSE_WORK:
+            raise OracleResourceError(
+                "multiplying out products and powers is above the parse work limit of %d"
+                % MAX_PARSE_WORK
+            )
+        return f * g
 
     def check_size(self, factors, pos):
         """Reject the product of ``factors``, (polynomial, exponent) pairs,
@@ -565,7 +592,7 @@ class TriangularPoint(FrozenRecord):
         for i, g in enumerate(generators):
             if g.vars != vars or g.ring != ring:
                 raise InvalidPoint("generators disagree on variables or ring")
-            d, tail = _level(g, i)
+            d, tail = _level(g.terms, i)
             if d < 1:
                 raise InvalidPoint(
                     "generator %d must involve its main variable %s" % (i + 1, vars[i])
@@ -607,20 +634,23 @@ class TriangularPoint(FrozenRecord):
         return prod(d for d, _ in self._levels)
 
 
-def _level(g: MultiPoly, i: int):
-    """g's degree d in t_i and its terms below t_i^d, in g's order."""
-    d = g.degree_in(i)
-    return d, [(e, c) for e, c in g.terms.items() if e[i] < d]
+def _level(terms, i: int):
+    """A term dict's degree d in t_i and its terms below t_i^d, in dict order."""
+    d = max([e[i] for e in terms], default=0)
+    return d, [(e, c) for e, c in terms.items() if e[i] < d]
 
 
-def _divide(f: MultiPoly, levels):
-    """``triangular_divide`` by ``levels``, the ``_level`` of each generator."""
-    ring, m = f.ring, f.ring.modulus
-    work, quotients = f.terms, []
+def _divide(terms, levels, m):
+    """The division of ``triangular_divide`` on a term dict, by ``levels``,
+    the ``_level`` of each generator, with coefficients reduced mod m, or
+    exact over ZZ and QQ when m is None.  Returns the quotients' term dicts
+    and the remainder's; an already reduced ``terms`` is the remainder
+    itself."""
+    work, quotients = terms, []
     for i in reversed(range(len(levels))):
         (d, tail), q = levels[i], {}
         while (top := max([e[i] for e in work], default=0)) >= d:
-            work = dict(work) if work is f.terms else work
+            work = dict(work) if work is terms else work
             touched = set()
             for e in [e for e in work if e[i] == top]:
                 c = work.pop(e)
@@ -635,8 +665,8 @@ def _divide(f: MultiPoly, levels):
                     touched.add(k)
             for k in [k for k in touched if not work[k]]:
                 del work[k]
-        quotients.insert(0, MultiPoly(ring, f.vars, q))
-    return tuple(quotients), f if work is f.terms else MultiPoly(ring, f.vars, work)
+        quotients.insert(0, q)
+    return quotients, work
 
 
 def triangular_divide(f: MultiPoly, point: TriangularPoint):
@@ -652,7 +682,12 @@ def triangular_divide(f: MultiPoly, point: TriangularPoint):
     """
     if f.vars != point.vars or f.ring != point.ring:
         raise ValueError("polynomial and point disagree on variables or ring")
-    return _divide(f, point._levels)
+    quotients, rem = _divide(f.terms, point._levels, f.ring.modulus)
+    ring, vars = f.ring, f.vars
+    return (
+        tuple(MultiPoly(ring, vars, q) for q in quotients),
+        f if rem is f.terms else MultiPoly(ring, vars, rem),
+    )
 
 
 def membership_certificate(f: MultiPoly, point: TriangularPoint) -> bool:

@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic: integers, rationals, integers mod m.
+"""Exact coefficient arithmetic: integers, rationals, integers mod p.
 
 The rational coefficient type is stdlib ``fractions.Fraction``, which already
 maintains the canonical-form invariants (gcd(|numerator|, denominator) = 1,
@@ -7,9 +7,9 @@ denominator > 0, zero stored as 0/1).
 The ring objects below give polynomials, towers, and matrices a uniform way to
 construct, test, coerce, and print coefficients.  The elements themselves are
 plain values that carry the arithmetic operators: int over ZZ, Fraction over
-QQ, and int over Z/m (``ModularRing``) and its field case GF(p)
-(``PrimeField``).  A modular ring reduces on construction and on read, never
-on each operation; ``modulus`` is m there and None over ZZ and QQ.
+QQ, and int over GF(p) (``PrimeField``).  A prime field reduces on
+construction and on read, never on each operation; ``modulus`` is p there
+and None over ZZ and QQ.
 """
 
 from __future__ import annotations
@@ -146,17 +146,28 @@ class RationalField:
         return "QQ"
 
 
-class ModularRing:
-    """Z/m; elements are plain ints.  A polynomial over it holds canonical
-    residues in [0, m), reduced once by ``MultiPoly``; a sum or product
-    formed outside a polynomial may leave that range, so ``is_zero`` and
-    ``elem_str`` reduce what they read."""
+class PrimeField:
+    """The prime field GF(p); elements are plain ints.  A polynomial over it
+    holds canonical residues in [0, p), reduced once by ``MultiPoly``; a sum
+    or product formed outside a polynomial may leave that range, so
+    ``is_zero`` and ``elem_str`` reduce what they read.  Instances are
+    cached, one per p, so two fields are equal exactly when they are the
+    same object."""
 
-    is_field = False
+    _cache: dict = {}
+    is_field = True
 
-    def __init__(self, m: int):
-        self.modulus = m
-        self.name = "Z/%d" % m
+    def __new__(cls, p: int):
+        inst = cls._cache.get(p)
+        if inst is None:
+            if not is_prime(p):
+                raise ValueError("%d is not prime" % p)
+            inst = cls._cache[p] = super().__new__(cls)
+        return inst
+
+    def __init__(self, p: int):
+        self.modulus = p
+        self.name = "GF(%d)" % p
 
     def from_int(self, n: int) -> int:
         return n % self.modulus
@@ -178,33 +189,8 @@ class ModularRing:
     def elem_str(self, a) -> str:
         return str(a % self.modulus)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash(self.modulus)
-
     def __repr__(self):
         return self.name
-
-
-class PrimeField(ModularRing):
-    """The prime field GF(p).  Instances are cached, one per p."""
-
-    _cache: dict = {}
-    is_field = True
-
-    def __new__(cls, p: int):
-        inst = cls._cache.get(p)
-        if inst is None:
-            if not is_prime(p):
-                raise ValueError("%d is not prime" % p)
-            inst = cls._cache[p] = super().__new__(cls)
-        return inst
-
-    def __init__(self, p: int):
-        self.modulus = p
-        self.name = "GF(%d)" % p
 
     def __reduce__(self):
         return PrimeField, (self.modulus,)

@@ -32,7 +32,7 @@ from regulus.groebner import (
     _s_polynomial,
     _to_integers,
 )
-from regulus.oracle import _canonical_monomials, normalized_generators
+from regulus.oracle import _canonical_monomials
 from regulus.errors import JobFileError, PolySyntaxError
 from regulus.poly import (
     MAX_DEGREE,
@@ -46,9 +46,8 @@ from regulus.poly import (
     format_terms,
     grlex_key,
     lift_int,
-    triangular_divide,
 )
-from regulus.rings import ModularRing, check_derived
+from regulus.rings import check_derived
 from regulus.tower import ResidueTower, residue_field, tower_reduce
 
 VAR_POOL = ("x", "y", "z", "w")
@@ -958,15 +957,40 @@ def nested_data(elem):
     return build(len(degrees), 0, len(leaves))
 
 
+class IntegersMod:
+    """Z/m as a coefficient ring for the reference divisions: plain ints that
+    ``MultiPoly`` reduces to [0, m), as over GF(p)."""
+
+    def __init__(self, m):
+        self.modulus = m
+        self.name = "Z/%d" % m
+
+    def from_int(self, n):
+        return n % self.modulus
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def is_zero(self, a):
+        return a % self.modulus == 0
+
+    def elem_str(self, a):
+        return str(a % self.modulus)
+
+
 def reference_oracle_rows(point, relations):
-    """The Z/p^2 oracle's rows the plain way: every (rho, M) row divides
-    rho*M, and every layer row divides it again and places the remainder
-    on its layer.  Same rows, in the same order, reduced mod p^2."""
+    """The oracle's rows the plain way: every (rho, M) row divides rho*M,
+    and every layer row divides it again and places the remainder on its
+    layer.  Over ZZ rho runs over the relations and every p*g_k, reduced
+    mod p^2; over a field over the relations alone.  Same rows, in the same
+    order."""
     p = point.prime
-    m2 = p * p
-    ring = ModularRing(m2)
+    ring = point.ring if p is None else IntegersMod(p * p)
     n = point.n
-    ghat = normalized_generators(point, ring)
+    ghat = reference_normalized_generators(point, ring)
     system = TriangularPoint(tuple(ghat))
     degrees = [g.degree_in(i) for i, g in enumerate(ghat)]
     monomials = _canonical_monomials(degrees)
@@ -977,27 +1001,28 @@ def reference_oracle_rows(point, relations):
     width = (n + 1) * d_t
 
     def nf2_vector(h):
-        quotients, rem = triangular_divide(h, system)
+        quotients, rem = reference_triangular_divide(h, system)
         vec = [0] * width
         for e, c in rem.terms.items():
-            vec[index_of[e]] = c % m2
+            vec[index_of[e]] = c
         for k, q in enumerate(quotients):
-            _, qrem = triangular_divide(q, system)
+            _, qrem = reference_triangular_divide(q, system)
             for e, c in qrem.terms.items():
-                vec[(k + 1) * d_t + index_of[e]] = c % m2
+                vec[(k + 1) * d_t + index_of[e]] = c
         return vec
 
     def layer_vector(h, layer):
         # h * (M * ghat_layer) reduces to NF(h*M) placed on that layer,
         # because all products ghat_j * ghat_k vanish in A*
-        _, rem = triangular_divide(h, system)
+        _, rem = reference_triangular_divide(h, system)
         vec = [0] * width
         for e, c in rem.terms.items():
-            vec[(layer + 1) * d_t + index_of[e]] = c % m2
+            vec[(layer + 1) * d_t + index_of[e]] = c
         return vec
 
-    mod_relations = [convert(f, ring, ring.coerce) for f in relations]
-    row_gens = mod_relations + [g.scale(p) for g in ghat]
+    row_gens = [MultiPoly(ring, f.vars, f.terms) for f in relations]
+    if p is not None:
+        row_gens += [g.scale(p) for g in ghat]
 
     rows = []
     for rho in row_gens:
@@ -1108,7 +1133,8 @@ def reference_triangular_divide(f, point):
 
 
 def reference_normalized_generators(point, ring):
-    """``normalized_generators`` by ``reference_divide_single``."""
+    """``normalized_generators`` by ``reference_divide_single``, as
+    polynomials over ``ring``."""
     ghat = []
     for i, g in enumerate(point.generators):
         cur = MultiPoly(ring, g.vars, g.terms) if g.ring is ZZ else g

@@ -51,13 +51,16 @@ def test_every_bound_is_named_in_the_readme():
 
 
 def test_every_default_is_overridden_somewhere():
-    """Every defaulted parameter of every function in ``regulus.__all__`` is
-    passed, by position or keyword, by at least one call in the package.
+    """Every defaulted parameter of every function in ``regulus.__all__``,
+    and of every method and constructor of every class the package defines
+    there, is passed, by position or keyword, by at least one call in the
+    package.
 
     An option that the package never sets has one value in use, and its
-    other values are code only tests reach.  Calls are matched by the
-    function's name, as ``name(...)`` or ``module.name(...)``.  Classes and
-    their methods are out of scope.
+    other values are code only tests reach.  Calls are matched by name, as
+    ``name(...)`` or ``obj.name(...)``: a function or method by its own
+    name, a constructor by its class's.  A method's parameters are counted
+    after ``self`` or ``cls``.
     """
     calls = [
         node
@@ -76,13 +79,29 @@ def test_every_default_is_overridden_somewhere():
             return True
         return any(k.arg in (param.name, None) for k in call.keywords)
 
-    unused = []
+    # (label, name its calls use, the parameters a call passes)
+    callables = []
     for name in regulus.__all__:
-        func = getattr(regulus, name)
-        if not inspect.isfunction(func):
-            continue
-        mine = [c for c in calls if called_name(c) == func.__name__]
-        for index, param in enumerate(inspect.signature(func).parameters.values()):
+        obj = getattr(regulus, name)
+        if inspect.isfunction(obj):
+            callables.append((name, obj.__name__, inspect.signature(obj).parameters))
+        elif inspect.isclass(obj) and obj.__module__.startswith("regulus."):
+            for attr, member in vars(obj).items():
+                func = getattr(member, "__func__", member)
+                if not inspect.isfunction(func):
+                    continue
+                params = list(inspect.signature(func).parameters.values())
+                if not isinstance(member, staticmethod):
+                    params = params[1:]
+                called = obj.__name__ if attr in ("__init__", "__new__") else attr
+                callables.append(
+                    ("%s.%s" % (name, attr), called, {p.name: p for p in params})
+                )
+
+    unused = []
+    for label, called, params in callables:
+        mine = [c for c in calls if called_name(c) == called]
+        for index, param in enumerate(params.values()):
             if param.default is not param.empty and not any(passes(c, index, param) for c in mine):
-                unused.append("%s(%s=)" % (name, param.name))
+                unused.append("%s(%s=)" % (label, param.name))
     assert unused == []

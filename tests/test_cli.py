@@ -15,6 +15,7 @@ import pytest
 from regulus.cli import main, parse_args
 from regulus.errors import JobFileError
 from regulus.jobfile import MAX_FIBER_POINTS, MAX_JOB_CHARS
+from regulus.poly import MAX_PARSE_WORK
 
 from helpers import reference_parse_args
 
@@ -972,6 +973,38 @@ def test_exit_code_3_for_groebner_reduction_work_above_the_limit(tmp_path):
         "error": {
             "kind": "oracle-resource",
             "message": "basis computation exceeded the reduction work limit (1000000 terms subtracted)",
+        }
+    }
+
+
+# (x - 1)^999 + x - 1 is 18 characters; unbounded, multiplying out its
+# power took about 3.4 s over QQ, and 40 copies about 111 s
+PARSE_WORK_JOB = """\
+[ring]
+vars = x
+base = QQ
+relations = {relations}
+[point]
+generators = x - 1
+[task]
+kind = check
+dim = 0
+"""
+
+
+@pytest.mark.parametrize("count", [1, 40])
+def test_exit_code_3_for_parse_work_above_the_limit(tmp_path, count):
+    text = PARSE_WORK_JOB.format(relations=", ".join(["(x - 1)^999 + x - 1"] * count))
+    start = time.perf_counter()
+    result = run_cli([write_job(tmp_path, text)], timeout=60)
+    assert time.perf_counter() - start < 10
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {
+        "error": {
+            "kind": "oracle-resource",
+            "message": "multiplying out products and powers is above the parse work limit of %d"
+            % MAX_PARSE_WORK,
         }
     }
 

@@ -356,3 +356,30 @@ def test_oracle_rows_match_reference_rows():
             d_t = len(walked[0]) // (point.n + 1)
             relation_heads += any(any(r[:d_t]) for r in walked[: count * d_t])
     assert relation_heads >= 20
+
+
+def test_field_oracle_rows_match_reference_rows():
+    # over QQ and GF(p) the row generators are the relations alone, and the
+    # walked rows give the rank that the divided rows give
+    rng = random.Random(433)
+    cases = []
+    for _ in range(30):
+        field = rng.choice((QQ, PrimeField(2), PrimeField(3), PrimeField(5)))
+        cases.append(random_point(VAR_POOL[: rng.randrange(1, 4)], field, rng))
+    for p in (2, 3, 5):
+        cases.append(_quadratic_linear_quadratic(p, rng)[0])
+    layered = 0
+    for point in cases:
+        for count in (1, 2):
+            rels = [random_member(point, rng) for _ in range(count)]
+            walked = _oracle_rows(point, rels)
+            reference = reference_oracle_rows(point, rels)
+            assert expand_copies(walked, point.n) == reference
+            q = point.ring.modulus
+            if q:
+                assert _unit_sweep(walked, q, q)[0] == reference_unit_sweep(reference, q, q)[0]
+            else:
+                assert _rational_rank(walked) == fraction_rank(reference)
+            d_t = len(walked[0]) // (point.n + 1)
+            layered += any(any(r[d_t:]) for r in walked)
+    assert layered >= 30

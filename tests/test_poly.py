@@ -14,23 +14,26 @@ from regulus import (
     TriangularPoint,
     ZZ,
     membership_certificate,
+    parse_job,
     parse_poly,
     partial_derivative,
     triangular_divide,
 )
+from regulus import poly
 from regulus.poly import (
     MAX_DEGREE,
     MAX_DIGITS,
     MAX_NESTING,
     MAX_TERMS,
+    _divide,
     lift_int,
     reduce_mod,
 )
 from regulus.oracle import normalized_generators
-from regulus.rings import ModularRing
 
 from helpers import (
     VAR_POOL,
+    IntegersMod,
     evaluate,
     random_arithmetic_point,
     random_arithmetic_relation,
@@ -168,10 +171,16 @@ def test_parse_degree_limit():
         P("(x*y + 1)^1001", vars)
 
 
-def test_parse_term_limit():
+def test_parse_term_limit(monkeypatch):
     vars = ("x", "y")
-    # (x + 1)^k has k + 1 terms, exactly the bound from the degree
+    # (x + 1)^k has k + 1 terms, exactly the bound from the degree.  At
+    # k = 999 the term bound admits the power and the parse work limit then
+    # stops it, so the count is checked with that limit lifted
+    with pytest.raises(OracleResourceError, match="parse work limit"):
+        P("(x + 1)^%d" % (MAX_TERMS - 1), vars)
+    monkeypatch.setattr(poly, "MAX_PARSE_WORK", 10**7)
     assert len(P("(x + 1)^%d" % (MAX_TERMS - 1), vars).terms) == MAX_TERMS
+    monkeypatch.undo()
     with pytest.raises(PolySyntaxError, match="1001 terms are above the limit of 1000"):
         P("(x + 1)^%d" % MAX_TERMS, vars)
     # (x + y + 1)^60 has 1891 terms; the bound counts monomials of degree <= 60
@@ -425,6 +434,9 @@ def _random_monic_generators(ring, vars, rng):
 def _assert_same_division(f, point):
     quotients, rem = triangular_divide(f, point)
     ref_quotients, ref_rem = reference_triangular_divide(f, point)
+    # the kernel on the plain term dict, with the ring's modulus
+    kernel = _divide(f.terms, point._levels, f.ring.modulus)
+    assert kernel == ([q.terms for q in ref_quotients], ref_rem.terms)
     assert quotients == ref_quotients
     assert [list(q.terms) for q in quotients] == [list(q.terms) for q in ref_quotients]
     assert rem == ref_rem
@@ -434,7 +446,7 @@ def _assert_same_division(f, point):
 
 
 DIVISION_RINGS = (
-    ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(101), ModularRing(4), ModularRing(9)
+    ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(101), IntegersMod(4), IntegersMod(9)
 )
 
 
@@ -458,11 +470,57 @@ def test_divide_matches_the_reference_division(ring):
             assert same is rem
             assert not any(q.terms for q in again)
             reduced += 1
-        ghat = normalized_generators(point, ring)
+        ghat, levels = normalized_generators(point, ring.modulus)
         ref = reference_normalized_generators(point, ring)
-        assert ghat == ref
-        assert [list(g.terms) for g in ghat] == [list(g.terms) for g in ref]
+        assert ghat == [g.terms for g in ref]
+        assert [list(g) for g in ghat] == [list(g.terms) for g in ref]
+        assert levels == TriangularPoint(tuple(ref), prime)._levels
+        if prime:
+            # the oracle's generators over Z/p^2 of a point over ZZ
+            ghat, _ = normalized_generators(point, prime * prime)
+            ref = reference_normalized_generators(point, IntegersMod(prime * prime))
+            assert ghat == [g.terms for g in ref]
     assert steps >= 100 and reduced == 240
+
+
+def test_parse_work_limit(monkeypatch):
+    vars = ("x",)
+    # 18 characters whose products once took seconds to multiply out
+    with pytest.raises(OracleResourceError) as exc:
+        P("(x - 1)^999 + x - 1", vars)
+    assert str(exc.value) == (
+        "multiplying out products and powers is above the parse work limit of %d"
+        % poly.MAX_PARSE_WORK
+    )
+    # s*t units for factors of s and t terms, counted before each product,
+    # each one inside a power included
+    monkeypatch.setattr(poly, "MAX_PARSE_WORK", 10)
+    P("(x + 1)*(x + 2)*(x + 3)", vars)  # 2*2 + 3*2
+    P("(x + 1)^3", vars)  # 2*2 + 2*3, counted from zero in a new call
+    with pytest.raises(OracleResourceError):
+        P("(x + 1)*(x + 2)*(x + 3)*(x + 4)", vars)  # 10 + 4*2
+    with pytest.raises(OracleResourceError):
+        P("(x + 1)^4", vars)  # 2*2 + 3*3
+    # over ZZ and QQ 1 + b // 256 times as many, for a bound of b bits on
+    # the product's coefficients: here 997 + 2 bits
+    big = "(%s*x + 1)*(x + 1)" % ("9" * 300)
+    monkeypatch.setattr(poly, "MAX_PARSE_WORK", 4)
+    P(big, vars, PrimeField(7))
+    with pytest.raises(OracleResourceError):
+        P(big, vars, ZZ)
+    monkeypatch.setattr(poly, "MAX_PARSE_WORK", 16)
+    P(big, vars, ZZ)
+    monkeypatch.setattr(poly, "MAX_PARSE_WORK", 15)
+    with pytest.raises(OracleResourceError):
+        P(big, vars, QQ)
+    # a job totals the work of all its polynomials
+    job = "[ring]\nvars = x\nbase = QQ\nrelations = %s\n[point]\ngenerators = x + 1\n"
+    job += "[task]\nkind = check\n"
+    parse_job(job % "(x + 1)*(x + 2)*(x + 3)")
+    with pytest.raises(OracleResourceError, match="parse work limit of 15"):
+        parse_job(job % "(x + 1)*(x + 2)*(x + 3), (x + 1)*(x + 2)*(x + 3)")
+    # and a job that failed leaves no count behind
+    P("(x + 1)*(x + 2)*(x + 3)", vars)
 
 
 def test_division_trips_the_digit_limit_like_the_reference():

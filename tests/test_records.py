@@ -10,7 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from regulus import PresentedVariety, QQ, TriangularPoint, ZZ, parse_job, parse_poly
+from regulus import (
+    PresentedVariety,
+    PrimeField,
+    QQ,
+    TriangularPoint,
+    ZZ,
+    base_change_verdict,
+    check_point,
+    parse_job,
+    parse_poly,
+    special_fiber_verdict,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -115,6 +126,34 @@ def test_equal_job_files_parse_to_equal_jobs():
     assert a.point == b.point and a.fiber_points == b.fiber_points
     assert a != parse_job(JOB.replace("dim = 1", "dim = 2"))
     assert a != parse_job(JOB.replace("x - 1, y", "x, y - 1"))
+
+
+def test_equal_checks_give_equal_records():
+    # README's number-ring example: each verdict function, called twice,
+    # builds its tower and Jacobian twice, and the records still compare
+    # equal; another dim, ramified flag or fiber list gives another record
+    vars = ("x",)
+    X = PresentedVariety(vars, ZZ, (parse_poly("x^3 + x + 3", vars, ZZ),))
+    point = TriangularPoint((parse_poly("x^2 + 1", vars, ZZ),), prime=3)
+    fibers = tuple(
+        TriangularPoint((parse_poly(g, vars, PrimeField(3)),)) for g in ("x^2 + 1", "x")
+    )
+    calls = (
+        (lambda: check_point(X, point, 1), lambda: check_point(X, point, 0)),
+        (
+            lambda: base_change_verdict(X, point, False, 1),
+            lambda: base_change_verdict(X, point, True, 1),
+        ),
+        (
+            lambda: special_fiber_verdict(X, point, fibers, False, 1),
+            lambda: special_fiber_verdict(X, point, fibers[:1], False, 1),
+        ),
+    )
+    for call, changed in calls:
+        first, second = call(), call()
+        assert first is not second
+        assert first == second
+        assert first != changed()
 
 
 def test_readme_library_snippet_runs_as_documented():
