@@ -47,7 +47,7 @@ change only how many S-polynomials are reduced, never the result.
 ``PAIR_BUDGET`` counts the pairs formed, one per earlier element each time
 an element joins, whether or not a criterion then drops them, and
 ``MAX_REDUCTION_WORK`` the tail terms that the reductions of one call
-subtract.
+subtract, each one weighted by the size of the numbers it multiplies.
 
 The monomial order is fixed: graded reverse lexicographic (grevlex), with
 the variables in ring order, the order of the default dimension.
@@ -83,7 +83,7 @@ class _HeapEntries(dict):
     """Max-heap entry ``((-degree, reversed exponent), exponent)`` of each
     exponent, computed once on first use: ascending tuple order on entries
     is descending grevlex.  One is made per engine call, and ``work``
-    counts the tail terms its reductions have subtracted."""
+    counts the weighted tail terms its reductions have subtracted."""
 
     work = 0
 
@@ -136,7 +136,10 @@ def _reduce(work: dict, divisors, p, entries):
     is a zero residue.  The first divisor, in list order, whose leading
     exponent divides it is subtracted; if none does, the term moves to the
     remainder.  Each subtraction adds the divisor's tail length to
-    ``entries.work``, which may not exceed ``MAX_REDUCTION_WORK``.
+    ``entries.work``, times 1 + b // 256 for the b bits of the term's
+    coefficient and the divisor's leading one together (1 over GF(p)), as
+    the parser weights its products; the count may not exceed
+    ``MAX_REDUCTION_WORK``.
     """
     heap = [entries[e] for e in work]
     heapq.heapify(heap)
@@ -154,7 +157,7 @@ def _reduce(work: dict, divisors, p, entries):
                 continue
         for ge, a, tail in divisors:
             if all(map(le, ge, e)):
-                spent += len(tail)
+                spent += len(tail) * (1 + (abs(c).bit_length() + a.bit_length()) // 256)
                 if spent > MAX_REDUCTION_WORK:
                     raise OracleResourceError(
                         "basis computation exceeded the reduction work limit (%d terms subtracted)"

@@ -4,8 +4,12 @@ The main pipeline decides regularity from ranks of derivative matrices.
 This module answers the same question by brute force, straight from the
 definition: compute the length of m/(I + m^2) at the point and divide by
 the residue degree.  Nothing here shares code with the rank path beyond
-polynomial division (``poly._divide``), which makes it a meaningful
-cross-check.
+polynomial division (``poly._divide`` and ``poly._level``), which makes it a
+meaningful cross-check.  Even whether the point lies on the variety is read
+from the oracle's own rows: layer 0 of a relation's first row is its
+remainder modulo the generators over R, which vanishes over a field, and is
+divisible by p over ZZ, exactly when the relation lies in m.  Remainders by
+a monic triangular system are unique, so this is the rank path's test.
 
 Every base is counted in the finite ring A* = R[t]/(gg products), with
 R = Z/p^2 over ZZ and R = K over a field K.  A* is a free R-module on the
@@ -58,7 +62,7 @@ from itertools import product as _iterproduct
 from math import gcd, lcm
 
 from .errors import InternalConsistencyError, OracleResourceError, PointNotOnVariety
-from .poly import TriangularPoint, _divide, _level, membership_certificate
+from .poly import TriangularPoint, _divide, _level
 
 # The count forms r*d_t rows over a field, (r + n)*d_t over ZZ, of
 # (n + 1)*d_t entries for r relations, n variables and residue degree d_t;
@@ -68,14 +72,6 @@ from .poly import TriangularPoint, _divide, _level, membership_certificate
 # variable limit does not depend on whether it supplies dim.
 MAX_ORACLE_ENTRIES = 10**6
 MAX_FIELD_VARIABLES = 4
-
-
-def _require_on_variety(point, relations):
-    for f in relations:
-        if not membership_certificate(f, point):
-            raise PointNotOnVariety(
-                "relation %s does not vanish at the point" % f
-            )
 
 
 def _mod(terms, m):
@@ -103,7 +99,8 @@ def _canonical_monomials(degrees):
 def _oracle_rows(point: TriangularPoint, relations) -> list:
     """Coordinates in A* of rho*M for every canonical monomial M and every
     rho: over ZZ each generator of I + p*m, reduced mod p^2; over a field
-    each relation."""
+    each relation.  Raises PointNotOnVariety for the first relation whose
+    first row says it does not vanish at the point."""
     p = point.prime
     m = point.ring.modulus if p is None else p * p
     n = point.n
@@ -160,8 +157,12 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
     if p is not None:
         rhos += [_mod({e: p * c for e, c in g.items()}, m) for g in ghat]
     rows = []
-    for rho in rhos:
+    for k, rho in enumerate(rhos):
         walked = [nf2_vector(rho)]
+        if k < len(relations) and any(c % p if p else c for c in walked[0][:d_t]):
+            raise PointNotOnVariety(
+                "relation %s does not vanish at the point" % relations[k]
+            )
         for j, i in enumerate(last, 1):
             walked.append(times(walked[j - strides[i]], i))
         rows.extend(walked)
@@ -259,7 +260,6 @@ def cotangent_dimension(point: TriangularPoint, relations) -> int:
     for f in relations:
         if f.vars != point.vars or f.ring != point.ring:
             raise ValueError("relation and point disagree on variables or ring")
-    _require_on_variety(point, relations)
     n, d_t, p = point.n, point.residue_degree, point.prime
     if p is None and n > MAX_FIELD_VARIABLES:
         raise OracleResourceError(

@@ -29,19 +29,20 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
-def format_terms(ordered_terms, var_names, elem_str, split_sign=None, compact=False):
+def format_terms(ordered_terms, var_names, elem_str, compact=False):
     """Render (exponent, coefficient) pairs, already sorted, as an expression.
 
-    ``split_sign``, when given, maps a coefficient to (negative?, magnitude) so
-    signed rings print ``x - 2`` rather than ``x + -2``; rings whose canonical
-    representatives are never negative pass None.
+    A coefficient's sign is read from its text.  A text that starts with
+    ``-`` prints as a subtraction of the rest when the term is a constant or
+    the text is one term (it holds no `` + `` or `` - ``), so ``x - 2`` and
+    ``y - a`` rather than ``x + -2``; any other keeps its sign inside
+    parentheses, as in ``(-a + 1)*y``.
     """
     if not ordered_terms:
         return "0"
     plus, minus = ("+", "-") if compact else (" + ", " - ")
     out = []
     for k, (exps, coeff) in enumerate(ordered_terms):
-        neg, mag = split_sign(coeff) if split_sign else (False, coeff)
         factors = []
         for name, e in zip(var_names, exps):
             if e == 1:
@@ -49,7 +50,10 @@ def format_terms(ordered_terms, var_names, elem_str, split_sign=None, compact=Fa
             elif e > 1:
                 factors.append("%s^%d" % (name, e))
         mono = "*".join(factors)
-        cs = elem_str(mag)
+        cs = elem_str(coeff)
+        neg = cs[0] == "-" and not (mono and (" + " in cs or " - " in cs))
+        if neg:
+            cs = cs[1:]
         if mono:
             if cs == "1":
                 body = mono
@@ -61,16 +65,9 @@ def format_terms(ordered_terms, var_names, elem_str, split_sign=None, compact=Fa
             body = cs
         if k == 0:
             out.append("-" + body if neg else body)
-        elif body.startswith("-"):
-            # a constant tower coefficient that prints its own leading sign
-            out.append(minus + body[1:])
         else:
             out.append((minus if neg else plus) + body)
     return "".join(out)
-
-
-def _signed_split(c):
-    return (c < 0, -c) if c < 0 else (False, c)
 
 
 class MultiPoly:
@@ -204,8 +201,7 @@ class MultiPoly:
         return hash((self.vars, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     def __str__(self):
-        split = _signed_split if self.ring in (ZZ, QQ) else None
-        return format_terms(self.sorted_terms(), self.vars, self.ring.elem_str, split)
+        return format_terms(self.sorted_terms(), self.vars, self.ring.elem_str)
 
     def __repr__(self):
         return "MultiPoly(%s, %s)" % (",".join(self.vars), self)
@@ -649,10 +645,15 @@ def _divide(terms, levels, m):
     work, quotients = terms, []
     for i in reversed(range(len(levels))):
         (d, tail), q = levels[i], {}
-        while (top := max([e[i] for e in work], default=0)) >= d:
+        # a step leaves only terms below its degree, so each degree is
+        # visited once, from the top down
+        for top in range(max([e[i] for e in work], default=0), d - 1, -1):
+            top_slice = [e for e in work if e[i] == top]
+            if not top_slice:
+                continue
             work = dict(work) if work is terms else work
             touched = set()
-            for e in [e for e in work if e[i] == top]:
+            for e in top_slice:
                 c = work.pop(e)
                 if not m:  # ZZ or QQ
                     check_derived(max(abs(c.numerator), c.denominator))

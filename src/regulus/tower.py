@@ -55,7 +55,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import IdealNotMaximal, OracleResourceError
-from .poly import MultiPoly, _signed_split, format_terms, grlex_key
+from .poly import MultiPoly, format_terms, grlex_key
 from .rings import QQ, ZZ, Fraction, PrimeField, check_derived
 
 # Every product and every power of the chain is folded down to D leaves, D
@@ -340,24 +340,13 @@ class ResidueTower:
 
     def _upoly_str(self, k, coeffs):
         """Print a dense polynomial in the level-k variable whose
-        coefficients lie one level down.  Over QQ a coefficient that
-        is one negative term prints as a subtraction."""
+        coefficients lie one level down."""
         k1 = k - 1
-
-        def split(c):
-            if self._p is None:
-                terms = [x for x in c[0] if x]
-                if len(terms) == 1 and terms[0] < 0:
-                    return True, self._neg(c)
-            return False, c
-
         items = [
             ((j,), c) for j, c in reversed(list(enumerate(coeffs)))
             if not self._is_zero(c)
         ]
-        return format_terms(
-            items, (self.levels[k1].var,), lambda c: self._str_data(k1, c), split
-        )
+        return format_terms(items, (self.levels[k1].var,), lambda c: self._str_data(k1, c))
 
     # ---- public element interface -------------------------------------
 
@@ -480,8 +469,7 @@ class ResidueTower:
         """Print exponent-tuple -> base-scalar terms in the names of levels 1..k."""
         items = sorted(flat.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
         names = tuple(lv.display for lv in self.levels[:k])
-        split = _signed_split if self._p is None else None
-        return format_terms(items, names, self.base.elem_str, split, compact)
+        return format_terms(items, names, self.base.elem_str, compact)
 
     def _str_data(self, k, a):
         return self._flat_str(k, self._flatten(k, a, {}))

@@ -42,8 +42,6 @@ from regulus.poly import (
     _INT,
     _OP,
     _Parser,
-    _signed_split,
-    format_terms,
     grlex_key,
     lift_int,
 )
@@ -61,6 +59,56 @@ QQ_RADICANDS = (2, 3, 5, 7)
 
 def parse(text, vars, ring=QQ):
     return parse_poly(text, vars, ring)
+
+
+def reference_format_terms(ordered_terms, var_names, elem_str, split_sign=None):
+    """The printer with its sign decided by the caller: ``split_sign``, when
+    given, maps a coefficient to (negative?, magnitude) so signed rings
+    print ``x - 2`` rather than ``x + -2``; a constant coefficient whose
+    text starts with its own sign prints as a subtraction too.
+    ``regulus.poly.format_terms`` reads the sign from the coefficient's
+    text instead, and must print the same bytes."""
+    if not ordered_terms:
+        return "0"
+    plus, minus = " + ", " - "
+    out = []
+    for k, (exps, coeff) in enumerate(ordered_terms):
+        neg, mag = split_sign(coeff) if split_sign else (False, coeff)
+        factors = []
+        for name, e in zip(var_names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append("%s^%d" % (name, e))
+        mono = "*".join(factors)
+        cs = elem_str(mag)
+        if mono:
+            if cs == "1":
+                body = mono
+            elif any(ch in cs for ch in "+- *"):
+                body = "(%s)*%s" % (cs, mono)
+            else:
+                body = "%s*%s" % (cs, mono)
+        else:
+            body = cs
+        if k == 0:
+            out.append("-" + body if neg else body)
+        elif body.startswith("-"):
+            out.append(minus + body[1:])
+        else:
+            out.append((minus if neg else plus) + body)
+    return "".join(out)
+
+
+def reference_signed_split(c):
+    """(negative?, magnitude) of a ZZ or QQ coefficient."""
+    return (c < 0, -c) if c < 0 else (False, c)
+
+
+def reference_poly_str(f):
+    """``str(f)`` through ``reference_format_terms``."""
+    split = reference_signed_split if f.ring in (ZZ, QQ) else None
+    return reference_format_terms(f.sorted_terms(), f.vars, f.ring.elem_str, split)
 
 
 class ReferenceParser(_Parser):
@@ -822,7 +870,9 @@ class ReferenceTower:
             ((j,), c) for j, c in reversed(list(enumerate(coeffs)))
             if not self._is_zero(k1, c)
         ]
-        return format_terms(items, (self.vars[k1],), lambda c: self._str_data(k1, c), split)
+        return reference_format_terms(
+            items, (self.vars[k1],), lambda c: self._str_data(k1, c), split
+        )
 
     def _flatten(self, k, data, prefix, out):
         if k == 0:
@@ -836,8 +886,8 @@ class ReferenceTower:
     def _str_data(self, k, data):
         flat = self._flatten(k, data, (), {})
         items = sorted(flat.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-        split = _signed_split if self.base is QQ else None
-        return format_terms(items, self.names[:k], self.base.elem_str, split)
+        split = reference_signed_split if self.base is QQ else None
+        return reference_format_terms(items, self.names[:k], self.base.elem_str, split)
 
     # ---- public interface, on top-level elements ------------------------
 

@@ -3,6 +3,8 @@
 jobbench's tracer finds the layers it times by module and attribute name,
 so a renamed or removed layer would only show as a traced run that
 crashes or reads zero calls.  README names every bound as ``module.NAME``.
+The oracle is a cross-check only while it shares no code with the rank
+path beyond polynomial division, which its imports show.
 """
 
 import ast
@@ -34,6 +36,24 @@ def test_every_exported_name_resolves():
     assert len(set(regulus.__all__)) == len(regulus.__all__)
     for name in regulus.__all__:
         assert hasattr(regulus, name), name
+
+
+def test_the_oracle_borrows_only_division_from_poly():
+    tree = ast.parse((ROOT / "src" / "regulus" / "oracle.py").read_text(encoding="utf-8"))
+    borrowed = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "poly" and node.level == 1
+        for alias in node.names
+    }
+    assert borrowed <= {"_divide", "_level", "TriangularPoint"}
+    # no other route to the module
+    assert not any(
+        alias.name.endswith("poly")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    )
 
 
 def test_every_bound_is_named_in_the_readme():

@@ -609,6 +609,30 @@ dim = 0
     )
 
 
+def test_level_two_witness_keeps_a_several_term_coefficient_in_parentheses(tmp_path):
+    # y^2 - x*y + y = y*(y - a + 1) over QQ(sqrt 2): the coefficient -a + 1
+    # of y starts with a sign but is not one term, so it is not split
+    text = """\
+[ring]
+vars = x, y
+base = QQ
+relations = y*(y^2 - x*y + y), y^2 - x*y + y
+
+[point]
+generators = x^2 - 2, y^2 - x*y + y
+
+[task]
+kind = check
+dim = 0
+"""
+    result = run_cli([write_job(tmp_path, text)])
+    assert result.returncode == 2
+    assert result.stdout == (
+        '{"error":{"kind":"ideal-not-maximal","message":"the ideal is not '
+        'maximal: y^2 + (-a + 1)*y has the proper factor y","witness":"y"}}\n'
+    )
+
+
 def test_exit_code_3_for_resource_guard(tmp_path):
     path = write_job(tmp_path, GUARD_JOB)
     result = run_cli([path])
@@ -966,6 +990,30 @@ def test_exit_code_3_for_groebner_reduction_work_above_the_limit(tmp_path):
     # limit in about 2 s
     start = time.perf_counter()
     result = run_cli([write_job(tmp_path, REDUCTION_WORK_JOB)], timeout=60)
+    assert time.perf_counter() - start < 10
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {
+        "error": {
+            "kind": "oracle-resource",
+            "message": "basis computation exceeded the reduction work limit (1000000 terms subtracted)",
+        }
+    }
+
+
+def test_exit_code_3_for_groebner_reduction_work_with_large_coefficients(tmp_path):
+    # the same relations with 51-digit coefficients: counted by terms alone
+    # they ran about 30 s before the limit stopped them; weighted by the
+    # coefficients' size they stop in under a second
+    rng = random.Random(51)
+    text = re.sub(
+        r"(?<![\^\d])(\d+)\*",
+        lambda m: m.group(1) + "".join(rng.choice("0123456789") for _ in range(50)) + "*",
+        REDUCTION_WORK_JOB,
+    )
+    assert len(re.findall(r"(?<![\^\d])\d{51}\*", text)) == 30
+    start = time.perf_counter()
+    result = run_cli([write_job(tmp_path, text)], timeout=120)
     assert time.perf_counter() - start < 10
     assert result.returncode == 3
     assert result.stderr == ""

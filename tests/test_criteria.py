@@ -26,6 +26,7 @@ from regulus import (
     tower_reduce,
     triangular_divide,
 )
+from regulus.groebner import MAX_INPUT_DEGREE
 from regulus.poly import reduce_mod
 
 from helpers import (
@@ -538,3 +539,104 @@ def test_report_is_stable_under_renaming():
     assert r1.rank == r2.rank
     assert r1.local_dimension == r2.local_dimension
     assert r1.regular == r2.regular
+
+
+def _random_in(ring, vars, k, rng, degree):
+    """A small random polynomial in the first k variables, of total degree
+    at most ``degree``: a constant when k is 0."""
+    terms = {}
+    for _ in range(rng.randrange(3)):
+        e = [0] * len(vars)
+        for _ in range(rng.randrange(degree + 1)):
+            if k:
+                e[rng.randrange(k)] += 1
+        e = tuple(e)
+        terms[e] = terms.get(e, ring.zero()) + random_coeff(ring, rng)
+    return MultiPoly(ring, vars, terms)
+
+
+def _substitute(f, images):
+    """f with x_i replaced by images[i]."""
+    total = MultiPoly.zero(f.ring, f.vars)
+    for exps, c in f.terms.items():
+        term = MultiPoly.constant(f.ring, f.vars, c)
+        for image, e in zip(images, exps):
+            term = term * image**e
+        total = total + term
+    return total
+
+
+def _verdict(X, point, dim):
+    """Rank, dimension and verdict of a check, and over ZZ the ramified
+    base-change answer; the error kind where the check raises."""
+    try:
+        report = check_point(X, point, dim)
+    except DimensionMismatch:
+        return "dimension-mismatch"
+    out = (report.rank, report.local_dimension, report.regular)
+    if point.prime is not None and report.regular:
+        out += (base_change_verdict(X, point, True, dim).fiber_regular,)
+    return out
+
+
+def test_verdict_is_stable_under_changes_of_presentation():
+    # three changes that keep the ideal of the point and of the variety up to
+    # an automorphism; the Jacobian may change under the third, its rank and
+    # the verdict may not
+    rng = random.Random(1026)
+    seen = set()
+    for _ in range(300):
+        n = rng.randrange(1, 4)
+        vars = VAR_POOL[:n]
+        base = rng.choice((QQ, PrimeField(5), PrimeField(7), ZZ))
+        if base is ZZ:
+            p = rng.choice((3, 5))
+            fiber, point = random_arithmetic_point(vars, p, rng)
+            rels = [random_arithmetic_relation(fiber, p, rng) for _ in range(rng.randrange(1, 4))]
+        else:
+            point = random_point(vars, base, rng)
+            rels = [random_member(point, rng) for _ in range(rng.randrange(1, 4))]
+        if rng.random() < 0.4:  # a relation in m^2 makes singular points likely
+            rels[0] = rels[0] * rels[-1]
+        gens = list(point.generators)
+        ring = gens[0].ring
+
+        # a triangular change of coordinates x_i -> x_i + h_i(x_1..x_{i-1})
+        h_degree = rng.randrange(1, 3)
+        images = [
+            MultiPoly.variable(ring, vars, i) + _random_in(ring, vars, i, rng, h_degree)
+            for i in range(n)
+        ]
+        moved = (
+            [_substitute(f, images) for f in rels],
+            [_substitute(g, images) for g in gens],
+        )
+        # a redundant relation h*f_1 + f_2
+        h = _random_in(ring, vars, n, rng, 1)
+        redundant = (rels + [h * rels[0] + rels[-1]], gens)
+        # a generator reduced by an earlier one, g_i + h*g_j with j < i
+        reduced = list(gens)
+        if n > 1:
+            i = rng.randrange(1, n)
+            j = rng.randrange(i)
+            reduced[i] = gens[i] + _random_in(ring, vars, i, rng, 2) * gens[j]
+        presentations = [(rels, gens), moved, redundant, (rels, reduced)]
+
+        checks = [
+            (PresentedVariety(vars, ring, tuple(fs)), TriangularPoint(tuple(gs), point.prime))
+            for fs, gs in presentations
+        ]
+        # without dim the global dimension is computed, within the Groebner
+        # engine's degree bound; a supplied dim is mostly the cotangent one,
+        # so that regular points and base-change answers come up
+        degree = max(f.total_degree() for fs, _ in presentations for f in fs)
+        dim = None
+        if degree > MAX_INPUT_DEGREE or rng.random() < 0.5:
+            ambient = n + (base is ZZ)
+            dim = ambient - check_point(*checks[0], 0).rank
+            if rng.random() < 0.3:
+                dim = rng.randrange(ambient + 1)
+        verdicts = [_verdict(X, pt, dim) for X, pt in checks]
+        assert verdicts.count(verdicts[0]) == 4, verdicts
+        seen.add(verdicts[0] if isinstance(verdicts[0], str) else verdicts[0][2:])
+    assert {"dimension-mismatch", (False,), (True,), (True, True), (True, False)} <= seen

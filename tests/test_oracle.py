@@ -97,10 +97,21 @@ def test_arithmetic_ramified_style_relation():
 
 
 def test_oracle_rejects_relation_off_the_point():
+    # the first relation off the point is named; over ZZ a remainder
+    # divisible by p is on it
     vars = ("x", "y")
     point = TriangularPoint((parse("x - 2", vars), parse("y - 1", vars)))
-    with pytest.raises(PointNotOnVariety):
-        cotangent_dimension(point, [parse("x*y - 3", vars)])
+    with pytest.raises(PointNotOnVariety, match=r"^relation x\*y - 3 does not vanish"):
+        cotangent_dimension(point, [parse("x*y - 2", vars), parse("x*y - 3", vars)])
+    point = TriangularPoint((parse("x - 1", ("x",), ZZ),), prime=3)
+    with pytest.raises(PointNotOnVariety, match=r"^relation x \+ 1 does not vanish"):
+        cotangent_dimension(point, [parse("x + 2", ("x",), ZZ), parse("x + 1", ("x",), ZZ)])
+    # membership is read from the rows, so a bound is met first
+    vars = ("x", "y", "z", "w", "v")
+    F = PrimeField(3)
+    point = TriangularPoint(tuple(parse(v, vars, F) for v in vars))
+    with pytest.raises(OracleResourceError):
+        cotangent_dimension(point, [parse("x + 1", vars, F)])
 
 
 def test_oracle_variable_guard():

@@ -44,6 +44,7 @@ from helpers import (
     rationalize,
     reference_normalized_generators,
     reference_parse_poly,
+    reference_poly_str,
     reference_triangular_divide,
 )
 
@@ -113,6 +114,23 @@ def test_display_examples():
     assert str(P("-x + 1/2", ("x",))) == "-x + 1/2"
     assert str(P("y^2 - x^3", ("x", "y"), ZZ)) == "-x^3 + y^2"
     assert str(MultiPoly.zero(QQ, ("x",))) == "0"
+
+
+def test_display_matches_the_reference_printer():
+    # the printer reads each coefficient's sign from its text; the
+    # reference is told the sign by the caller, and both print alike
+    rng = random.Random(26)
+    rings = (ZZ, QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(101))
+    for _ in range(600):
+        ring = rng.choice(rings)
+        vars = VAR_POOL[: rng.randrange(1, 5)]
+        f = random_poly(ring, vars, rng, max_exp=3, terms=6)
+        if ring is not ZZ and rng.random() < 0.3:
+            f = f.scale(ring.from_int(rng.choice((-1, 1))))
+        if ring.modulus is None and rng.random() < 0.3:
+            big = rng.randrange(1, 10**40)
+            f = f.scale(ring.from_int(rng.choice((-big, big))))
+        assert str(f) == reference_poly_str(f)
 
 
 def test_parse_rejects_unknown_variable():
