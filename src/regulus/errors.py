@@ -86,7 +86,7 @@ class EmptyVariety(RegulusError):
 class OracleResourceError(RegulusError):
     """Resource guard tripped: too many variables or relations, degree too
     high, the pair budget ran out, a derived number passed its digit limit,
-    or the residue degree or the Z/p^2 matrix is above its bound."""
+    or the residue degree or the oracle's matrix is above its bound."""
 
     kind = "oracle-resource"
     exit_code = 3

@@ -21,8 +21,8 @@ the spanning set cannot collapse.  The generators are transported to R and
 interreduced (``normalized_generators``); every element of R[t] is a term
 dict with coefficients in R, plain ints mod m or Fractions over QQ.
 
-The images rho*M, for rho a relation (and over ZZ also p*g_j), span the
-denominator of m/(I + m^2) inside A*.  Their coordinate rows come from a
+The images rho*M, for rho a relation and M a canonical monomial, span
+the image of I inside A*.  Their coordinate rows come from a
 walk, as in FGLM (Faugere, Gianni, Lazard & Mora 1993), not from one
 division each.  Multiplication by x_i is block lower-triangular on A*:
 x_i*M is again a canonical monomial unless M sits at its top degree
@@ -38,22 +38,28 @@ The rows of rho*M*g_k are never formed, because the walked rows already
 span them.  Over a field every relation rho lies in m = (g), so
 rho = sum_j b_j*g_j and rho*M*g_k = 0 in A*: the relation rows alone span
 the image of I, and the cotangent dimension is
-((n + 1)*d_t - rank - d_t) / d_t.  Over ZZ, rho lies in m = (p, g), so
-rho = p*a + sum_j b_j*g_j and rho*M*g_k = p*a*M*g_k.  Reducing a*M modulo
-(g) gives a*M = sum c_M' * M' + sum_j q_j*g_j, so
-rho*M*g_k = sum c_M' * (p*g_k*M'), which lies in the span of the walked
-rows of rho' = p*g_k.  For rho = p*g_j, (p*g_j)*M*g_k = 0 outright.
+((n + 1)*d_t - rank - d_t) / d_t.
+
+Over ZZ, where m = (p, g), the denominator's image in A* is I + p*m.
+Let F = (Z/p^2)^W, with W = (n + 1)*d_t, be A*, and F_B its layers 1..n.
+M*g_j is a basis element of A*, so the rows of p*g_j*M are p times the
+unit vectors of F_B: they span p*F_B and need no walk.  A relation is
+rho = p*a + sum_j b_j*g_j, and reducing a*M modulo (g) puts
+rho*M*g_k = p*a*M*g_k in p*F_B too.  So the image of I + p*m is
+L = span(relation rows) + p*F_B.  A relation row is the row of an element
+of m, whose remainder modulo (g) is divisible by p: every layer-0 entry of
+every relation row is divisible by p.  By additivity of length,
+length(L) = n*d_t + length(L/p*F_B), and L/p*F_B embeds in
+(p*Z/p^2)^d_t + (Z/p)^(n*d_t), which p kills.  Its length is therefore
+the F_p rank of the relation rows with layer 0 divided by p and layers
+1..n taken mod p, and length(A*/L) = 2*W - n*d_t - that rank.
 
 One plain-int elimination with unit pivots (``_unit_sweep``) gives the
-rank over GF(p).  Over ZZ it runs twice: over Z/p^2, which leaves rows that
-are all divisible by p, and then over Z/p on those rows divided by p, where
-every nonzero entry is a unit, so its pivot count is their F_p rank.  The
-u unit pivot rows span a free module of length 2u, and the residual lies
-in p*F, where length is F_p rank, so 2u + r_p is the length of the row
-module: the order of the rows and of the pivots, and repeated rows, cannot
-change it.  Row updates touch only the pivot row's nonzero columns, and an
-eliminated column is deleted.  Over QQ the rank comes from an exact integer
-elimination (``_rational_rank``) that divides each updated row by its content.
+rank over GF(p), for a GF(p) point and for the mapped rows over ZZ alike.
+Row updates touch only the pivot row's nonzero columns, and an eliminated
+column is deleted.  Over QQ the rank comes from an exact integer
+elimination (``_rational_rank``) that divides each updated row by its
+content.
 """
 
 from __future__ import annotations
@@ -64,10 +70,11 @@ from math import gcd, lcm
 from .errors import InternalConsistencyError, OracleResourceError, PointNotOnVariety
 from .poly import TriangularPoint, _divide, _level
 
-# The count forms r*d_t rows over a field, (r + n)*d_t over ZZ, of
-# (n + 1)*d_t entries for r relations, n variables and residue degree d_t;
-# its memory grows as d_t^2 and its time as d_t^3, so the matrix is bounded
-# before any of it is formed.  A field point has at most MAX_FIELD_VARIABLES
+# The count forms r*d_t rows of (n + 1)*d_t entries for r relations, n
+# variables and residue degree d_t; its memory grows as d_t^2 and its time
+# as d_t^3, so the matrix is bounded before any of it is formed.  Over ZZ it
+# is charged (r + n)*d_t rows, as when it also formed the rows of each
+# p*g_j, so the bound refuses the same jobs.  A field point has at most MAX_FIELD_VARIABLES
 # variables, the Groebner dimension supplier's bound too, so a field job's
 # variable limit does not depend on whether it supplies dim.
 MAX_ORACLE_ENTRIES = 10**6
@@ -97,10 +104,10 @@ def _canonical_monomials(degrees):
 
 
 def _oracle_rows(point: TriangularPoint, relations) -> list:
-    """Coordinates in A* of rho*M for every canonical monomial M and every
-    rho: over ZZ each generator of I + p*m, reduced mod p^2; over a field
-    each relation.  Raises PointNotOnVariety for the first relation whose
-    first row says it does not vanish at the point."""
+    """Coordinates in A* of rho*M for every relation rho (over ZZ reduced
+    mod p^2) and every canonical monomial M.  Raises PointNotOnVariety for
+    the first relation whose first row says it does not vanish at the
+    point."""
     p = point.prime
     m = point.ring.modulus if p is None else p * p
     n = point.n
@@ -153,27 +160,28 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
 
     # every monomial but 1 is its predecessor times x_i, i its last variable
     last = [max(i for i, e in enumerate(mono) if e) for mono in monomials[1:]]
-    rhos = [_mod(f.terms, m) for f in relations]
-    if p is not None:
-        rhos += [_mod({e: p * c for e, c in g.items()}, m) for g in ghat]
     rows = []
-    for k, rho in enumerate(rhos):
-        walked = [nf2_vector(rho)]
-        if k < len(relations) and any(c % p if p else c for c in walked[0][:d_t]):
-            raise PointNotOnVariety(
-                "relation %s does not vanish at the point" % relations[k]
-            )
+    for f in relations:
+        walked = [nf2_vector(_mod(f.terms, m))]
+        if any(c % p if p else c for c in walked[0][:d_t]):
+            raise PointNotOnVariety("relation %s does not vanish at the point" % f)
         for j, i in enumerate(last, 1):
             walked.append(times(walked[j - strides[i]], i))
         rows.extend(walked)
     return rows
 
 
-def _row_module_length(rows, p):
-    """Length over Z/p^2 of the module spanned by ``rows``."""
-    u, residual = _unit_sweep(rows, p, p * p)
-    r_p, _ = _unit_sweep([[x // p for x in r] for r in residual], p, p)
-    return 2 * u + r_p
+def _rows_mod_p(rows, p, d_t):
+    """The walked ZZ rows as rows over GF(p): layer 0 divided by p and
+    layers 1..n as they are, for ``_unit_sweep`` to take mod p."""
+    out = []
+    for r in rows:
+        if any(x % p for x in r[:d_t]):
+            raise InternalConsistencyError(
+                "a relation row's layer 0 is not divisible by %d" % p
+            )
+        out.append([x // p for x in r[:d_t]] + r[d_t:])
+    return out
 
 
 def _rational_rank(rows):
@@ -209,46 +217,31 @@ def _rational_rank(rows):
     return rank
 
 
-def _clear(rows, ci, support, m):
-    """``rows`` with column ci eliminated by a unit pivot (1 at ci) and deleted,
-    updating only its ``support``, nonzero (column, entry) pairs; drops zero rows."""
-    out = []
-    for r in rows:
-        f = r.pop(ci)
-        if f:
-            for j, b in support:
-                r[j] = (r[j] - f * b) % m
-            if not any(r):
-                continue
-        out.append(r)
-    return out
-
-
-def _unit_sweep(rows, p, m):
-    """Eliminate over Z/m, for m = p or p^2, using unit pivots only.
-
-    Returns (u, residual): u unit-pivot steps were possible, and afterwards
-    every entry of every remaining row is divisible by p.  An eliminated
-    column is zero from then on, so it is deleted from the pivot row and
-    from every other row: the residual rows come back without the pivot
-    columns.  A row with no unit entry never gains one, so it is searched
-    once."""
+def _unit_sweep(rows, p):
+    """Rank of ``rows`` over GF(p), p prime.  Every nonzero row has a unit
+    pivot.  An eliminated column is zero from then on, so it is deleted from
+    every row; the other rows are updated only on the pivot row's nonzero
+    columns, and rows that become zero are dropped."""
     # popped from the end, so rows are searched in the order given
-    pending = [rr for rr in ([x % m for x in r] for r in reversed(rows)) if any(rr)]
-    residual = []
-    u = 0
+    pending = [rr for rr in ([x % p for x in r] for r in reversed(rows)) if any(rr)]
+    rank = 0
     while pending:
         row = pending.pop()
-        ci = next((c for c, x in enumerate(row) if x % p), None)
-        if ci is None:
-            residual.append(row)
-            continue
-        inv = pow(row.pop(ci), -1, m)
-        support = [(j, x * inv % m) for j, x in enumerate(row) if x]
-        pending = _clear(pending, ci, support, m)
-        residual = _clear(residual, ci, support, m)
-        u += 1
-    return u, residual
+        ci = next(c for c, x in enumerate(row) if x)
+        inv = pow(row.pop(ci), -1, p)
+        support = [(j, x * inv % p) for j, x in enumerate(row) if x]
+        out = []
+        for r in pending:
+            f = r.pop(ci)
+            if f:
+                for j, b in support:
+                    r[j] = (r[j] - f * b) % p
+                if not any(r):
+                    continue
+            out.append(r)
+        pending = out
+        rank += 1
+    return rank
 
 
 def cotangent_dimension(point: TriangularPoint, relations) -> int:
@@ -276,10 +269,11 @@ def cotangent_dimension(point: TriangularPoint, relations) -> int:
     rows = _oracle_rows(point, relations)
     q = point.ring.modulus
     if p is not None:
-        # lengths over Z/p^2, where a free module of rank w has length 2*w
-        length = 2 * width - _row_module_length(rows, p)
+        # lengths over Z/p^2: A* has length 2*width, and the image of
+        # I + p*m has n*d_t for p*F_B plus the F_p rank of the rest
+        length = 2 * width - n * d_t - _unit_sweep(_rows_mod_p(rows, p, d_t), p)
     elif q:
-        length = width - _unit_sweep(rows, q, q)[0]
+        length = width - _unit_sweep(rows, q)
     else:
         length = width - _rational_rank(rows)
     # the residue field has length d_t, the product of the level degrees

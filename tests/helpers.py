@@ -1089,9 +1089,9 @@ def expand_copies(rows, n):
     """The rows with every copy formed, in the order of
     ``reference_oracle_rows``: after each row, its layer-0 head (the first
     of its n + 1 layers of equal width) placed on each layer 1..n in turn."""
-    d_t = len(rows[0]) // (n + 1)
     out = []
     for row in rows:
+        d_t = len(row) // (n + 1)
         out.append(row)
         for k in range(1, n + 1):
             out.append([0] * (k * d_t) + row[:d_t] + [0] * ((n - k) * d_t))
@@ -1209,24 +1209,19 @@ def reference_clear(rows, ci, pivot, m):
     return out
 
 
-def dense_unit_sweep(rows, p, m):
+def dense_unit_sweep(rows, p):
     """``oracle._unit_sweep`` with full-width row updates: the same pivots
-    in the same order, so the same (u, residual), row for row."""
-    pending = [rr for rr in ([x % m for x in r] for r in reversed(rows)) if any(rr)]
-    residual = []
-    u = 0
+    in the same order, so the same rank over GF(p)."""
+    pending = [rr for rr in ([x % p for x in r] for r in reversed(rows)) if any(rr)]
+    rank = 0
     while pending:
         row = pending.pop()
-        ci = next((c for c, x in enumerate(row) if x % p), None)
-        if ci is None:
-            residual.append(row)
-            continue
-        inv = pow(row.pop(ci), -1, m)
-        row = [(x * inv) % m for x in row]
-        pending = reference_clear(pending, ci, row, m)
-        residual = reference_clear(residual, ci, row, m)
-        u += 1
-    return u, residual
+        ci = next(c for c, x in enumerate(row) if x)
+        inv = pow(row.pop(ci), -1, p)
+        row = [(x * inv) % p for x in row]
+        pending = reference_clear(pending, ci, row, p)
+        rank += 1
+    return rank
 
 
 class _HelpRequested(Exception):

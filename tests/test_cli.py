@@ -687,8 +687,8 @@ dim = 4
 
 
 def test_exit_code_3_for_oracle_matrix_above_the_limit(tmp_path):
-    # D = 256 passes the residue-degree limit, but the Z/p^2 count would
-    # form 4*256 rows of 5*256 entries; it is refused before any row
+    # D = 256 passes the residue-degree limit, but the ZZ count is charged
+    # 4*256 rows of 5*256 entries; it is refused before any row
     result = run_cli([write_job(tmp_path, ORACLE_MATRIX_JOB)], timeout=20)
     assert result.returncode == 3
     assert result.stderr == ""
@@ -969,6 +969,50 @@ def test_field_oracle_counts_above_the_groebner_degree_bound(tmp_path):
     assert result.stderr == ""
     doc = json.loads(result.stdout)
     assert doc["cotangent"] == {"rank_based": 1, "oracle": 1, "agree": True}
+
+
+README_ZZ_JOB = """\
+[ring]
+vars = x
+base = ZZ
+relations = {relation}
+
+[point]
+prime = 3
+generators = x
+
+[task]
+kind = oracle-crosscheck
+dim = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "relation, report",
+    [
+        (
+            "9",
+            '{"task":"oracle-crosscheck","ring":{"base":"ZZ","vars":["x"],"relations":["9"]},'
+            '"point":{"prime":3,"generators":["x"]},"residue_field":"GF(3)","jacobian":[["0"]],'
+            '"extra_column":["0"],"rank":0,"dimension":1,"dimension_provenance":"user-supplied",'
+            '"regular":false,"cotangent":{"rank_based":2,"oracle":2,"agree":true},"warnings":[]}',
+        ),
+        (
+            "3",
+            '{"task":"oracle-crosscheck","ring":{"base":"ZZ","vars":["x"],"relations":["3"]},'
+            '"point":{"prime":3,"generators":["x"]},"residue_field":"GF(3)","jacobian":[["0"]],'
+            '"extra_column":["1"],"rank":1,"dimension":1,"dimension_provenance":"user-supplied",'
+            '"regular":true,"cotangent":{"rank_based":1,"oracle":1,"agree":true},"warnings":[]}',
+        ),
+    ],
+)
+def test_readme_zz_examples_agree_with_the_oracle(tmp_path, relation, report):
+    # README's two one-variable ZZ cases at p = 3, point x, with dim = 1:
+    # Z/9[x] has a 2-dimensional cotangent space, F_3[x] a 1-dimensional one
+    result = run_cli([write_job(tmp_path, README_ZZ_JOB.format(relation=relation))])
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout == report + "\n"
 
 
 # three dense QQ relations at the origin with no dim: the default dimension's

@@ -17,13 +17,14 @@ from regulus import (
     QQ,
     TriangularPoint,
     ZZ,
+    cotangent_dimension,
     generalized_jacobian,
     groebner_basis,
     parse_poly,
     residue_field,
     special_fiber_verdict,
 )
-from regulus import criteria, groebner, jobfile
+from regulus import criteria, groebner, jobfile, oracle
 from regulus.cli import main
 from regulus.errors import InternalConsistencyError
 from regulus.tower import ResidueTower
@@ -84,6 +85,24 @@ def test_groebner_basis_re_verifies_its_inputs(monkeypatch):
     monkeypatch.setattr(groebner, "_s_polynomial", lambda di, dj: {})
     with pytest.raises(InternalConsistencyError, match="fails to reduce an input"):
         groebner_basis(gens)
+
+
+def test_oracle_checks_each_relation_row_lies_in_m_over_zz(monkeypatch):
+    vars = ("x",)
+    point = TriangularPoint((parse("x^2 + 1", vars, ZZ),), prime=3)
+    relations = [parse("x^3 + x + 3", vars, ZZ)]
+    assert cotangent_dimension(point, relations) == 1
+    walk = oracle._oracle_rows
+
+    def off_by_one(point, relations):
+        # the last walked row's first entry is no longer divisible by p
+        rows = walk(point, relations)
+        rows[-1][0] += 1
+        return rows
+
+    monkeypatch.setattr(oracle, "_oracle_rows", off_by_one)
+    with pytest.raises(InternalConsistencyError, match="layer 0 is not divisible by 3"):
+        cotangent_dimension(point, relations)
 
 
 def test_rank_against_oracle_exits_2_from_the_command_line(monkeypatch, tmp_path, capsys):

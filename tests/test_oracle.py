@@ -5,6 +5,7 @@ import pytest
 
 from regulus import (
     FieldMatrix,
+    MultiPoly,
     OracleResourceError,
     PointNotOnVariety,
     PresentedVariety,
@@ -16,7 +17,8 @@ from regulus import (
     generalized_jacobian,
 )
 from regulus import oracle
-from regulus.oracle import _oracle_rows, _rational_rank, _row_module_length, _unit_sweep
+from regulus.errors import InternalConsistencyError
+from regulus.oracle import _oracle_rows, _rational_rank, _rows_mod_p, _unit_sweep
 from regulus.poly import lift_int
 
 from helpers import (
@@ -231,95 +233,156 @@ def test_unit_sweep_modulo_p_is_the_field_rank():
         rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] for r in a]
         field = PrimeField(p)
         expected = FieldMatrix(field, [[field.from_int(x) for x in r] for r in rows]).rank()
-        assert _unit_sweep(rows, p, p) == (expected, [])
+        assert _unit_sweep(rows, p) == expected
 
 
 def test_unit_sweep_matches_the_dense_reference():
-    # updating only the pivot's nonzero columns gives the same pivots, the
-    # same u and the same residual, row for row, as full-width updates
+    # updating only the pivot's nonzero columns gives the rank that
+    # full-width updates give, and leaves the input rows as they were
     rng = random.Random(439)
     dropped = 0
     for _ in range(300):
         p = rng.choice((2, 3, 5, 7))
-        m = rng.choice((p, p * p))
         ncols = rng.randrange(1, 9)
         rows = []
         for _ in range(rng.randrange(1, 9)):
             kind = rng.randrange(4)
             if kind == 0 and rows:
                 # a multiple of an earlier row, which the sweep can clear to zero
-                rows.append([rng.randrange(m) * x for x in rng.choice(rows)])
+                rows.append([rng.randrange(p) * x for x in rng.choice(rows)])
             elif kind == 1:
-                rows.append([0 if rng.randrange(2) else rng.randrange(m) for _ in range(ncols)])
+                rows.append([0 if rng.randrange(2) else rng.randrange(p) for _ in range(ncols)])
             else:
-                rows.append([rng.randrange(-m, 2 * m) for _ in range(ncols)])
+                rows.append([rng.randrange(-p, 2 * p) for _ in range(ncols)])
         before = [list(r) for r in rows]
-        expected = dense_unit_sweep(rows, p, m)
-        assert _unit_sweep(rows, p, m) == expected
+        expected = dense_unit_sweep(rows, p)
+        assert _unit_sweep(rows, p) == expected
         assert rows == before
-        u, residual = expected
-        dropped += sum(1 for r in rows if any(x % m for x in r)) > u + len(residual)
+        dropped += sum(1 for r in rows if any(x % p for x in r)) > expected
     assert dropped >= 50
 
 
-def _sweep_invariants(rows, p):
-    u, residual = _unit_sweep(rows, p, p * p)
-    r_p, _ = _unit_sweep([[x // p for x in r] for r in residual], p, p)
-    return u, r_p
+def _relation_rows(p, n, d_t, rng):
+    """Random rows over Z/p^2 shaped as the oracle's relation rows: n + 1
+    layers of width d_t, every layer-0 entry divisible by p."""
+    width = (n + 1) * d_t
+    rows = []
+    for _ in range(rng.randrange(1, 9)):
+        kind = rng.randrange(4)
+        pmul = [rng.randrange(p) for _ in range(width)]
+        if kind == 0 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind == 1:
+            rows.append([p * x for x in pmul])
+        else:
+            rows.append([p * x for x in pmul[:d_t]] + [
+                rng.randrange(p * p) if kind == 2 or rng.randrange(3) else p * x
+                for x in pmul[d_t:]
+            ])
+    return rows
+
+
+def _zz_length(rows, p, n, d_t):
+    """The oracle's length over Z/p^2 of span(rows) + p*F_B."""
+    return n * d_t + _unit_sweep(_rows_mod_p(rows, p, d_t), p)
 
 
 def test_unit_sweep_invariants_ignore_row_order_and_repeats():
-    # u and the F_p rank of the residual over p describe the row module
-    # over Z/p^2, not the list that spans it
+    # the length of span(rows) + p*F_B describes the module over Z/p^2,
+    # not the list of rows that spans it
     rng = random.Random(421)
     for _ in range(120):
         p = rng.choice((2, 3, 5))
-        m = p * p
-        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
-        rows = [
-            [rng.randrange(m) if rng.randrange(3) else p * rng.randrange(p) for _ in range(ncols)]
-            if rng.randrange(2)
-            else [p * rng.randrange(p) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-        expected = _sweep_invariants(rows, p)
+        n, d_t = rng.randrange(1, 4), rng.randrange(1, 4)
+        rows = _relation_rows(p, n, d_t, rng)
+        expected = _zz_length(rows, p, n, d_t)
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        assert _sweep_invariants(shuffled, p) == expected
-        repeated = rows + [rows[rng.randrange(nrows)]]
+        assert _zz_length(shuffled, p, n, d_t) == expected
+        repeated = rows + [rng.choice(rows)]
         rng.shuffle(repeated)
-        assert _sweep_invariants(repeated, p) == expected
+        assert _zz_length(repeated, p, n, d_t) == expected
 
 
-def test_row_module_length_matches_the_reference():
+def _p_times_layers(p, n, d_t):
+    """p times the unit vectors of layers 1..n: the rows of every p*g_j*M."""
+    width = (n + 1) * d_t
+    return [[p * (j == k) for j in range(width)] for k in range(d_t, width)]
+
+
+def test_mod_p_rank_matches_the_two_phase_module_length():
+    # one F_p rank of the mapped rows, plus n*d_t for p*F_B, is the length
+    # that two eliminations, over Z/p^2 and then over Z/p, give for the
+    # relation rows together with the rows of every p*g_j*M
     rng = random.Random(433)
     unit_pivots = residuals = 0
     for _ in range(400):
         p = rng.choice((2, 3, 5))
-        m = p * p
         n, d_t = rng.randrange(1, 4), rng.randrange(1, 7)
-        width = (n + 1) * d_t
-        rows = []
-        for _ in range(rng.randrange(1, 9)):
-            kind = rng.randrange(5)
-            pmul = [rng.randrange(p) for _ in range(width)]
-            if kind == 0 and rows:
-                rows.append(list(rng.choice(rows)))
-            elif kind == 1:
-                rows.append([p * x for x in pmul])
-            elif kind == 2:
-                # a head divisible by p, as every head of the oracle's rows
-                rows.append([p * x for x in pmul[:d_t]] + [rng.randrange(m) for _ in pmul[d_t:]])
-            else:
-                rows.append([rng.randrange(m) if rng.randrange(3) else p * x for x in pmul])
+        rows = _relation_rows(p, n, d_t, rng)
         before = [list(r) for r in rows]
-        assert _row_module_length(rows, p) == reference_module_length(rows, p)
+        full = rows + _p_times_layers(p, n, d_t)
+        rng.shuffle(full)
+        assert _zz_length(rows, p, n, d_t) == reference_module_length(full, p)
         assert rows == before
-        u, residual = reference_unit_sweep(rows, p, m)
+        u, residual = reference_unit_sweep(full, p, p * p)
         unit_pivots += u > 0
         residuals += bool(residual)
     assert unit_pivots >= 100
     assert residuals >= 100
+
+
+def test_mod_p_rows_refuse_a_layer_zero_entry_prime_to_p():
+    # layer 0 is divided by p; layers 1..n are left for the sweep to reduce
+    assert _rows_mod_p([[3, 6, 1, 7]], 3, 2) == [[1, 2, 1, 7]]
+    with pytest.raises(InternalConsistencyError, match="layer 0 is not divisible by 3"):
+        _rows_mod_p([[3, 6, 1, 7], [0, 4, 0, 0]], 3, 2)
+
+
+def _zz_relation_mix(fiber, point, p, rng):
+    """0-3 relations through a ZZ point: members of the lifted ideal, p*f
+    for an integer polynomial f, p^2, products of two members, and the
+    product of the last and the first generator."""
+    vars = point.vars
+    rels = []
+    for _ in range(rng.randrange(4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            rels.append(random_arithmetic_relation(fiber, p, rng))
+        elif kind == 1:
+            f = MultiPoly.zero(ZZ, vars)
+            for _ in range(rng.randrange(1, 4)):
+                e = tuple(rng.randrange(3) for _ in vars)
+                f = f + MultiPoly(ZZ, vars, {e: rng.randrange(-4, 5) or 1})
+            rels.append(f.scale(p))
+        elif kind == 2:
+            rels.append(MultiPoly.constant(ZZ, vars, p * p))
+        elif kind == 3:
+            f1 = random_arithmetic_relation(fiber, p, rng)
+            rels.append(f1 * random_arithmetic_relation(fiber, p, rng))
+        else:
+            rels.append(point.generators[-1] * point.generators[0])
+    return rels
+
+
+def test_zz_count_matches_the_two_phase_length():
+    # the count with one F_p rank against the length over Z/p^2 of the
+    # relation rows and the walked rows of every p*g_j, from two
+    # eliminations (over Z/p^2, then over Z/p)
+    rng = random.Random(461)
+    counts = set()
+    for _ in range(1000):
+        p = rng.choice((2, 3, 5, 7, 13))
+        fiber, point = random_arithmetic_point(VAR_POOL[: rng.randrange(1, 5)], p, rng)
+        rels = _zz_relation_mix(fiber, point, p, rng)
+        n, d_t = point.n, point.residue_degree
+        rows = _oracle_rows(point, rels + [g.scale(p) for g in point.generators])
+        length = 2 * (n + 1) * d_t - reference_module_length(rows, p)
+        assert (length - d_t) % d_t == 0
+        expected = (length - d_t) // d_t
+        assert cotangent_dimension(point, rels) == expected
+        counts.add(expected)
+    assert counts >= {0, 1, 2, 3, 4}
 
 
 # ---- the walked rows match the divided rows ------------------------------
@@ -354,19 +417,36 @@ def test_oracle_rows_match_reference_rows():
         cases.append((p,) + _quadratic_linear_quadratic(p, rng))
     relation_heads = 0
     for p, fiber, point in cases:
+        n, d_t = point.n, point.residue_degree
         for count in (0, 1, 2):
             rels = [random_arithmetic_relation(fiber, p, rng) for _ in range(count)]
-            # the builder emits the walked rows only; each is followed by
-            # its layer-0 head on layers 1..n in the reference
+            # the builder walks the relations' rows only; each is followed
+            # by its layer-0 head on layers 1..n in the reference, whose
+            # rows of every p*g_k come after the relations' rows
             walked = _oracle_rows(point, rels)
             reference = reference_oracle_rows(point, rels)
-            assert expand_copies(walked, point.n) == reference
-            # the heads' copies on layers 1..n add nothing to the walked
-            # rows' span: the rows of each p*g_k already contain them
-            assert _row_module_length(walked, p) == reference_module_length(reference, p)
-            d_t = len(walked[0]) // (point.n + 1)
-            relation_heads += any(any(r[:d_t]) for r in walked[: count * d_t])
+            assert len(walked) == count * d_t
+            assert expand_copies(walked, n) == reference[: count * d_t * (n + 1)]
+            # the heads' copies and the rows of each p*g_k span p*F_B, which
+            # the count adds as n*d_t without forming it
+            assert _zz_length(walked, p, n, d_t) == reference_module_length(reference, p)
+            relation_heads += any(any(r[:d_t]) for r in walked)
     assert relation_heads >= 20
+
+
+def test_zz_count_walks_the_relations_and_ranks_mod_p(monkeypatch):
+    rng = random.Random(457)
+    moduli = []
+    sweep = oracle._unit_sweep
+    monkeypatch.setattr(oracle, "_unit_sweep", lambda rows, p: moduli.append(p) or sweep(rows, p))
+    for _ in range(20):
+        p = rng.choice((2, 3, 5, 7))
+        fiber, point = random_arithmetic_point(VAR_POOL[: rng.randrange(1, 4)], p, rng)
+        rels = [random_arithmetic_relation(fiber, p, rng) for _ in range(rng.randrange(4))]
+        assert len(_oracle_rows(point, rels)) == len(rels) * point.residue_degree
+        calls = len(moduli)
+        cotangent_dimension(point, rels)
+        assert moduli[calls:] == [p]
 
 
 def test_field_oracle_rows_match_reference_rows():
@@ -388,7 +468,7 @@ def test_field_oracle_rows_match_reference_rows():
             assert expand_copies(walked, point.n) == reference
             q = point.ring.modulus
             if q:
-                assert _unit_sweep(walked, q, q)[0] == reference_unit_sweep(reference, q, q)[0]
+                assert _unit_sweep(walked, q) == reference_unit_sweep(reference, q, q)[0]
             else:
                 assert _rational_rank(walked) == fraction_rank(reference)
             d_t = len(walked[0]) // (point.n + 1)
