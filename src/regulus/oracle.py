@@ -25,12 +25,19 @@ The images rho*M, for rho a relation and M a canonical monomial, span
 the image of I inside A*.  Their coordinate rows come from a
 walk, as in FGLM (Faugere, Gianni, Lazard & Mora 1993), not from one
 division each.  Multiplication by x_i is block lower-triangular on A*:
-x_i*M is again a canonical monomial unless M sits at its top degree
-d_i - 1 in x_i, so only those d_t/d_i columns need a normal form from
-``_divide``; every other column is an index shift, the same on every
-layer.  On layers 1..n a column keeps only its layer-0 part, because
-g_j*g_k = 0 in A*.  Each rho is divided once, and the row of rho*M is the
-row of rho*M/x_i times x_i (i the last variable of M).  A* being free, an
+x_i*M is again a canonical monomial, an index shift the same on every
+layer, unless M sits at its top degree d_i - 1 in x_i.  Those d_t/d_i
+columns need no division either.  Interreduction leaves the tail
+g_i - x_i^d_i canonical, so x_i^d_i has the coordinates of g_i, a unit
+of layer i + 1, minus those of the tail.  A top M is L*x_i^(d_i - 1)*U,
+with L in x_1..x_(i-1) and U in x_(i+1)..x_n.  Built for x_1 first, the
+maps of the lower variables give x_i^d_i*L as x_i^d_i*(L/x_k) times x_k,
+and times U is an index shift, because no coordinate of x_i^d_i*L
+involves x_(i+1)..x_n.  On layers 1..n a column keeps only its layer-0
+part, because g_j*g_k = 0 in A*.  The only divisions are the n that
+interreduce the generators and 1 + n per relation: rho and its n
+quotients give the row of rho, and the row of rho*M is the row of
+rho*M/x_i times x_i (i the last variable of M).  A* being free, an
 element has one coordinate vector, so the walked rows equal those that
 dividing every rho*M would give, entry for entry.
 
@@ -135,14 +142,6 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
     for i in reversed(range(n - 1)):
         strides[i] = strides[i + 1] * degrees[i + 1]
     tops = []
-    for i, d in enumerate(degrees):
-        cols = [None] * d_t
-        for j, mono in enumerate(monomials):
-            if mono[i] == d - 1:
-                top = {mono[:i] + (d,) + mono[i + 1 :]: 1}
-                full = [(k, a) for k, a in enumerate(nf2_vector(top)) if a]
-                cols[j] = (full, [(k, a) for k, a in full if k < d_t])
-        tops.append(cols)
 
     def times(vec, i):
         out = [0] * width
@@ -160,6 +159,26 @@ def _oracle_rows(point: TriangularPoint, relations) -> list:
 
     # every monomial but 1 is its predecessor times x_i, i its last variable
     last = [max(i for i, e in enumerate(mono) if e) for mono in monomials[1:]]
+    for i, d in enumerate(degrees):
+        # x_i^d = ghat_i - tail_i, then x_i^d*L for each L at index l from
+        # x_i^d*L/x_k; a top M = L*x_i^(d - 1)*U shifts it by U's index u
+        vec = [0] * width
+        vec[(i + 1) * d_t] = 1
+        for e, c in ghat[i].items():
+            if e[i] < d:
+                vec[index_of[e]] = -c % m if m else -c
+        s, cols, lowered = strides[i], [None] * d_t, {}
+        for l in range(0, d_t, d * s):
+            if l:
+                k = last[l - 1]
+                vec = times(lowered[l - strides[k]], k)
+            lowered[l] = vec
+            nonzero = [(k, a) for k, a in enumerate(vec) if a]
+            for u in range(s):
+                full = [(k + u, a) for k, a in nonzero]
+                cols[l + (d - 1) * s + u] = (full, [(k, a) for k, a in full if k < d_t])
+        tops.append(cols)
+
     rows = []
     for f in relations:
         walked = [nf2_vector(_mod(f.terms, m))]

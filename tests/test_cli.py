@@ -113,12 +113,13 @@ def test_check_success(tmp_path):
 def test_check_at_the_residue_degree_limit_finishes(tmp_path):
     # a single level of degree 256, the residue degree limit: its power
     # chain folds each product past x^255 and skips the tail of every
-    # empty overflow degree
-    job = CHECK_JOB.replace("x^3 + x + 3", "").replace("x^2 + 1", "x^256 + x + 2")
+    # empty overflow degree.  x^256 + x^12 + 2 is irreducible over GF(3),
+    # so the residue ring is a field and the verdict means something
+    job = CHECK_JOB.replace("x^3 + x + 3", "").replace("x^2 + 1", "x^256 + x^12 + 2")
     result = run_cli([write_job(tmp_path, job)], timeout=60)
     assert result.returncode == 0
     doc = json.loads(result.stdout)
-    assert doc["residue_field"] == "GF(3)[a]/(a^256+a+2)"
+    assert doc["residue_field"] == "GF(3)[a]/(a^256+a^12+2)"
     assert (doc["rank"], doc["dimension"], doc["regular"]) == (0, 2, True)
 
 

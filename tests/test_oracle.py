@@ -32,6 +32,7 @@ from helpers import (
     random_arithmetic_point,
     random_arithmetic_relation,
     random_member,
+    random_coeff,
     random_point,
     reference_cotangent_dimension,
     reference_module_length,
@@ -406,6 +407,39 @@ def _quadratic_linear_quadratic(p, rng):
     return fiber, lifted
 
 
+# level degrees of the stacked towers: the corpus chain t^2 = c, u^2 = t,
+# cubic levels, and degree-1 levels between them
+STACKED_DEGREES = ((2, 2), (2, 1, 3), (2, 2, 3), (2, 2, 1, 3), (3, 1, 2, 2))
+
+
+def _stacked_tower(field, degrees, rng):
+    """A monic triangular system over ``field`` with levels of the given
+    degrees.  A quadratic level right after a quadratic level is the
+    chain's u^2 - t; every other level has a random tail in its own
+    variable below its degree and in each lower variable up to that
+    level's degree, so ``normalized_generators`` must reduce it.  The
+    top columns of x_i then come from the maps of every lower variable.
+    The rows need only a monic triangular system, so no level need be
+    irreducible."""
+    n = len(degrees)
+    gens = []
+    for i, d in enumerate(degrees):
+        terms = {tuple(d if k == i else 0 for k in range(n)): field.one()}
+        if i and d == degrees[i - 1] == 2:
+            terms[tuple(int(k == i - 1) for k in range(n))] = -field.one()
+        else:
+            for _ in range(3):
+                e = tuple(
+                    rng.randrange(degrees[k] + 1) if k < i else rng.randrange(d) if k == i else 0
+                    for k in range(n)
+                )
+                prev = terms.get(e)
+                c = random_coeff(field, rng)
+                terms[e] = c if prev is None else prev + c
+        gens.append(MultiPoly(field, VAR_POOL[:n], terms))
+    return TriangularPoint(tuple(gens))
+
+
 def test_oracle_rows_match_reference_rows():
     rng = random.Random(431)
     cases = []
@@ -415,6 +449,10 @@ def test_oracle_rows_match_reference_rows():
         cases.append((p,) + random_arithmetic_point(VAR_POOL[:n], p, rng))
     for p in (2, 3, 5):
         cases.append((p,) + _quadratic_linear_quadratic(p, rng))
+        for degrees in STACKED_DEGREES:
+            fiber = _stacked_tower(PrimeField(p), degrees, rng)
+            lifted = TriangularPoint(tuple(lift_int(g) for g in fiber.generators), prime=p)
+            cases.append((p, fiber, lifted))
     relation_heads = 0
     for p, fiber, point in cases:
         n, d_t = point.n, point.residue_degree
@@ -449,6 +487,49 @@ def test_zz_count_walks_the_relations_and_ranks_mod_p(monkeypatch):
         assert moduli[calls:] == [p]
 
 
+def _field_chain(field, vars):
+    """x^2 = 2, y^2 = x, z linear, w^3 = y: the field 2^(1/12) over QQ and
+    over GF(13), where 2 is a primitive root.  The last two levels carry
+    tails that only ``normalized_generators`` reduces away."""
+    texts = ("x^2 - 2", "y^2 - x", "z - x^3*y - 2*y^2", "w^3 + x^2*w - 2*w + z - 2*x*y - 2*x - y")
+    return TriangularPoint(tuple(parse(t, vars, field) for t in texts))
+
+
+def test_the_count_divides_only_the_generators_and_each_relation(monkeypatch):
+    # n divisions interreduce the generators, and each relation's row takes
+    # 1 + n: its remainder and its n quotients.  The top columns of
+    # multiplication by x_i come from the generators' tails, with none
+    rng = random.Random(461)
+    divisions = []
+    divide = oracle._divide
+    monkeypatch.setattr(oracle, "_divide", lambda *a: divisions.append(a) or divide(*a))
+    vars = VAR_POOL[:4]
+    rational, chain = _field_chain(QQ, vars), _field_chain(PrimeField(13), vars)
+    cases = [(rational, [random_member(rational, rng)], 4)]
+    cases.append((chain, [random_member(chain, rng) for _ in range(2)], 4))
+    lifted = TriangularPoint(tuple(lift_int(g) for g in chain.generators), prime=13)
+    cases.append((lifted, [random_arithmetic_relation(chain, 13, rng) for _ in range(3)], 5))
+    for _ in range(12):
+        p = rng.choice((2, 3, 5))
+        n = rng.randrange(1, 5)
+        fiber, point = random_arithmetic_point(VAR_POOL[:n], p, rng)
+        rels = [random_arithmetic_relation(fiber, p, rng) for _ in range(rng.randrange(3))]
+        cases.append((point, rels, n + 1))
+        rels = [random_member(fiber, rng) for _ in range(rng.randrange(3))]
+        cases.append((fiber, rels, n))
+    for point, rels, ambient in cases:
+        n = point.n
+        del divisions[:]
+        count = cotangent_dimension(point, rels)
+        assert len(divisions) == n + len(rels) * (n + 1)
+        # the rank path's count, so the points are what they claim to be
+        X = PresentedVariety(point.vars, point.ring, tuple(rels))
+        J, extra = generalized_jacobian(X, point)
+        if point.prime:
+            J = FieldMatrix(J.field, [row + [e] for row, e in zip(J.rows, extra)])
+        assert count == ambient - J.rank()
+
+
 def test_field_oracle_rows_match_reference_rows():
     # over QQ and GF(p) the row generators are the relations alone, and the
     # walked rows give the rank that the divided rows give
@@ -459,6 +540,8 @@ def test_field_oracle_rows_match_reference_rows():
         cases.append(random_point(VAR_POOL[: rng.randrange(1, 4)], field, rng))
     for p in (2, 3, 5):
         cases.append(_quadratic_linear_quadratic(p, rng)[0])
+    for field in (QQ, PrimeField(2), PrimeField(7)):
+        cases.extend(_stacked_tower(field, degrees, rng) for degrees in STACKED_DEGREES)
     layered = 0
     for point in cases:
         for count in (1, 2):
