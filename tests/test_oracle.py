@@ -31,8 +31,8 @@ from helpers import (
     parse,
     random_arithmetic_point,
     random_arithmetic_relation,
-    random_member,
     random_coeff,
+    random_member,
     random_point,
     reference_cotangent_dimension,
     reference_module_length,
@@ -490,7 +490,8 @@ def test_zz_count_walks_the_relations_and_ranks_mod_p(monkeypatch):
 def _field_chain(field, vars):
     """x^2 = 2, y^2 = x, z linear, w^3 = y: the field 2^(1/12) over QQ and
     over GF(13), where 2 is a primitive root.  The last two levels carry
-    tails that only ``normalized_generators`` reduces away."""
+    terms above the canonical degrees, which ``normalized_generators``
+    reduces, the last level to w^3 - y."""
     texts = ("x^2 - 2", "y^2 - x", "z - x^3*y - 2*y^2", "w^3 + x^2*w - 2*w + z - 2*x*y - 2*x - y")
     return TriangularPoint(tuple(parse(t, vars, field) for t in texts))
 
