@@ -8,8 +8,9 @@ step 3:
    divided once through the triangular system, f_i = sum_j h_ij g_j + r_i.
    The relation vanishes at x when r_i = 0 (field base) or every
    coefficient of r_i is divisible by p (over ZZ, where r_i = p*w_i).  The
-   derivative matrix of the point generators must be invertible over the
-   residue tower, so the g_i cut out m_x/m_x^2 independently.
+   generators' derivative matrix must be invertible at the point, so the g_i
+   cut out m_x/m_x^2 independently; it is ranked unless the tower is proven
+   a field, where it is triangular with separable derivatives on the diagonal.
 2. reduce: the h_ij reduced into the residue field form the
    derivative-with-respect-to-generators matrix J, and the w_i form the
    extra column.
@@ -152,15 +153,20 @@ def generalized_jacobian(X: PresentedVariety, point: TriangularPoint):
             raise PointNotOnVariety("relation %s does not vanish at the point" % f)
         divisions.append((quotients, rem))
     tower = residue_field(point)
-    gmat = [
-        [tower_reduce(partial_derivative(g, j), tower) for j in range(n)]
-        for g in point.generators
+    gmat = [  # g_k involves x_1..x_k only, so G is lower triangular
+        [tower_reduce(partial_derivative(g, j), tower) if j <= k else tower.zero() for j in range(n)]
+        for k, g in enumerate(point.generators)
     ]
-    if FieldMatrix(tower, gmat).rank() < n:
+    if tower.proven < n and FieldMatrix(tower, gmat).rank() < n:
         raise GeneratorsNotIndependent(
             "the generators' derivative matrix is singular at the point, so "
             "they are dependent modulo the square of the ideal; choose "
             "different generators"
+        )
+    if tower.proven == n and any(gmat[k][k].is_zero() for k in range(n)):
+        # each level is separable over the proven field below it
+        raise InternalConsistencyError(
+            "the generators' derivative matrix is singular over a proven residue field"
         )
     p = point.prime
     rows = []
@@ -173,7 +179,7 @@ def generalized_jacobian(X: PresentedVariety, point: TriangularPoint):
         for j in range(n):
             lhs = tower_reduce(partial_derivative(f, j), tower)
             rhs = tower.zero()
-            for k in range(n):
+            for k in range(j, n):
                 rhs = rhs + row[k] * gmat[k][j]
             if lhs != rhs:
                 raise InternalConsistencyError(

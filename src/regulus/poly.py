@@ -233,7 +233,7 @@ def partial_derivative(f: MultiPoly, index: int) -> MultiPoly:
         if e == 0:
             continue
         lowered = exps[:index] + (e - 1,) + exps[index + 1 :]
-        terms[lowered] = coeff * f.ring.from_int(e)
+        terms[lowered] = coeff * e
     return MultiPoly(f.ring, f.vars, terms)
 
 

@@ -38,11 +38,21 @@ Computer Algebra*, ch. 9).  Missing entries are formed in the order that
 the plain sum of products forms them, so both meet the same first number
 that breaks the limit.
 
-Whether the tower really is a field is *not* decided up front.  Inversion
-runs an extended gcd against the level polynomial (von zur Gathen & Gerhard,
-ch. 3-4) on polynomials in x_k whose coefficients share one common
-denominator, normalized once per Euclid step; a coefficient is made
-canonical only before it is inverted one level down or printed.  A
+Whether the tower is a field is proved once, when it is built, where that
+is cheap: ``proven`` counts the bottom levels known to make a field.  A
+level of degree 1 passes, and a quadratic level x^2 = t1*x + t0 passes when
+t1^2 + 4*t0 is no square below: over GF(p), p odd, when its norm to F_p is
+a nonresidue; over QQ when, for one of CERTIFICATE_PRIMES odd primes p, it
+is a nonresidue at an F_p-point of the levels below at which each is
+separable.  There the tower's order is etale over Z_(p), so a root below
+would reduce to a root mod p.  Other levels, and those above, stay unproven.
+
+A quadratic level over proven levels inverts by its norm: (c0 + c1*x)^-1 =
+(c0 + t1*c1 - c1*x) / N, N = c0^2 + t1*c0*c1 - t0*c1^2.  Elsewhere, and when
+N = 0, inversion runs an extended gcd against the level polynomial (von zur
+Gathen & Gerhard, ch. 3-4) on polynomials in x_k whose coefficients share
+one common denominator, normalized once per Euclid step; a coefficient is
+made canonical only before it is inverted one level down or printed.  A
 nontrivial gcd proves the underlying ideal was never maximal and raises
 ``IdealNotMaximal`` with the offending factor as witness.  All other
 operations never divide, so a defective tower computes sums and products
@@ -53,6 +63,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import mul
 
 from .errors import IdealNotMaximal, OracleResourceError
 from .poly import MultiPoly, format_terms, grlex_key
@@ -62,6 +73,9 @@ from .rings import QQ, ZZ, Fraction, PrimeField, check_derived
 # the product of the level degrees, so the rank path's cost grows steeply
 # with D.  A larger residue degree is refused before any level is built.
 MAX_RESIDUE_DEGREE = 256
+
+# Odd primes a QQ tower's certificate tries before it gives up on a level.
+CERTIFICATE_PRIMES = 100
 
 
 class TowerLevel:
@@ -134,6 +148,7 @@ class ResidueTower:
             self._start_table()
         self.degree_over_base = sizes[-1]
         self._sig = (base.name, tuple((lv.var, lv.degree, lv.tail) for lv in self.levels))
+        self.proven = self._certify()
 
     def _start_table(self):
         """An empty monomial table over the levels stacked so far: x_i^0,
@@ -143,6 +158,56 @@ class ResidueTower:
         one = self._embed(n, 1)
         self._powers = [[one, self._gen_image(i)] for i in range(n)]
         self._monos = {(0,) * n: (one, [(0, one[0][0])])}
+
+    # ---- the field certificate ------------------------------------------
+
+    def _certify(self):
+        """The number of bottom levels proven to make a field."""
+        top = next((k for k, lv in enumerate(self.levels) if lv.degree > 2), len(self.levels))
+        p, proven, q, tried = self._p, 0, 1, 0
+        while p is None and proven < top and tried < CERTIFICATE_PRIMES:
+            q += 2
+            if all(q % r for r in range(3, int(q**0.5) + 1, 2)):
+                tried += 1
+                if all(c[1] % q for lv in self.levels[:top] for c in lv.tail):
+                    proven = self._certify_mod(q, proven, top)
+        if p is None:
+            return proven
+        for k, lv in enumerate(self.levels[:top], start=1):
+            if lv.degree == 2:
+                t0, t1 = lv.tail
+                disc = self._add(self._mul(k - 1, t1, t1), self._mul(k - 1, t0, ((4,), 1)))
+                for j in range(k - 1, 0, -1):  # the norm down to F_p
+                    if self.levels[j - 1].degree == 2:
+                        disc = self._rel_norm(j, *self._blocks(j, disc))[1]
+                if p == 2 or pow(disc[0][0], p // 2, p) != p - 1:
+                    return k - 1
+        return top
+
+    def _certify_mod(self, q, start, top):
+        """How many bottom levels, of the first ``top``, are proven once the
+        odd prime q certifies levels ``start`` + 1 on: a quadratic level passes
+        when its discriminant is a nonresidue mod q at some F_q-point of the
+        levels below, found root by root, at which each of them is separable."""
+        squares, half = {x * x % q: x for x in range(1, q // 2 + 1)}, (q + 1) // 2
+        points = [[1]]  # the monomial values mod q at each F_q-point
+        for k, lv in enumerate(self.levels[:top], start=1):
+            roots, passed = [], lv.degree == 1 or k <= start
+            for vals in points:
+                t = [sum(map(mul, c[0], vals)) * pow(c[1], -1, q) % q for c in lv.tail]
+                if lv.degree == 1:
+                    roots.append((vals, t[0]))
+                    continue
+                disc = (t[1] * t[1] + 4 * t[0]) % q
+                s = squares.get(disc)
+                if s:
+                    roots += [(vals, (t[1] + s) * half % q), (vals, (t[1] - s) * half % q)]
+                elif disc:
+                    passed = True
+            if not passed:
+                return k - 1
+            points = [[v * r**e % q for e in range(lv.degree) for v in vals] for vals, r in roots]
+        return top
 
     # ---- identity ------------------------------------------------------
 
@@ -264,6 +329,14 @@ class ResidueTower:
             return (pow(x, self._p - 2, self._p),), 1
         return ((den,), x) if x > 0 else ((-den,), -x)
 
+    def _rel_norm(self, k, c0, c1):
+        """(c0 + t1*c1, N) at level k - 1 for c0 + c1*x_k at a quadratic level
+        x_k^2 = t1*x_k + t0: N = c0^2 + t1*c0*c1 - t0*c1^2 is the norm to
+        level k - 1, and c0 + t1*c1 - c1*x_k the cofactor whose product is N."""
+        k1, (t0, t1) = k - 1, self.levels[k - 1].tail
+        u = self._add(c0, self._mul(k1, t1, c1))
+        return u, self._sub(self._mul(k1, c0, u), self._mul(k1, t0, self._mul(k1, c1, c1)))
+
     # ---- polynomials in x_k over level k-1, for the extended gcd -------
     # Flat like a level-k element, of any length: block i of D_(k-1) leaves
     # is the coefficient of x_k^i, all over one denominator.  Only _utrim
@@ -310,6 +383,15 @@ class ResidueTower:
         if self._is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         k1, size = k - 1, self._sizes[k - 1]
+        if k1 <= self.proven and self.levels[k1].degree == 2:
+            # over a field N = 0 only for a zero divisor, which Euclid names;
+            # a unit's inverse is unique, so both routes give the same data
+            c0, c1 = self._blocks(k, a)
+            u, norm = self._rel_norm(k, c0, c1)
+            if not self._is_zero(norm):
+                norm = self._inv(k1, norm)
+                (xs, ad), (ys, bd) = self._mul(k1, u, norm), self._mul(k1, c1, norm)
+                return self._norm([x * bd for x in xs] + [-y * ad for y in ys], ad * bd)
         r0, r1 = self._minpolys[k], self._utrim(k1, a)
         s0, s1 = ((), 1), self._embed(k1, 1)
         # invariant: s_i * a == r_i modulo the level polynomial

@@ -48,6 +48,19 @@ def test_derivative_identity_catches_a_wrong_quotient(monkeypatch):
         generalized_jacobian(X, point)
 
 
+def test_a_proven_residue_field_is_checked_against_the_generator_matrix(monkeypatch):
+    # x^2 + 1 = (x + 1)^2 over GF(2): its derivative vanishes at the point,
+    # so a certificate that proved this level would leave a zero on the
+    # diagonal of the generators' derivative matrix
+    F = PrimeField(2)
+    X = PresentedVariety(("x",), F, ())
+    point = TriangularPoint((parse_poly("x^2 + 1", ("x",), F),))
+    assert residue_field(point).proven == 0
+    monkeypatch.setattr(ResidueTower, "_certify", lambda self: len(self.levels))
+    with pytest.raises(InternalConsistencyError, match="singular over a proven residue field"):
+        generalized_jacobian(X, point)
+
+
 def test_fiber_route_is_checked_against_the_direct_route(monkeypatch):
     vars = ("x",)
     X = PresentedVariety(vars, ZZ, (parse("x^2 + 1", vars, ZZ),))

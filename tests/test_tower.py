@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -16,9 +18,11 @@ from regulus import (
     TriangularPoint,
     ZZ,
     parse_poly,
+    partial_derivative,
     residue_field,
     tower_reduce,
 )
+from regulus.cli import main
 from regulus.tower import MAX_RESIDUE_DEGREE, ResidueTower, TowerElem
 
 from helpers import (
@@ -362,11 +366,16 @@ def _random_element_poly(field, vars, degrees, rng):
 
 def _compare_inverse(tower, ref, u):
     """Invert u in both representations and check that both agree and
-    invert as many base scalars, so both ran the same Euclid steps.  Returns
+    invert as many base scalars, so both ran the same Euclid steps.  The
+    proven-level count is forced below 0 meanwhile: level 1 lies over the
+    base field, which needs no proof, so at 0 a quadratic level 1 would still
+    take the norm route, which inverts fewer scalars
+    (``test_norm_route_matches_euclid`` compares the two routes).  Returns
     the level of the witness, 0 if u is a unit, and the reference's
     ``witness_site`` when a witness raised one level down left the top."""
     scalar_inv, calls = tower._scalar_inv, []
     tower._scalar_inv = lambda a: calls.append(a) or scalar_inv(a)
+    tower.proven, proven = -1, tower.proven
     ref.scalar_inversions, ref.witness_site = 0, None
     try:
         try:
@@ -384,6 +393,7 @@ def _compare_inverse(tower, ref, u):
             site, level = None, 0
     finally:
         del tower._scalar_inv
+        tower.proven = proven
     assert len(calls) == ref.scalar_inversions
     return level, site if site and site[1] == len(tower.levels) else None
 
@@ -754,3 +764,231 @@ def test_table_meets_the_same_first_oversized_power(text):
     with pytest.raises(OracleResourceError) as got:
         tower_reduce(f, residue_field(point))
     assert got.value.message == expected.value.message
+
+
+# ---- the field certificate and the norm route --------------------------
+
+
+def _split_level_point(field, rng, top=3):
+    """Triangular point of 2 to 4 levels of degree 1 to ``top``, residue
+    degree at most 12, whose coefficients are random polynomials in the earlier
+    variables.  About a third of the levels of degree 2 or 3 are built
+    reducible, as (x_i - a) times a random monic factor; the factors
+    x_i - a come back too, so that multiples of them are zero divisors."""
+    n = rng.randrange(2, 5)
+    vars = VAR_POOL[:n]
+    gens, degrees, factors = [], [], []
+
+    def below(i, d):
+        terms = {tuple(j if k == i else rng.randrange(2) if k < i else 0 for k in range(n)):
+                 _scalar(field, rng) for j in range(d) for _ in range(rng.randrange(1, 3))}
+        return MultiPoly(field, vars, terms)
+
+    def monic(i, d):
+        return MultiPoly(field, vars, {tuple(d if k == i else 0 for k in range(n)): field.one()})
+
+    for i in range(n):
+        d = rng.choice((1, 2, 2, top)) if i else rng.choice((2, top))
+        while d > 1 and math.prod(degrees) * d > 12:
+            d -= 1
+        if d > 1 and rng.randrange(3) == 0:
+            factor = monic(i, 1) - below(i, 1)
+            gens.append(factor * (monic(i, d - 1) + below(i, d - 1)))
+            factors.append(factor)
+        else:
+            gens.append(monic(i, d) + below(i, d))
+        degrees.append(d)
+    return TriangularPoint(tuple(gens)), degrees, factors
+
+
+def _inverse_outcome(tower, u, proven):
+    """The inverse of u with the proven-level count set to ``proven``: its
+    data, or the error it raises, as comparable values."""
+    tower.proven, kept = proven, tower.proven
+    try:
+        return "unit", u.inverse().data
+    except IdealNotMaximal as exc:
+        return "not maximal", exc.message, exc.witness
+    except ZeroDivisionError as exc:
+        return "zero", str(exc)
+    finally:
+        tower.proven = kept
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 101])
+def test_norm_route_matches_euclid(p):
+    # with the count forced below 0 every inverse runs Euclid; with the
+    # certificate's count a quadratic level above proven levels takes the
+    # norm and falls back to Euclid when N = 0.  The two must agree on every
+    # element: unit, zero divisor (a multiple of a known factor) or zero
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(281 + (p or 0))
+    outcomes, norm_routes, fallbacks = [], 0, 0
+    while len(outcomes) < 240:
+        point, degrees, factors = _split_level_point(field, rng)
+        tower = residue_field(point)
+        rel_norm, norms = tower._rel_norm, []
+        tower._rel_norm = lambda k, c0, c1: norms.append(rel_norm(k, c0, c1)[1]) or rel_norm(k, c0, c1)
+        for _ in range(8):
+            f = _random_element_poly(field, point.vars, degrees, rng)
+            if factors and rng.randrange(2):
+                f = f * rng.choice(factors)
+            u = tower_reduce(f, tower) if rng.randrange(10) else tower.zero()
+            euclid = _inverse_outcome(tower, u, -1)
+            assert not norms
+            assert _inverse_outcome(tower, u, tower.proven) == euclid
+            outcomes.append(euclid[0])
+            norm_routes += bool(norms)
+            fallbacks += any(tower._is_zero(n) for n in norms)
+            norms.clear()
+    assert outcomes.count("unit") >= 30
+    assert outcomes.count("not maximal") >= 50
+    assert outcomes.count("zero") >= 15
+    assert norm_routes >= 60
+    assert fallbacks >= 10
+
+
+def _has_root(point, k):
+    """Whether generator k (1-based) has a root in the field of levels
+    1..k-1, by trying every element there."""
+    field, g = point.ring, point.generators[k - 1]
+    if k == 1:
+        return any(
+            sum(c * b ** e[0] for e, c in g.terms.items()) % field.modulus == 0
+            for b in range(field.modulus)
+        )
+    vars = point.vars[: k - 1]
+
+    def cut(h, keep=lambda e: True):
+        return MultiPoly(field, vars, {e[: k - 1]: c for e, c in h.terms.items() if keep(e)})
+
+    prefix = residue_field(TriangularPoint(tuple(cut(h) for h in point.generators[: k - 1])))
+    degree = max(e[k - 1] for e in g.terms)
+    coeffs = [tower_reduce(cut(g, lambda e: e[k - 1] == j), prefix) for j in range(degree + 1)]
+    for b in enumerate_tower_elements(prefix):
+        value = prefix.zero()
+        for c in reversed(coeffs):
+            value = value * b + c
+        if value.is_zero():
+            return True
+    return False
+
+
+def test_certificate_over_prime_fields_matches_a_root_search():
+    # a quadratic level has no root in the field below exactly when it is
+    # irreducible; over GF(p), p odd, the certificate proves every level
+    # below a failure, stops at the first reducible quadratic level and at
+    # the first level of degree 3, and over GF(2) at the first quadratic one
+    rng = random.Random(293)
+    seen = {"proven": 0, "reducible": 0, "cubic": 0, "GF(2)": 0}
+    for _ in range(400):
+        field = PrimeField(rng.choice((2, 3, 5, 7)))
+        if rng.randrange(4):
+            point, degrees, _ = _split_level_point(field, rng, rng.choice((2, 2, 3)))
+        else:
+            point, degrees = _random_level_point(field, rng)
+        tower = residue_field(point)
+        proven = tower.proven
+        assert 0 <= proven <= len(degrees)
+        assert all(d <= 2 for d in degrees[:proven])
+        searched = lambda k: field.modulus ** math.prod(degrees[: k - 1]) <= 625
+        for k in range(1, proven + 1):
+            if degrees[k - 1] == 2 and searched(k):
+                assert not _has_root(point, k)
+                seen["proven"] += 1
+        if proven == len(degrees):
+            # every level separable over a field: G has no zero on its diagonal
+            assert all(
+                not tower_reduce(partial_derivative(g, k), tower).is_zero()
+                for k, g in enumerate(point.generators)
+            )
+            continue
+        top = proven + 1
+        if degrees[top - 1] == 3:
+            seen["cubic"] += 1
+        elif field.modulus == 2:
+            seen["GF(2)"] += 1
+        elif searched(top):
+            assert _has_root(point, top)
+            seen["reducible"] += 1
+    assert min(seen.values()) >= 40
+
+
+def test_certificate_over_rationals_agrees_with_sympy_on_two_levels():
+    # level 1: x^2 + a*x + b; level 2: y^2 + (c + e*x)*y + (f + g*x), or the
+    # product of two such factors in y.  Every level proven must be
+    # irreducible, and here every irreducible level is proven
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(307)
+    x, y = sympy.symbols("x y")
+    vars = ("x", "y")
+    rat = lambda: sympy.Rational(rng.randrange(-6, 7), rng.choice((1, 1, 2, 3)))
+    checked = {0: 0, 1: 0, 2: 0}
+    for _ in range(30):
+        if rng.randrange(4):
+            a, b = rat(), rat()
+        else:
+            r, s = rat(), rat()
+            a, b = -r - s, r * s
+        level1 = x**2 + a * x + b
+        if rng.randrange(3):
+            level2 = y**2 + (rat() + rat() * x) * y + rat() + rat() * x
+        else:
+            level2 = sympy.expand((y - rat() - rat() * x) * (y - rat() - rat() * x))
+        point = TriangularPoint(tuple(
+            MultiPoly(QQ, vars, {e: Fraction(int(c.p), int(c.q)) for e, c in sympy.Poly(g, x, y).terms()})
+            for g in (level1, level2)
+        ))
+        proven = residue_field(point).proven
+        disc = a**2 - 4 * b
+        first = len(sympy.factor_list(level1)[1]) == 1 and disc != 0
+        assert (proven >= 1) == first
+        if first:
+            alpha = (-a + sympy.sqrt(disc)) / 2
+            over = sympy.expand(level2.subs(x, alpha))
+            _, factors = sympy.factor_list(over, y, extension=sympy.sqrt(disc))
+            assert (proven == 2) == (len(factors) == 1 and factors[0][1] == 1)
+        checked[proven] += 1
+    assert min(checked.values()) >= 5
+
+
+def test_split_level_over_rationals_stays_unproven_in_bounded_time():
+    # y^2 - 2 splits over QQ(sqrt 2), so no prime can certify it: every one
+    # of the CERTIFICATE_PRIMES primes is tried and level 2 stays unproven
+    vars = ("x", "y")
+    point = TriangularPoint((parse("x^2 - 2", vars), parse("y^2 - 2", vars)))
+    start = time.perf_counter()
+    tower = residue_field(point)
+    assert time.perf_counter() - start < 1.0
+    assert tower.proven == 1
+
+
+NON_FIELDS = [
+    # (base, vars, relations, generators, prime, first level that fails)
+    ("QQ", "x, y", "", "x^2 - 2, y^2 - 2", None, 2),
+    ("GF(7)", "x, y", "x*y - 1", "x^2 - 1, y - x", None, 1),
+    ("ZZ", "x", "x^2 + 1", "x^2 + 1", 5, 1),
+]
+
+
+@pytest.mark.parametrize("base, vars, relations, generators, prime, bad", NON_FIELDS)
+def test_non_fields_stay_unproven_and_keep_their_reports(
+    base, vars, relations, generators, prime, bad, tmp_path, capsys
+):
+    # three points whose residue ring is not a field: the certificate proves
+    # no level from the bad one on, so the rank path runs as it always has
+    # and the report is unchanged.  That report is wrong: it still says
+    # regular, because maximality is not yet refuted with a witness
+    job = "[ring]\nvars = %s\nbase = %s\nrelations = %s\n[point]\n%sgenerators = %s\n[task]\nkind = check\n" % (
+        vars, base, relations, "prime = %d\n" % prime if prime else "", generators
+    )
+    path = tmp_path / "job.rg"
+    path.write_text(job)
+    names = tuple(v.strip() for v in vars.split(","))
+    ring = {"QQ": QQ, "ZZ": ZZ}.get(base) or PrimeField(7)
+    point = TriangularPoint(tuple(parse_poly(g, names, ring) for g in generators.split(", ")), prime=prime)
+    assert residue_field(point).proven < bad
+    assert main([str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["regular"] is True
+    assert doc["rank"] == {"QQ": 0, "GF(7)": 1, "ZZ": 1}[base]
