@@ -164,14 +164,15 @@ class ResidueTower:
     def _certify(self):
         """The number of bottom levels proven to make a field."""
         top = next((k for k, lv in enumerate(self.levels) if lv.degree > 2), len(self.levels))
-        p, proven, q, tried = self._p, 0, 1, 0
-        while p is None and proven < top and tried < CERTIFICATE_PRIMES:
-            q += 2
-            if all(q % r for r in range(3, int(q**0.5) + 1, 2)):
-                tried += 1
-                if all(c[1] % q for lv in self.levels[:top] for c in lv.tail):
-                    proven = self._certify_mod(q, proven, top)
+        p = self._p
         if p is None:
+            proven, q, tried = 0, 1, 0
+            while proven < top and tried < CERTIFICATE_PRIMES:
+                q += 2
+                if all(q % r for r in range(3, int(q**0.5) + 1, 2)):
+                    tried += 1
+                    if all(c[1] % q for lv in self.levels[:top] for c in lv.tail):
+                        proven = self._certify_mod(q, proven, top)
             return proven
         for k, lv in enumerate(self.levels[:top], start=1):
             if lv.degree == 2:

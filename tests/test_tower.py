@@ -828,7 +828,13 @@ def test_norm_route_matches_euclid(p):
         point, degrees, factors = _split_level_point(field, rng)
         tower = residue_field(point)
         rel_norm, norms = tower._rel_norm, []
-        tower._rel_norm = lambda k, c0, c1: norms.append(rel_norm(k, c0, c1)[1]) or rel_norm(k, c0, c1)
+
+        def spied(k, c0, c1, rel_norm=rel_norm, norms=norms):
+            result = rel_norm(k, c0, c1)
+            norms.append(result[1])
+            return result
+
+        tower._rel_norm = spied
         for _ in range(8):
             f = _random_element_poly(field, point.vars, degrees, rng)
             if factors and rng.randrange(2):
@@ -964,31 +970,31 @@ def test_split_level_over_rationals_stays_unproven_in_bounded_time():
 
 
 NON_FIELDS = [
-    # (base, vars, relations, generators, prime, first level that fails)
-    ("QQ", "x, y", "", "x^2 - 2, y^2 - 2", None, 2),
-    ("GF(7)", "x, y", "x*y - 1", "x^2 - 1, y - x", None, 1),
-    ("ZZ", "x", "x^2 + 1", "x^2 + 1", 5, 1),
+    # (base, ring, vars, relations, generators, prime, first level that
+    # fails, rank)
+    ("QQ", QQ, "x, y", "", "x^2 - 2, y^2 - 2", None, 2, 0),
+    ("GF(7)", PrimeField(7), "x, y", "x*y - 1", "x^2 - 1, y - x", None, 1, 1),
+    ("ZZ", ZZ, "x", "x^2 + 1", "x^2 + 1", 5, 1, 1),
 ]
 
 
-@pytest.mark.parametrize("base, vars, relations, generators, prime, bad", NON_FIELDS)
+@pytest.mark.parametrize("base, ring, vars, relations, generators, prime, bad, rank", NON_FIELDS)
 def test_non_fields_stay_unproven_and_keep_their_reports(
-    base, vars, relations, generators, prime, bad, tmp_path, capsys
+    base, ring, vars, relations, generators, prime, bad, rank, tmp_path, capsys
 ):
     # three points whose residue ring is not a field: the certificate proves
     # no level from the bad one on, so the rank path runs as it always has
     # and the report is unchanged.  That report is wrong: it still says
     # regular, because maximality is not yet refuted with a witness
-    job = "[ring]\nvars = %s\nbase = %s\nrelations = %s\n[point]\n%sgenerators = %s\n[task]\nkind = check\n" % (
-        vars, base, relations, "prime = %d\n" % prime if prime else "", generators
-    )
-    path = tmp_path / "job.rg"
-    path.write_text(job)
     names = tuple(v.strip() for v in vars.split(","))
-    ring = {"QQ": QQ, "ZZ": ZZ}.get(base) or PrimeField(7)
-    point = TriangularPoint(tuple(parse_poly(g, names, ring) for g in generators.split(", ")), prime=prime)
-    assert residue_field(point).proven < bad
+    gens = tuple(parse_poly(g, names, ring) for g in generators.split(", "))
+    assert residue_field(TriangularPoint(gens, prime=prime)).proven < bad
+    path = tmp_path / "job.rg"
+    path.write_text(
+        "[ring]\nvars = %s\nbase = %s\nrelations = %s\n[point]\n%sgenerators = %s\n"
+        "[task]\nkind = check\n"
+        % (vars, base, relations, "prime = %d\n" % prime if prime else "", generators)
+    )
     assert main([str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["regular"] is True
-    assert doc["rank"] == {"QQ": 0, "GF(7)": 1, "ZZ": 1}[base]
+    assert (doc["rank"], doc["regular"]) == (rank, True)
