@@ -53,10 +53,12 @@ from .tower import ResidueTower, residue_field, tower_reduce
 USER_SUPPLIED = "user-supplied"
 ORACLE_GLOBAL = "oracle-global-dimension"
 
-# The derivative identity forms r*n^2 tower products for r relations in n
-# variables and the generator matrix's rank up to n^3, so a job whose
-# (r + n)*n^2 is above this is refused before any division, and a job file
-# before any polynomial is parsed.
+# The derivative identity forms r*n(n+1)/2 tower products for r relations
+# in n variables, and the generator matrix's rank, run only on towers not
+# proven a field, up to n^3.  The (r + n)*n^2 charge is kept as it was, so
+# the same jobs are refused, until ROADMAP item 3 re-derives it: a job over
+# the limit is refused before any division, and a job file before any
+# polynomial is parsed.
 MAX_RANK_WORK = 600_000
 
 

@@ -20,11 +20,11 @@ denominator on the way in (``coerce``) and rebuilt on the way out (printing).
 
 A product is formed densely in an extended layout, radix 2*d_k - 1 per
 level, where exponents add without carries, and then folded in place by a
-flat plan that each level makes once per tower: a step adds the nonzero
-coefficient at an overflow position times the level tails below it, and
-each block of the level below folds by that level's plan, shifted.  A tail
-with denominators scales the blocks not yet folded by a constant of its
-level, so the common denominator of a product is fixed by the tower alone.
+flat plan made with the level: a step adds the nonzero coefficient at an
+overflow position times the level tails below it, and each block of the
+level below folds by that level's plan, shifted.  A tail with denominators
+scales the blocks not yet folded by a constant of its level, so the common
+denominator of a product is fixed by the tower alone.
 
 A polynomial maps into the tower through a per-tower table of monomial
 images, filled lazily.  Each variable has one chain of powers, x_i^e =
@@ -66,8 +66,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import IdealNotMaximal, OracleResourceError
-from .poly import MultiPoly, format_terms, grlex_key
-from .rings import QQ, ZZ, Fraction, PrimeField, check_derived
+from .poly import MultiPoly, _power, format_terms, grlex_key
+from .rings import QQ, ZZ, Fraction, PrimeField, check_derived, is_prime
 
 # Every product and every power of the chain is folded down to D leaves, D
 # the product of the level degrees, so the rank path's cost grows steeply
@@ -92,31 +92,61 @@ def _display_name(i):
     return chr(ord("a") + i) if i < 26 else "t%d" % (i + 1)
 
 
+def _plan(d, width, low, pairs, factor, sub):
+    """Steps that reduce an extended block of a level of degree d, ``width``
+    positions per power of its variable, in place modulo the level
+    polynomials, in the order of a fold from the top level down: a fold
+    step (at, pairs) adds c * v at at + t for each tail pair, c the
+    coefficient at ``at``, and a scale step (slice, factor) multiplies the
+    blocks not yet folded.  ``low`` holds the extended positions of the
+    leaves one level down and ``sub`` that level's plan; a level of degree
+    1 folds like the level below.  Leaf r ends at its extended position."""
+
+    def shifted(s):
+        return [
+            (slice(at.start + s, at.stop + s), v) if v.__class__ is int else (at + s, v)
+            for at, v in sub
+        ]
+
+    plan = []
+    for e in range(2 * d - 2, d - 1, -1):
+        top = e * width
+        if factor != 1:
+            plan.append((slice(0, top), factor))
+        plan += shifted(top)
+        plan += [(top + q, pairs) for q in low]
+    plan += sub  # block 0 needs no shift
+    for e in range(1, d):
+        plan += shifted(e * width)
+    return plan
+
+
 class ResidueTower:
-    """kappa_x as a chain of monogenic extensions of QQ or GF(p).
+    """kappa_x as a chain of monogenic extensions of GF(p) for a point over
+    ZZ at p, and of the point's own field, QQ or GF(p), otherwise.
 
     The tower of a triangular point is built once, level by level: the tail
     of level k is read off generator k and reduced by the monomial table of
-    the levels already stacked, and each new level starts a fresh table."""
+    the levels already stacked, its fold plan is made from the plan below,
+    and each new level starts a fresh table."""
 
-    def __init__(self, base, point):
-        self.base = base
+    def __init__(self, point):
+        if point.residue_degree > MAX_RESIDUE_DEGREE:
+            raise OracleResourceError(
+                "a residue degree of %d is above the limit of %d"
+                % (point.residue_degree, MAX_RESIDUE_DEGREE)
+            )
+        self.base = base = point.ring if point.prime is None else PrimeField(point.prime)
         self.vars = point.vars
         self.levels = ()
         self._p = p = base.modulus
-        # per level k = 0..n: leaf count D_k, extended size E_k, and the
-        # extra denominator of a folded level-k product; the extended
-        # position and the exponent tuple of each leaf at the top level
+        # per level k = 0..n: leaf count D_k, extended size E_k, the extra
+        # denominator of a folded level-k product, and the fold plan; the
+        # extended position and the exponent tuple of each leaf at the top
         sizes, ext_sizes, scales = self._sizes, self._ext_sizes, self._scales = [1], [1], [1]
+        plans = self._plans = [()]
         self._ext, self._exps = [0], [()]
-        # level k folds as (degree, block size, leaf positions of a block,
-        # tail pairs, scale factor, nearest level below that folds), and
-        # _plan reads nothing else; a tail pair (t, v) adds v times the
-        # coefficient at an overflow position q to position q + t < q
-        self._folds = [None]
-        self._plans = [()]  # each level's plan, made once by _plan
         self._minpolys = [None]  # each level polynomial, flat as in _inv
-        below = 0
         self._start_table()
         for k, (d, terms) in enumerate(point._levels, start=1):
             # t_k^d = -sum_j c_j t_k^j, each c_j moved into the base and
@@ -129,6 +159,8 @@ class ResidueTower:
             tail = tuple(self._neg(self._reduce(c)) for c in coeffs)
             self.levels += (TowerLevel(self.vars[k - 1], _display_name(k - 1), d, tail),)
             den = lcm(*(c[1] for c in tail))
+            # a tail pair (t, v) adds v times the coefficient at an overflow
+            # position q to position q + t < q
             pairs = tuple(
                 ((j - d) * width + ext[r], v * (den // c[1]))
                 for j, c in enumerate(tail) for r, v in enumerate(c[0]) if v
@@ -136,10 +168,7 @@ class ResidueTower:
             factor = scales[-1] * den
             minpoly = [-v * (den // c[1]) for c in tail for v in c[0]]
             self._minpolys.append(self._norm(minpoly + [den] + [0] * (sizes[-1] - 1), den))
-            self._folds.append((d, width, ext, pairs, factor, below))
-            self._plans.append(None)
-            if d > 1:
-                below = k
+            plans.append(_plan(d, width, ext, pairs, factor, plans[-1]))
             scales.append(scales[-1] * factor ** (d - 1))
             self._ext = [q + e * width for e in range(d) for q in ext]
             self._exps = [x + (e,) for e in range(d) for x in self._exps]
@@ -169,7 +198,7 @@ class ResidueTower:
             proven, q, tried = 0, 1, 0
             while proven < top and tried < CERTIFICATE_PRIMES:
                 q += 2
-                if all(q % r for r in range(3, int(q**0.5) + 1, 2)):
+                if is_prime(q):
                     tried += 1
                     if all(c[1] % q for lv in self.levels[:top] for c in lv.tail):
                         proven = self._certify_mod(q, proven, top)
@@ -273,10 +302,7 @@ class ResidueTower:
                 at = ext[i]
                 for q, y in ys:
                     prod[at + q] += x * y
-        plan = self._plans[k]
-        if plan is None:
-            plan = self._plan(k)
-        for at, pairs in plan:
+        for at, pairs in self._plans[k]:
             if pairs.__class__ is int:  # a scale step: prod[at] is a slice
                 prod[at] = [x * pairs for x in prod[at]]
                 continue
@@ -285,36 +311,6 @@ class ResidueTower:
                 for t, v in pairs:
                     prod[at + t] += c * v
         return [prod[q] for q in ext[: self._sizes[k]]]
-
-    def _plan(self, k):
-        """Steps that reduce an extended levels-1..k block in place modulo
-        the level polynomials, in the order of a fold from the top level
-        down: a fold step (at, pairs) adds c * v at at + t for each tail
-        pair, c the coefficient at ``at``, and a scale step (slice, factor)
-        multiplies the blocks not yet folded.  Leaf r ends at ext[r]."""
-        d, width, low, pairs, factor, below = self._folds[k]
-        sub = self._plans[below]
-        if sub is None:
-            sub = self._plan(below)
-
-        def shifted(s):
-            return [
-                (slice(at.start + s, at.stop + s), v) if v.__class__ is int else (at + s, v)
-                for at, v in sub
-            ]
-
-        plan = []
-        for e in range(2 * d - 2, d - 1, -1):
-            top = e * width
-            if factor != 1:
-                plan.append((slice(0, top), factor))
-            plan += shifted(top)
-            plan += [(top + q, pairs) for q in low]
-        plan += sub  # block 0 needs no shift
-        for e in range(1, d):
-            plan += shifted(e * width)
-        self._plans[k] = plan
-        return plan
 
     def _blocks(self, k, a):
         """The coefficients in x_k of a level-k element, one level down."""
@@ -609,16 +605,7 @@ class TowerElem:
         return TowerElem(self.tower, self.tower._neg(self.data))
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent %d; use inverse()" % n)
-        result = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, TowerElem.__mul__) if n else self.tower.one()
 
     def inverse(self):
         """Raises IdealNotMaximal with a witness factor when the extended
@@ -647,20 +634,7 @@ class TowerElem:
 
 def residue_field(point) -> ResidueTower:
     """The residue tower of a triangular point over its natural base."""
-    if point.residue_degree > MAX_RESIDUE_DEGREE:
-        raise OracleResourceError(
-            "a residue degree of %d is above the limit of %d"
-            % (point.residue_degree, MAX_RESIDUE_DEGREE)
-        )
-    if point.prime is not None:
-        base = PrimeField(point.prime)
-    elif point.ring is QQ:
-        base = QQ
-    elif isinstance(point.ring, PrimeField):
-        base = point.ring
-    else:
-        raise ValueError("unsupported base ring for a residue field")
-    return ResidueTower(base, point)
+    return ResidueTower(point)
 
 
 def tower_reduce(expr: MultiPoly, tower: ResidueTower) -> TowerElem:

@@ -22,6 +22,7 @@ from regulus import (
     residue_field,
     tower_reduce,
 )
+from regulus import tower as tower_module
 from regulus.cli import main
 from regulus.tower import MAX_RESIDUE_DEGREE, ResidueTower, TowerElem
 
@@ -112,9 +113,24 @@ def test_residue_degree_is_bounded_before_any_level_is_built():
     gens = tuple(parse_poly("%s^4 + %s + 2" % (v, v), vars, ZZ) for v in vars)
     assert residue_field(TriangularPoint(gens, prime=3)).degree_over_base == 256
     point = TriangularPoint((parse_poly("x^257 + x + 2", ("x",), ZZ),), prime=3)
-    with pytest.raises(OracleResourceError) as info:
-        residue_field(point)
-    assert info.value.message == "a residue degree of 257 is above the limit of 256"
+    for build in (residue_field, ResidueTower):
+        with pytest.raises(OracleResourceError) as info:
+            build(point)
+        assert info.value.message == "a residue degree of 257 is above the limit of 256"
+
+
+def test_the_point_fixes_the_base():
+    # GF(p) for a ZZ point at p, the point's own field otherwise
+    vars, gf3, gf5 = ("x",), PrimeField(3), PrimeField(5)
+    for point, base, described in (
+        (TriangularPoint((parse_poly("x^2 + 1", vars, ZZ),), prime=3), gf3, "GF(3)[a]/(a^2+1)"),
+        (TriangularPoint((parse_poly("x^2 + 2", vars, gf5),)), gf5, "GF(5)[a]/(a^2+2)"),
+        (TriangularPoint((parse("x^2 + 2", vars),)), QQ, "QQ[a]/(a^2+2)"),
+    ):
+        tower = ResidueTower(point)
+        assert tower.base is base
+        assert tower.describe() == described
+        assert tower == residue_field(point)
 
 
 def test_inverting_zero_divisor_reports_witness():
@@ -294,7 +310,7 @@ def test_build_tower_reduces_tails():
             parse_poly("y - x", vars, F),
         )
     )
-    tower = ResidueTower(F, point)
+    tower = ResidueTower(point)
     # y's image is x's image, so reducing y - x gives zero
     assert tower_reduce(parse_poly("y - x", vars, F), tower).is_zero()
     assert tower_reduce(parse_poly("y^2", vars, F), tower) == tower.from_int(-2)
@@ -317,8 +333,15 @@ def test_coerce_accepts_base_scalars():
 
 def test_negative_exponent_raises():
     a = residue_field(gf9_point()).gen(0)
-    with pytest.raises(ValueError, match="negative exponent"):
+    with pytest.raises(ValueError, match="^negative exponent -1$"):
         a ** -1
+
+
+def test_powers_by_squaring():
+    tower = residue_field(quartic_point())
+    b = tower.gen(1)
+    assert b ** 0 == tower.one() and b ** 1 == b
+    assert b ** 7 == b * b * b * b * b * b * b == tower.from_int(2) * b ** 3
 
 
 # ---- the flat layout against the nested reference ----------------------
@@ -559,9 +582,9 @@ def test_residue_field_builds_one_tower_per_point(monkeypatch):
     init = ResidueTower.__init__
     built = []
 
-    def counted(self, base, point):
+    def counted(self, point):
         built.append(point)
-        init(self, base, point)
+        init(self, point)
 
     monkeypatch.setattr(ResidueTower, "__init__", counted)
     rng = random.Random(271)
@@ -634,29 +657,32 @@ def test_each_level_plan_is_made_once_per_tower(monkeypatch):
     point = TriangularPoint(
         (parse("x^2 - 1/2", vars), parse("y - 1/3*x", vars), parse("z^2 + x*z - 3", vars))
     )
-    tower = residue_field(point)
-    plan = ResidueTower._plan
+    plan = tower_module._plan
     made = []
 
-    def counted(self, k):
-        made.append((self, k))
-        return plan(self, k)
+    def counted(d, *args):
+        made.append(d)
+        return plan(d, *args)
 
-    monkeypatch.setattr(ResidueTower, "_plan", counted)
+    monkeypatch.setattr(tower_module, "_plan", counted)
+    tower = residue_field(point)
+    assert made == [2, 1, 2]
+    assert tower._plans[2] == tower._plans[1]  # a degree-1 level folds like the one below
+    made.clear()
     u = tower_reduce(parse("x*y*z + 2*z - x", vars), tower)
     for _ in range(3):
         v = (u * u).inverse() * u
         assert v * u * u == u
         u = u + v
-    assert sorted(k for _, k in made) == [1, 2, 3]
-    assert all(t is tower for t, _ in made)
+    assert made == []
 
 
 @pytest.mark.parametrize("shape", ["quadratic", "quartic", "dense"])
 def test_fold_plans_at_the_residue_degree_limit(shape):
     # D = 256 over GF(101) as eight quadratic levels, four quartic levels
     # (both the field of the 256th root of 2) or one level with a dense
-    # tail: the first product makes every plan it needs within 2 MB
+    # tail: the tower makes every plan within 2 MB, and a product stays
+    # within 2 MB too
     F, rng = PrimeField(101), random.Random(251)
     if shape == "dense":
         vars = ("x",)
@@ -667,19 +693,22 @@ def test_fold_plans_at_the_residue_degree_limit(shape):
         vars = tuple("x%d" % i for i in range(16 // d))
         gens = ("x0^%d - 2" % d,) + tuple("x%d^%d - x%d" % (i, d, i - 1) for i in range(1, len(vars)))
     point = TriangularPoint(tuple(parse(g, vars, F) for g in gens))
-    tower = residue_field(point)
+
+    def peak(make):
+        tracemalloc.start()
+        try:
+            return make(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tower, built = peak(lambda: residue_field(point))
     assert tower.degree_over_base == MAX_RESIDUE_DEGREE
     u, v = (
         TowerElem(tower, tower._norm([rng.randrange(101) for _ in range(MAX_RESIDUE_DEGREE)], 1))
         for _ in range(2)
     )
-    tracemalloc.start()
-    try:
-        w = u * v
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 10**6
+    w, multiplied = peak(lambda: u * v)
+    assert built < 2 * 10**6 and multiplied < 2 * 10**6
     assert nested_data(w) == ReferenceTower(point).mul(nested_data(u), nested_data(v))
     try:
         assert u.inverse() * u == tower.one()
