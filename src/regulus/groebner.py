@@ -10,7 +10,7 @@ reduces to zero against it.
 Inside the engine every coefficient is a plain int: GF(p) polynomials
 already hold residues in [0, p), and ``Fraction`` is met only where QQ
 polynomials come in and go out.  A basis element's divisor data, (leading
-exponent, leading coefficient, tail), is computed once when it joins: over
+monomial, leading coefficient, tail), is computed once when it joins: over
 QQ for its primitive integer multiple (denominators cleared, content
 divided out, leading coefficient positive), over GF(p) for it made monic,
 residues in [0, p).
@@ -50,14 +50,31 @@ an element joins, whether or not a criterion then drops them, and
 subtract, each one weighted by the size of the numbers it multiplies.
 
 The monomial order is fixed: graded reverse lexicographic (grevlex), with
-the variables in ring order, the order of the default dimension.
+the variables in ring order, the order of the default dimension.  Inside
+the engine a monomial is one int (Bachmann and Schoenemann, "Monomial
+representations for Groebner bases computations", 1998): for n variables,
+a field width W and M = 2^(W-1) - 1, the exponent vector e packs to
+K(e) = deg(e)*2^(W*n) + sum_j (M - e_j)*2^(W*j), the last variable in the
+highest field below the degree.  While every e_j is at most M, each field
+holds M - e_j with its top bit, the guard, clear.  K is then exact, and
+its int order is grevlex: degree first, then the highest differing field,
+where the larger field is the smaller last exponent.  K is affine, so
+K(t) + K(e) - K(g) = K(t + e - g): a tail is kept as offsets K(t) - K(g),
+and a shifted tail term is one addition.  The fields of K(g) - K(e) are
+e_j - g_j, all in [0, M] when g divides e; otherwise the lowest negative
+one borrows and sets its guard (``&`` reads a negative int in two's
+complement), so g divides e exactly when (K(g) - K(e)) & GUARD is 0.
+Grevlex is graded and a reduction forms only terms below its leading one,
+so never a degree above its starting terms: the inputs of a normal form,
+the pair's lcm for an S-polynomial.  Each call takes M at least eight times
+its largest input degree, so a normal form never refuses; ``groebner_basis``
+refuses a pair whose lcm degree exceeds M.
 """
 
 from __future__ import annotations
 
 import heapq
 from math import gcd, lcm
-from operator import add, le, sub
 
 from .errors import EmptyVariety, InternalConsistencyError, OracleResourceError
 from .poly import MultiPoly
@@ -69,85 +86,81 @@ PAIR_BUDGET = 100000
 MAX_REDUCTION_WORK = 1000000
 
 
-def _key(e):
-    """Grevlex key of an exponent tuple: tuple order on keys is the order
-    of the monomials."""
-    return (sum(e), tuple(-x for x in reversed(e)))
+def _width(degree):
+    """The smallest field width W with M = 2^(W-1) - 1 at least 8 * degree."""
+    return (8 * degree).bit_length() + 1
 
 
-def _divides(ea, eb) -> bool:
-    return all(x <= y for x, y in zip(ea, eb))
+def _packing(n, w):
+    """(pack, unpack, GUARD) of the encoding K of n exponents in fields of w bits."""
+    top, mask = (1 << w - 1) - 1, (1 << w) - 1
+
+    def pack(e):
+        k = sum(e)
+        for x in reversed(e):
+            k = (k << w) + top - x
+        return k
+
+    def unpack(k):
+        return tuple(top - (k >> w * j & mask) for j in range(n))
+
+    return pack, unpack, sum(1 << w * j + w - 1 for j in range(n))
 
 
-class _HeapEntries(dict):
-    """Max-heap entry ``((-degree, reversed exponent), exponent)`` of each
-    exponent, computed once on first use: ascending tuple order on entries
-    is descending grevlex.  One is made per engine call, and ``work``
-    counts the weighted tail terms its reductions have subtracted."""
-
-    work = 0
-
-    def __missing__(self, e):
-        entry = self[e] = ((-sum(e), e[::-1]), e)
-        return entry
-
-
-def _to_integers(f: MultiPoly, p):
-    """(d, terms): d times f has these integer coefficients; d is the
-    common denominator over QQ and 1 over GF(p).  The terms are a new
-    dict, which reduction may consume."""
+def _to_integers(f: MultiPoly, p, pack):
+    """(d, terms): d times f has these integer coefficients, with packed
+    monomials; d is the common denominator over QQ and 1 over GF(p).  The
+    terms are a new dict, which reduction may consume."""
     if p:
-        return 1, dict(f.terms)
+        return 1, {pack(e): c for e, c in f.terms.items()}
     d = lcm(*[c.denominator for c in f.terms.values()])
-    return d, {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}
+    return d, {pack(e): c.numerator * (d // c.denominator) for e, c in f.terms.items()}
 
 
-def _from_integers(ring, vars, terms, d) -> MultiPoly:
+def _from_integers(ring, vars, terms, d, unpack) -> MultiPoly:
     """The polynomial with integer ``terms`` divided by d, which is 1 over
     GF(p): every divisor there is monic, so nothing is ever scaled."""
     if ring is QQ:
-        return MultiPoly(ring, vars, {e: ring.fraction(c, d) for e, c in terms.items()})
-    return MultiPoly(ring, vars, terms)
+        return MultiPoly(ring, vars, {unpack(k): ring.fraction(c, d) for k, c in terms.items()})
+    return MultiPoly(ring, vars, {unpack(k): c for k, c in terms.items()})
 
 
 def _divisor(terms: dict, p):
-    """(leading exponent, leading coefficient, tail) of the nonzero integer
+    """(leading monomial, leading coefficient, tail) of the nonzero integer
     terms, made primitive with a positive leading coefficient over QQ and
     monic over GF(p): what a reduction step by them needs, with the tail as
-    (exponent, coefficient) pairs."""
-    e = max(terms, key=_key)
+    (offset from the leading monomial, coefficient) pairs."""
+    e = max(terms)
     a = terms[e]
     if p:
         inv = pow(a, -1, p)
-        return e, 1, [(x, v * inv % p) for x, v in terms.items() if x != e]
+        return e, 1, [(x - e, v * inv % p) for x, v in terms.items() if x != e]
     g = gcd(*terms.values())
     if a < 0:
         g = -g
-    return e, a // g, [(x, v // g) for x, v in terms.items() if x != e]
+    return e, a // g, [(x - e, v // g) for x, v in terms.items() if x != e]
 
 
-def _reduce(work: dict, divisors, p, entries):
+def _reduce(work: dict, divisors, p, guard, spent):
     """Full reduction of the integer terms ``work`` by ``divisors``, in
-    place.  Returns (remainder, s): the remainder is s times the one
+    place.  Returns (remainder, s, spent): the remainder is s times the one
     rational division gives, in decreasing order; s is 1 over GF(p).
 
-    The largest remaining monomial comes off a heap of ``entries``; an
-    exponent that has left ``work`` since it was pushed is skipped, and so
-    is a zero residue.  The first divisor, in list order, whose leading
-    exponent divides it is subtracted; if none does, the term moves to the
+    The largest remaining monomial comes off a heap of negated monomials;
+    one that has left ``work`` since it was pushed is skipped, and so is a
+    zero residue.  The first divisor, in list order, whose leading monomial
+    divides it is subtracted; if none does, the term moves to the
     remainder.  Each subtraction adds the divisor's tail length to
-    ``entries.work``, times 1 + b // 256 for the b bits of the term's
-    coefficient and the divisor's leading one together (1 over GF(p)), as
-    the parser weights its products; the count may not exceed
-    ``MAX_REDUCTION_WORK``.
+    ``spent``, times 1 + b // 256 for the b bits of the term's coefficient
+    and the divisor's leading one together (1 over GF(p)), as the parser
+    weights its products; the count may not exceed ``MAX_REDUCTION_WORK``.
     """
-    heap = [entries[e] for e in work]
+    heap = [-e for e in work]
     heapq.heapify(heap)
     rem = {}
     scale = 1
-    spent = entries.work
     while heap:
-        e = heapq.heappop(heap)[1]
+        e = -heapq.heappop(heap)
         c = work.pop(e, None)
         if c is None:
             continue
@@ -156,7 +169,7 @@ def _reduce(work: dict, divisors, p, entries):
             if not c:
                 continue
         for ge, a, tail in divisors:
-            if all(map(le, ge, e)):
+            if not (ge - e) & guard:
                 spent += len(tail) * (1 + (abs(c).bit_length() + a.bit_length()) // 256)
                 if spent > MAX_REDUCTION_WORK:
                     raise OracleResourceError(
@@ -173,13 +186,12 @@ def _reduce(work: dict, divisors, p, entries):
                         for m in rem:
                             rem[m] *= s
                     c //= g
-                shift = tuple(map(sub, e, ge))
-                for te, tc in tail:
-                    m = tuple(map(add, te, shift))
+                for t, tc in tail:
+                    m = e + t
                     v = work.get(m)
                     if v is None:
                         work[m] = -c * tc
-                        heapq.heappush(heap, entries[m])
+                        heapq.heappush(heap, -m)
                     else:
                         v -= c * tc
                         if v:
@@ -189,8 +201,7 @@ def _reduce(work: dict, divisors, p, entries):
                 break
         else:
             rem[e] = c
-    entries.work = spent
-    return rem, scale
+    return rem, scale, spent
 
 
 def normal_form(f: MultiPoly, basis) -> MultiPoly:
@@ -201,25 +212,25 @@ def normal_form(f: MultiPoly, basis) -> MultiPoly:
     for g in basis:
         f._compat(g)
     p = f.ring.modulus
-    d, work = _to_integers(f, p)
-    divisors = [_divisor(_to_integers(g, p)[1], p) for g in basis]
-    rem, scale = _reduce(work, divisors, p, _HeapEntries())
-    return _from_integers(f.ring, f.vars, rem, d * scale)
+    degree = max(g.total_degree() for g in [f, *basis])
+    pack, unpack, guard = _packing(len(f.vars), _width(degree))
+    d, work = _to_integers(f, p, pack)
+    divisors = [_divisor(_to_integers(g, p, pack)[1], p) for g in basis]
+    rem, scale, _ = _reduce(work, divisors, p, guard, 0)
+    return _from_integers(f.ring, f.vars, rem, d * scale, unpack)
 
 
-def _s_polynomial(di, dj) -> dict:
+def _s_polynomial(top, di, dj) -> dict:
     """Integer terms of a nonzero multiple of the S-polynomial of two
-    divisors: the leading terms cancel, so it is (a_j/g) times the first
-    tail minus (a_i/g) times the second, each shifted up to the lcm of the
-    leading exponents."""
-    (ei, ai, ti), (ej, aj, tj) = di, dj
-    top = tuple(map(max, ei, ej))
-    si, sj = tuple(map(sub, top, ei)), tuple(map(sub, top, ej))
+    divisors whose leading monomials have the lcm ``top``: the leading
+    terms cancel, so it is (a_j/g) times the first tail minus (a_i/g) times
+    the second, each shifted up to ``top``."""
+    (_, ai, ti), (_, aj, tj) = di, dj
     g = gcd(ai, aj)
     bi, bj = aj // g, ai // g
-    work = {tuple(map(add, x, si)): bi * v for x, v in ti}
+    work = {top + x: bi * v for x, v in ti}
     for x, v in tj:
-        m = tuple(map(add, x, sj))
+        m = top + x
         w = work.get(m)
         if w is None:
             work[m] = -bj * v
@@ -248,8 +259,9 @@ def _guard(polys):
 
 def groebner_basis(gens):
     """Reduced, monic grevlex basis for the ideal of ``gens``, sorted by
-    decreasing leading term.  Raises ValueError unless every generator has
-    the first one's field and variables."""
+    decreasing leading term, each element's terms in decreasing order.
+    Raises ValueError unless every generator has the first one's field and
+    variables."""
     for f in gens[1:]:
         gens[0]._compat(f)
     inputs = [f for f in gens if not f.is_zero()]
@@ -260,30 +272,40 @@ def groebner_basis(gens):
         raise ValueError("basis computation needs field coefficients")
     _guard(inputs)
     p = ring.modulus
-    ints = [_to_integers(f, p)[1] for f in inputs]
+    w = _width(max(f.total_degree() for f in inputs))
+    capacity = (1 << w - 1) - 1
+    pack, unpack, guard = _packing(len(inputs[0].vars), w)
+    ints = [_to_integers(f, p, pack)[1] for f in inputs]
 
     # divisors[k] is the divisor data of the k-th basis element, built once
-    # when it joins; a pair on the heap is (_key(lcm), i, j, lcm), taken in
-    # the order of (_key(lcm), i, j), which never changes once it is formed
-    divisors, pairs = [], []
-    entries = _HeapEntries()
-    formed = 0
+    # when it joins, and lts[k] its leading exponent; a pair on the heap is
+    # (lcm, i, j), lcm packed, taken in that order, which never changes once
+    # it is formed
+    divisors, lts, pairs = [], [], []
+    spent = formed = 0
 
     def join(terms):
         # the Gebauer-Moeller update for the new element h = len(divisors)
         nonlocal formed
         d = _divisor(terms, p)
-        eh, h = d[0], len(divisors)
+        kh, eh, h = d[0], unpack(d[0]), len(divisors)
         formed += h
         if formed > PAIR_BUDGET:
             raise OracleResourceError(
                 "basis computation exceeded the pair budget (%d)" % PAIR_BUDGET
             )
-        lcms = [tuple(map(max, e, eh)) for e, _, _ in divisors]
+        lcms = [tuple(map(max, e, eh)) for e in lts]
+        degree = max(map(sum, lcms), default=0)
+        if degree > capacity:
+            raise OracleResourceError(
+                "basis computation supports pair degree at most %d, got %d" % (capacity, degree)
+            )
+        lcms = list(map(pack, lcms))
+        coprime = {m for e, m in zip(lts, lcms) if not any(map(min, e, eh))}
         # B_k drops a waiting pair (i, j) when lt(h) divides its lcm and
         # that lcm differs from the lcms of (i, h) and (j, h)
         kept = [q for q in pairs if not (
-            all(map(le, eh, q[3])) and lcms[q[1]] != q[3] and lcms[q[2]] != q[3]
+            not (kh - q[0]) & guard and lcms[q[1]] != q[0] and lcms[q[2]] != q[0]
         )]
         if len(kept) < len(pairs):
             pairs[:] = kept
@@ -293,17 +315,17 @@ def groebner_basis(gens):
         # drops its whole group, and so does a new lcm properly dividing its
         # lcm (M)
         last = {m: i for i, m in enumerate(lcms)}
-        coprime = {m for (e, _, _), m in zip(divisors, lcms) if not any(map(min, e, eh))}
         for m, i in last.items():
-            if m not in coprime and not any(o != m and all(map(le, o, m)) for o in last):
-                heapq.heappush(pairs, (_key(m), i, h, m))
+            if m not in coprime and not any(o != m and not (o - m) & guard for o in last):
+                heapq.heappush(pairs, (m, i, h))
         divisors.append(d)
+        lts.append(eh)
 
     for terms in ints:
         join(terms)
     while pairs:
-        _, i, j, _ = heapq.heappop(pairs)
-        r = _reduce(_s_polynomial(divisors[i], divisors[j]), divisors, p, entries)[0]
+        m, i, j = heapq.heappop(pairs)
+        r, _, spent = _reduce(_s_polynomial(m, divisors[i], divisors[j]), divisors, p, guard, spent)
         if r:
             join(r)
 
@@ -313,20 +335,21 @@ def groebner_basis(gens):
     # unique reduced basis once each element is made monic (Cox, Little and
     # O'Shea, Ideals, Varieties, and Algorithms, 2.7).
     keep = []
-    for k in sorted(range(len(divisors)), key=lambda k: _key(divisors[k][0])):
-        if not any(_divides(divisors[m][0], divisors[k][0]) for m in keep):
+    for k in sorted(range(len(divisors)), key=lambda k: divisors[k][0]):
+        if all((divisors[m][0] - divisors[k][0]) & guard for m in keep):
             keep.append(k)
     minimal = [divisors[k] for k in reversed(keep)]
     vars = inputs[0].vars
     basis, reduced = [], []
-    for n, (e, a, tail) in enumerate(minimal):
-        work = dict(tail)
+    for k, (e, a, tail) in enumerate(minimal):
+        work = {e + t: v for t, v in tail}
         work[e] = a
-        rem = _reduce(work, minimal[:n] + minimal[n + 1 :], p, entries)[0]
-        basis.append(_from_integers(ring, vars, rem, rem[e]))
+        rem, _, spent = _reduce(work, minimal[:k] + minimal[k + 1 :], p, guard, spent)
+        basis.append(_from_integers(ring, vars, rem, rem[e], unpack))
         reduced.append(_divisor(rem, p))
     for terms in ints:
-        if _reduce(dict(terms), reduced, p, entries)[0]:
+        rem, _, spent = _reduce(dict(terms), reduced, p, guard, spent)
+        if rem:
             raise InternalConsistencyError(
                 "computed basis fails to reduce an input generator to zero"
             )
@@ -349,7 +372,7 @@ def ideal_dimension(gens) -> int:
     n = len(basis[0].vars)
     supports = []
     for g in basis:
-        e = max(g.terms, key=_key)
+        e = next(iter(g.terms))
         if sum(e) == 0:
             raise EmptyVariety("the relations generate the unit ideal; the variety is empty")
         supports.append(frozenset(i for i, x in enumerate(e) if x > 0))

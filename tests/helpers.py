@@ -11,6 +11,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from operator import add, le, sub
 
 from regulus import (
     FieldMatrix,
@@ -22,15 +23,6 @@ from regulus import (
     ZZ,
     groebner_basis,
     parse_poly,
-)
-from regulus.groebner import (
-    _HeapEntries,
-    _divides,
-    _divisor,
-    _from_integers,
-    _reduce,
-    _s_polynomial,
-    _to_integers,
 )
 from regulus.oracle import _canonical_monomials
 from regulus.errors import JobFileError, PolySyntaxError
@@ -569,6 +561,131 @@ def reference_normal_form(f, divisors):
             shift = tuple(a - b for a, b in zip(exps, ge))
             work = work - g.shift(shift).scale(coeff * ring.inv(gc))
     return MultiPoly(ring, f.vars, rem)
+
+
+# The engine's reduction kernels as they were on exponent tuples, before
+# regulus.groebner packed each monomial into one int.  The reference loop
+# below runs on these, so it shares no code with the engine.  Unlike the
+# engine it has no reduction work limit.
+
+
+def _divides(ea, eb) -> bool:
+    return all(x <= y for x, y in zip(ea, eb))
+
+
+class _HeapEntries(dict):
+    """Max-heap entry ``((-degree, reversed exponent), exponent)`` of each
+    exponent, computed once on first use: ascending tuple order on entries
+    is descending grevlex."""
+
+    def __missing__(self, e):
+        entry = self[e] = ((-sum(e), e[::-1]), e)
+        return entry
+
+
+def _to_integers(f, p):
+    """(d, terms): d times f has these integer coefficients; d is the
+    common denominator over QQ and 1 over GF(p).  The terms are a new
+    dict, which reduction may consume."""
+    if p:
+        return 1, dict(f.terms)
+    d = math.lcm(*[c.denominator for c in f.terms.values()])
+    return d, {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}
+
+
+def _from_integers(ring, vars, terms, d):
+    """The polynomial with integer ``terms`` divided by d, which is 1 over
+    GF(p): every divisor there is monic, so nothing is ever scaled."""
+    if ring is QQ:
+        return MultiPoly(ring, vars, {e: ring.fraction(c, d) for e, c in terms.items()})
+    return MultiPoly(ring, vars, terms)
+
+
+def _divisor(terms, p):
+    """(leading exponent, leading coefficient, tail) of the nonzero integer
+    terms, made primitive with a positive leading coefficient over QQ and
+    monic over GF(p), with the tail as (exponent, coefficient) pairs."""
+    e = max(terms, key=grevlex_key)
+    a = terms[e]
+    if p:
+        inv = pow(a, -1, p)
+        return e, 1, [(x, v * inv % p) for x, v in terms.items() if x != e]
+    g = math.gcd(*terms.values())
+    if a < 0:
+        g = -g
+    return e, a // g, [(x, v // g) for x, v in terms.items() if x != e]
+
+
+def _reduce(work, divisors, p, entries):
+    """Full reduction of the integer terms ``work`` by ``divisors``, in
+    place, fraction-free over QQ.  Returns (remainder, s): the remainder is
+    s times the one rational division gives; s is 1 over GF(p)."""
+    heap = [entries[e] for e in work]
+    heapq.heapify(heap)
+    rem = {}
+    scale = 1
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        if p:
+            c %= p
+            if not c:
+                continue
+        for ge, a, tail in divisors:
+            if all(map(le, ge, e)):
+                if a != 1:
+                    g = math.gcd(a, c)
+                    if g != a:
+                        s = a // g
+                        scale *= s
+                        for m in work:
+                            work[m] *= s
+                        for m in rem:
+                            rem[m] *= s
+                    c //= g
+                shift = tuple(map(sub, e, ge))
+                for te, tc in tail:
+                    m = tuple(map(add, te, shift))
+                    v = work.get(m)
+                    if v is None:
+                        work[m] = -c * tc
+                        heapq.heappush(heap, entries[m])
+                    else:
+                        v -= c * tc
+                        if v:
+                            work[m] = v
+                        else:
+                            del work[m]
+                break
+        else:
+            rem[e] = c
+    return rem, scale
+
+
+def _s_polynomial(di, dj):
+    """Integer terms of a nonzero multiple of the S-polynomial of two
+    divisors: (a_j/g) times the first tail minus (a_i/g) times the second,
+    each shifted up to the lcm of the leading exponents."""
+    (ei, ai, ti), (ej, aj, tj) = di, dj
+    top = tuple(map(max, ei, ej))
+    si, sj = tuple(map(sub, top, ei)), tuple(map(sub, top, ej))
+    g = math.gcd(ai, aj)
+    bi, bj = aj // g, ai // g
+    work = {tuple(map(add, x, si)): bi * v for x, v in ti}
+    for x, v in tj:
+        m = tuple(map(add, x, sj))
+        w = work.get(m)
+        if w is None:
+            work[m] = -bj * v
+        else:
+            w -= bj * v
+            if w:
+                work[m] = w
+            else:
+                del work[m]
+    return work
 
 
 def reference_groebner_basis(gens):

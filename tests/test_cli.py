@@ -1017,7 +1017,7 @@ def test_readme_zz_examples_agree_with_the_oracle(tmp_path, relation, report):
 
 
 # three dense QQ relations at the origin with no dim: the default dimension's
-# basis computation would subtract about 15.8 million tail terms
+# basis computation would subtract about 34 million weighted tail terms
 REDUCTION_WORK_JOB = """\
 [ring]
 vars = x, y, z, w
@@ -1031,8 +1031,8 @@ kind = check
 
 
 def test_exit_code_3_for_groebner_reduction_work_above_the_limit(tmp_path):
-    # unbounded, this job runs about 25 s; it stops at the million-term
-    # limit in about 2 s
+    # unbounded, this job runs about 8.5 s; it stops at the million-term
+    # limit in about 0.5 s
     start = time.perf_counter()
     result = run_cli([write_job(tmp_path, REDUCTION_WORK_JOB)], timeout=60)
     assert time.perf_counter() - start < 10
@@ -1049,7 +1049,7 @@ def test_exit_code_3_for_groebner_reduction_work_above_the_limit(tmp_path):
 def test_exit_code_3_for_groebner_reduction_work_with_large_coefficients(tmp_path):
     # the same relations with 51-digit coefficients: counted by terms alone
     # they ran about 30 s before the limit stopped them; weighted by the
-    # coefficients' size they stop in under a second
+    # coefficients' size they stop in about 0.4 s
     rng = random.Random(51)
     text = re.sub(
         r"(?<![\^\d])(\d+)\*",

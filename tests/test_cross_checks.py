@@ -95,7 +95,7 @@ def test_groebner_basis_re_verifies_its_inputs(monkeypatch):
     gens = [parse("x^2", vars), parse("x^2 + y", vars)]
     assert len(groebner_basis(gens)) == 2
     # every S-polynomial reduces to zero, so no pair adds an element
-    monkeypatch.setattr(groebner, "_s_polynomial", lambda di, dj: {})
+    monkeypatch.setattr(groebner, "_s_polynomial", lambda top, di, dj: {})
     with pytest.raises(InternalConsistencyError, match="fails to reduce an input"):
         groebner_basis(gens)
 

@@ -1,5 +1,5 @@
-import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -61,33 +61,51 @@ def _grevlex_compare(a, b):
 
 
 def test_order_keys():
-    key = groebner._key
+    pack = groebner._packing(2, groebner._width(2))[0]
     # y^2 > x in grevlex (vars ordered as given)
-    assert key((0, 2)) > key((1, 0))
+    assert pack((0, 2)) > pack((1, 0))
     # same total degree: x*y > y^2, and x^2*y > x*y^2
-    assert key((1, 1)) > key((0, 2))
-    assert key((2, 1)) > key((1, 2))
+    assert pack((1, 1)) > pack((0, 2))
+    assert pack((2, 1)) > pack((1, 2))
 
 
-def test_engine_order_is_grevlex():
-    # the engine's key and its heap entries against the definition, on
-    # random exponent tuples of length 1 to 4
+def test_packed_monomials_keep_order_shift_and_divisibility(monkeypatch):
+    # random exponent tuples of length 1 to 4, up to the largest exponent M
+    # the field width admits: int order on the packed monomials is grevlex,
+    # the guard-bit test is divisibility, and a shift is one addition
     rng = random.Random(379)
     for _ in range(300):
-        n = rng.randrange(1, 5)
-        exps = list({tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randrange(1, 12))})
-        rng.shuffle(exps)
-        ascending = sorted(exps, key=functools.cmp_to_key(_grevlex_compare))
-        assert sorted(exps, key=groebner._key) == ascending
-        entries = groebner._HeapEntries()
-        assert [entries[e][1] for e in sorted(exps, key=entries.__getitem__)] == ascending[::-1]
+        n, w = rng.randrange(1, 5), groebner._width(rng.randrange(7))
+        pack, unpack, guard = groebner._packing(n, w)
+        top = (1 << w - 1) - 1
+        exps = [tuple(rng.choice((0, top, rng.randrange(top + 1))) for _ in range(n))
+                for _ in range(rng.randrange(1, 12))]
+        for a in exps:
+            assert unpack(pack(a)) == a
+            for b in exps:
+                assert (pack(a) > pack(b)) - (pack(a) < pack(b)) == _grevlex_compare(a, b)
+                assert (not (pack(a) - pack(b)) & guard) == all(map(operator.le, a, b))
+            s = tuple(rng.randrange(top - x + 1) for x in a)
+            t = tuple(rng.randrange(top - x + 1) for x in s)
+            shifted = tuple(map(operator.add, a, s))
+            assert pack(t) + pack(shifted) - pack(a) == pack(tuple(map(operator.add, t, s)))
+    # a normal form never refuses: the width grows with its input degrees
+    x = ("x",)
+    assert normal_form(parse("x^200 - 1", x), [parse("x - 1", x)]).is_zero()
+    # with M = 3, pair lcms of degree 3 fit and one of degree 4 is refused
+    monkeypatch.setattr(groebner, "_width", lambda degree: 3)
+    assert groebner_basis([parse("x^3 - 1", x), parse("x^2 - 1", x)]) == [parse("x - 1", x)]
+    vars = ("x", "y")
+    with pytest.raises(OracleResourceError, match=r"^basis computation supports pair degree at most 3, got 4$"):
+        groebner_basis([parse("x^2 + y", vars), parse("y^2 + x", vars)])
 
 
 def test_leading_term():
     # the divisor data of x^2*y + x*y^2 + y leads with x^2*y in grevlex
     f = parse("x^2*y + x*y^2 + y", ("x", "y"))
-    exp, coeff, _ = groebner._divisor(groebner._to_integers(f, None)[1], None)
-    assert (exp, coeff) == ((2, 1), 1)
+    pack, unpack, _ = groebner._packing(2, groebner._width(3))
+    exp, coeff, _ = groebner._divisor(groebner._to_integers(f, None, pack)[1], None)
+    assert (unpack(exp), coeff) == ((2, 1), 1)
     assert grevlex_leading_term(groebner_basis([f])[0])[0] == (2, 1)
 
 
@@ -286,16 +304,16 @@ def test_inputs_must_agree(first, second, message):
 
 
 def test_reduction_work_is_bounded_per_call(monkeypatch):
-    # the third PAIR_COUNTS ideal subtracts 172 tail terms in one basis
-    # computation, and the normal form of a member 3; the count starts
-    # again at every call
-    ring, vars, texts, _, size = PAIR_COUNTS[2]
-    gens = [parse(s, vars, ring) for s in texts]
-    monkeypatch.setattr(groebner, "MAX_REDUCTION_WORK", 172)
-    assert len(groebner_basis(gens)) == len(groebner_basis(gens)) == size
-    monkeypatch.setattr(groebner, "MAX_REDUCTION_WORK", 171)
-    with pytest.raises(OracleResourceError, match=r"reduction work limit \(171 terms subtracted\)"):
-        groebner_basis(gens)
+    # each PAIR_COUNTS ideal subtracts exactly `work` weighted tail terms in
+    # one basis computation, and the normal form of a member 3; the count
+    # starts again at every call
+    for ring, vars, texts, _, size, work in PAIR_COUNTS:
+        gens = [parse(s, vars, ring) for s in texts]
+        monkeypatch.setattr(groebner, "MAX_REDUCTION_WORK", work)
+        assert len(groebner_basis(gens)) == len(groebner_basis(gens)) == size
+        monkeypatch.setattr(groebner, "MAX_REDUCTION_WORK", work - 1)
+        with pytest.raises(OracleResourceError, match=r"reduction work limit \(%d terms subtracted\)" % (work - 1)):
+            groebner_basis(gens)
     vars = ("x", "y")
     basis = [parse("x^2 + y", vars), parse("x*y - 1", vars), parse("y^2 + x", vars)]
     member = parse("x^3 - 2*x^2 + x*y^2 + x*y - 3*y", vars)
@@ -306,18 +324,19 @@ def test_reduction_work_is_bounded_per_call(monkeypatch):
         normal_form(member, basis)
 
 
-# each ideal forms exactly `pairs` pairs, dropped ones included: the
-# smallest PAIR_BUDGET with which its basis computation succeeds
+# each ideal forms exactly `pairs` pairs, dropped ones included, and
+# subtracts `work` weighted tail terms: the smallest PAIR_BUDGET and
+# MAX_REDUCTION_WORK with which its basis computation succeeds
 PAIR_COUNTS = [
-    (QQ, ("x", "y", "z"), ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1"), 10, 3),
-    (PrimeField(7), ("x", "y", "z"), ("x^2 + y*z - 1", "y^2 - x*z + 2", "z^2 + x*y + 3"), 21, 3),
-    (QQ, ("x", "y", "z"), ("x^2 + y^2 + z^2 - 1", "x*y - z", "x - y^2 + z"), 15, 6),
-    (QQ, ("x", "y"), ("x^2*y - y^3 + 1", "x*y^2 - x - 2"), 6, 4),
+    (QQ, ("x", "y", "z"), ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1"), 10, 3, 17),
+    (PrimeField(7), ("x", "y", "z"), ("x^2 + y*z - 1", "y^2 - x*z + 2", "z^2 + x*y + 3"), 21, 3, 20),
+    (QQ, ("x", "y", "z"), ("x^2 + y^2 + z^2 - 1", "x*y - z", "x - y^2 + z"), 15, 6, 172),
+    (QQ, ("x", "y"), ("x^2*y - y^3 + 1", "x*y^2 - x - 2"), 6, 4, 12),
 ]
 
 
 def test_pair_budget_counts_every_pair_taken(monkeypatch):
-    for ring, vars, texts, pairs, size in PAIR_COUNTS:
+    for ring, vars, texts, pairs, size, _ in PAIR_COUNTS:
         gens = [parse(s, vars, ring) for s in texts]
         monkeypatch.setattr("regulus.groebner.PAIR_BUDGET", pairs)
         assert len(groebner_basis(gens)) == size
@@ -332,13 +351,13 @@ def test_criteria_skip_pairs(monkeypatch):
     reduced = [0]
     s_polynomial = groebner._s_polynomial
 
-    def counted(di, dj):
+    def counted(top, di, dj):
         reduced[0] += 1
-        return s_polynomial(di, dj)
+        return s_polynomial(top, di, dj)
 
     monkeypatch.setattr(groebner, "_s_polynomial", counted)
     counts = []
-    for ring, vars, texts, pairs, _ in PAIR_COUNTS:
+    for ring, vars, texts, pairs, _, _ in PAIR_COUNTS:
         reduced[0] = 0
         groebner_basis([parse(s, vars, ring) for s in texts])
         assert reduced[0] < pairs
