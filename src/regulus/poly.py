@@ -246,9 +246,12 @@ def partial_derivative(f: MultiPoly, index: int) -> MultiPoly:
 #
 # The optional leading '-' and the rational literal (QQ only) are permissive
 # extensions so canonical output always reparses; plain integer/identifier
-# input is unchanged.  A term's leading run of atoms (literals and
-# identifiers, each with an optional power) is gathered as one monomial;
-# from its first parenthesis on, it is multiplied out factor by factor.
+# input is unchanged.  ``_Parser.expr`` reads a sum in one loop over the
+# tokens, with no method call per token or per atom.  A term's leading run
+# of atoms (literals and identifiers, each with an optional power) is read
+# straight into one exponent list and coefficient and added to the sum's
+# one dict of terms; from its first parenthesis on, the term is multiplied
+# out factor by factor, and a parenthesis is the one place it recurses.
 
 _INT, _IDENT, _OP, _END = "int", "ident", "op", "end"
 
@@ -335,6 +338,9 @@ def _coefficient_bound(f):
 
 
 class _Parser:
+    """One expression's tokens.  ``expr`` reads a sum from ``self.pos`` on
+    and leaves ``self.pos`` at the first token after it."""
+
     def __init__(self, text, vars, ring):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -345,154 +351,142 @@ class _Parser:
         self.numeric = ring is ZZ or ring is QQ
         self.work = _parse_work.get([0])
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expr(self):
-        """A sum, added term by term into one dict; a monomial leaves it as
-        soon as its coefficient cancels."""
-        negate = False
-        kind, text, _ = self.peek()
-        if kind == _OP and text == "-":
-            self.take()
-            negate = True
-        result = self.term()
-        terms = {e: -c for e, c in result.terms.items()} if negate else dict(result.terms)
-        is_zero = self.ring.is_zero
-        kind, text, _ = self.peek()
-        while kind == _OP and text in "+-":
-            _, _, pos = self.take()
-            rhs = self.term()
-            for e, c in rhs.terms.items():
+        """A sum, read in one loop over its tokens and added term by term
+        into one dict; a monomial leaves it as soon as its coefficient
+        cancels.  A term's leading run of atoms is one exponent list and
+        coefficient, each '*' checked as ``check_size`` checks the product
+        of two monomials.  From its first parenthesized factor on, the term
+        is a polynomial, and each later factor is multiplied in by
+        ``multiply`` once ``check_size`` has passed the product."""
+        tokens, vars, ring, numeric = self.tokens, self.vars, self.ring, self.numeric
+        one, m, is_zero, check_bounds = self.one, ring.modulus, ring.is_zero, self.check_bounds
+        i, terms, sign, pos = self.pos, {}, "+", None
+        if tokens[i][1] == "-":
+            i, sign = i + 1, "-"
+        while True:
+            exps, coeff, degree, digits = [0] * len(vars), one, 0, 0.0
+            product = star = None  # star: the offset of the '*' before a factor
+            while True:
+                kind, text, at = tokens[i]
+                i += 1
+                poly = None
+                if text == "(":
+                    if self.depth == MAX_NESTING:
+                        raise PolySyntaxError(
+                            "parentheses nested deeper than %d" % MAX_NESTING, at
+                        )
+                    self.pos, self.depth = i, self.depth + 1
+                    poly = self.expr()
+                    self.depth -= 1
+                    _, text, at = tokens[self.pos]
+                    i = self.pos + 1
+                    if text != ")":
+                        raise PolySyntaxError("expected ')'", at)
+                elif kind == _IDENT:
+                    if text not in vars:
+                        raise PolySyntaxError("unknown variable %r" % text, at)
+                    index, value = vars.index(text), one
+                elif kind == _INT:
+                    index = None
+                    if tokens[i][1] == "/":
+                        (_, _, slash), (kind, den, at) = tokens[i : i + 2]
+                        i += 2
+                        if kind != _INT:
+                            raise PolySyntaxError("expected an integer denominator", at)
+                        if ring is not QQ:
+                            raise PolySyntaxError("rational literal needs base QQ", slash)
+                        if int(den) == 0:
+                            raise PolySyntaxError("zero denominator", at)
+                        value = ring.fraction(int(text), int(den))
+                    else:
+                        value = ring.from_int(int(text))
+                else:
+                    raise PolySyntaxError(
+                        "expected a number, variable, or parenthesized expression", at
+                    )
+                n = 1
+                if tokens[i][1] == "^":
+                    kind, text, at = tokens[i + 1]
+                    i += 2
+                    if kind != _INT:
+                        raise PolySyntaxError("expected a nonnegative integer exponent", at)
+                    n = int(text)
+                    if n > MAX_DEGREE:
+                        raise PolySyntaxError(
+                            "exponent %d is above the limit of %d" % (n, MAX_DEGREE), at
+                        )
+                    if poly is not None:
+                        self.check_size(((poly, n),), at)
+                        poly = _power(poly, n, self.multiply)
+                    elif index is None:
+                        if numeric:
+                            check_bounds(0, n * log10(_bound(value)), at)
+                        value = pow(value, n, m) if m else value**n
+                if poly is None and product is None:  # the run of atoms goes on
+                    if index is not None:
+                        if star is not None:
+                            check_bounds(degree + n, digits, star)
+                        if coeff:  # the zero polynomial keeps degree 0
+                            exps[index] += n
+                            degree += n
+                    else:
+                        if star is not None:
+                            bound = log10(_bound(value)) if numeric else 0.0
+                            check_bounds(degree, digits + bound, star)
+                        if coeff is one:
+                            coeff = value
+                        else:
+                            coeff = coeff * value % m if m else coeff * value
+                        digits = log10(_bound(coeff)) if numeric else 0.0
+                        degree = degree if coeff else 0
+                else:
+                    if poly is None:
+                        mono = tuple(n if k == index else 0 for k in range(len(vars)))
+                        poly = MultiPoly(ring, vars, {mono: value})
+                    if star is None:
+                        product = poly
+                    else:
+                        if product is None:
+                            product = MultiPoly(ring, vars, {tuple(exps): coeff})
+                        self.check_size(((product, 1), (poly, 1)), star)
+                        product = self.multiply(product, poly)
+                _, text, at = tokens[i]
+                if text != "*":
+                    break
+                i, star = i + 1, at
+            if product is None:
+                items = ((tuple(exps), coeff),) if coeff else ()
+            else:
+                items = product.terms.items()
+            for e, c in items:
                 cur = terms.get(e)
                 if cur is None:
-                    terms[e] = c if text == "+" else -c
+                    terms[e] = c if sign == "+" else -c
                     continue
-                cur = cur + c if text == "+" else cur - c
+                cur = cur + c if sign == "+" else cur - c
                 if is_zero(cur):
                     del terms[e]
                 else:
                     terms[e] = cur
-            if len(terms) > MAX_TERMS:
-                raise PolySyntaxError(
-                    "%d terms are above the limit of %d" % (len(terms), MAX_TERMS), pos
-                )
-            if self.numeric:
-                for e in rhs.terms:
-                    c = terms.get(e)
-                    if c is not None and _bound(c) >= _DIGITS_BOUND:
-                        raise PolySyntaxError(
-                            "a coefficient is above the limit of %d digits" % MAX_DIGITS, pos
-                        )
-            kind, text, _ = self.peek()
-        return MultiPoly(self.ring, self.vars, terms)
-
-    def term(self):
-        result = self.run() if self.peek()[1] != "(" else self.factor()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == _OP and text == "*":
-                self.take()
-                rhs = self.factor()
-                self.check_size(((result, 1), (rhs, 1)), pos)
-                result = self.multiply(result, rhs)
-            else:
-                return result
-
-    def run(self):
-        """A run of atoms such as ``3*x*y^2*z``, up to a parenthesized
-        factor, as one exponent list and coefficient.  Each '*' is checked
-        as ``check_size`` checks the product of the two monomials."""
-        one, m = self.one, self.ring.modulus
-        exps, coeff, degree, digits, pos = [0] * len(self.vars), one, 0, 0.0, None
-        while True:
-            index, value, n = self.atom()
             if pos is not None:
-                bound = log10(_bound(value)) if self.numeric and index is None else 0.0
-                self.check_bounds(degree + n, digits + bound, pos)
-            if index is None:
-                coeff = value if coeff is one else coeff * value % m if m else coeff * value
-                digits = log10(_bound(coeff)) if self.numeric else 0.0
-                degree = degree if coeff else 0
-            elif coeff:  # the zero polynomial keeps degree 0
-                exps[index] += n
-                degree += n
-            kind, text, pos = self.peek()
-            if not (kind == _OP and text == "*") or self.tokens[self.pos + 1][1] == "(":
-                return MultiPoly(self.ring, self.vars, {tuple(exps): coeff})
-            self.take()
-
-    def factor(self):
-        if self.peek()[1] != "(":
-            index, value, n = self.atom()
-            exps = tuple(n if i == index else 0 for i in range(len(self.vars)))
-            return MultiPoly(self.ring, self.vars, {exps: value})
-        _, _, pos = self.take()
-        if self.depth == MAX_NESTING:
-            raise PolySyntaxError("parentheses nested deeper than %d" % MAX_NESTING, pos)
-        self.depth += 1
-        base = self.expr()
-        self.depth -= 1
-        kind, text, pos = self.take()
-        if not (kind == _OP and text == ")"):
-            raise PolySyntaxError("expected ')'", pos)
-        exponent, pos = self.exponent()
-        if pos is None:
-            return base
-        self.check_size(((base, exponent),), pos)
-        return _power(base, exponent, self.multiply)
-
-    def atom(self):
-        """A literal or a variable with an optional power, as (variable
-        index or None, coefficient, degree)."""
-        kind, text, pos = self.take()
-        if kind == _IDENT:
-            if text not in self.vars:
-                raise PolySyntaxError("unknown variable %r" % text, pos)
-            return self.vars.index(text), self.one, self.exponent()[0]
-        if kind != _INT:
-            raise PolySyntaxError("expected a number, variable, or parenthesized expression", pos)
-        nk, ntext, npos = self.peek()
-        if nk == _OP and ntext == "/":
-            self.take()
-            dk, dtext, dpos = self.take()
-            if dk != _INT:
-                raise PolySyntaxError("expected an integer denominator", dpos)
-            if self.ring is not QQ:
-                raise PolySyntaxError("rational literal needs base QQ", npos)
-            if int(dtext) == 0:
-                raise PolySyntaxError("zero denominator", dpos)
-            value = self.ring.fraction(int(text), int(dtext))
-        else:
-            value = self.ring.from_int(int(text))
-        exponent, pos = self.exponent()
-        if pos is not None:
-            if self.numeric:
-                self.check_bounds(0, exponent * log10(_bound(value)), pos)
-            m = self.ring.modulus
-            value = pow(value, exponent, m) if m else value**exponent
-        return None, value, 0
-
-    def exponent(self):
-        """The n of an optional '^n' and its offset; 1 and None without one."""
-        kind, text, _ = self.peek()
-        if not (kind == _OP and text == "^"):
-            return 1, None
-        self.take()
-        kind, text, pos = self.take()
-        if kind != _INT:
-            raise PolySyntaxError("expected a nonnegative integer exponent", pos)
-        exponent = int(text)
-        if exponent > MAX_DEGREE:
-            raise PolySyntaxError(
-                "exponent %d is above the limit of %d" % (exponent, MAX_DEGREE), pos
-            )
-        return exponent, pos
+                if len(terms) > MAX_TERMS:
+                    raise PolySyntaxError(
+                        "%d terms are above the limit of %d" % (len(terms), MAX_TERMS), pos
+                    )
+                if numeric:
+                    for e, _ in items:
+                        c = terms.get(e)
+                        if c is not None and _bound(c) >= _DIGITS_BOUND:
+                            raise PolySyntaxError(
+                                "a coefficient is above the limit of %d digits" % MAX_DIGITS,
+                                pos,
+                            )
+            _, sign, pos = tokens[i]
+            if sign != "+" and sign != "-":
+                self.pos = i
+                return MultiPoly(ring, vars, terms)
+            i += 1
 
     def multiply(self, f, g):
         """f*g, once its work is counted against MAX_PARSE_WORK."""
@@ -551,7 +545,7 @@ def parse_poly(text: str, vars, ring) -> MultiPoly:
     """Parse an expression into a polynomial over ``ring`` in ``vars``."""
     parser = _Parser(text, vars, ring)
     result = parser.expr()
-    kind, toktext, pos = parser.peek()
+    kind, toktext, pos = parser.tokens[parser.pos]
     if kind != _END:
         raise PolySyntaxError("unexpected %r" % toktext, pos)
     return result

@@ -27,13 +27,17 @@ from regulus import (
 from regulus.oracle import _canonical_monomials
 from regulus.errors import JobFileError, PolySyntaxError
 from regulus.poly import (
+    _DIGITS_BOUND,
     MAX_DEGREE,
+    MAX_DIGITS,
     MAX_NESTING,
+    MAX_TERMS,
     _END,
     _IDENT,
     _INT,
     _OP,
     _Parser,
+    _bound,
     grlex_key,
     lift_int,
 )
@@ -104,14 +108,62 @@ def reference_poly_str(f):
 
 
 class ReferenceParser(_Parser):
-    """The expression parser forming every product one factor at a time:
-    each factor a polynomial, each '*' a ``check_size`` and a
-    ``MultiPoly.__mul__``.  ``regulus.poly`` gathers runs of atoms instead,
-    and must give the same polynomials and the same errors."""
+    """The expression parser by recursive descent, forming every product one
+    factor at a time: each factor a polynomial, each '*' a ``check_size`` and
+    a ``MultiPoly.__mul__``, each term merged into the sum as a polynomial.
+    ``regulus.poly`` reads a sum in one loop and gathers runs of atoms
+    instead, and must give the same polynomials, term for term in the same
+    order, and the same errors.  Only the tokenizer and ``check_size`` are
+    shared."""
 
     def __init__(self, text, vars, ring):
         super().__init__(text, vars, ring)
         self.variables = {}
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expr(self):
+        negate = False
+        kind, text, _ = self.peek()
+        if kind == _OP and text == "-":
+            self.take()
+            negate = True
+        result = self.term()
+        terms = {e: -c for e, c in result.terms.items()} if negate else dict(result.terms)
+        is_zero = self.ring.is_zero
+        kind, text, _ = self.peek()
+        while kind == _OP and text in "+-":
+            _, _, pos = self.take()
+            rhs = self.term()
+            for e, c in rhs.terms.items():
+                cur = terms.get(e)
+                if cur is None:
+                    terms[e] = c if text == "+" else -c
+                    continue
+                cur = cur + c if text == "+" else cur - c
+                if is_zero(cur):
+                    del terms[e]
+                else:
+                    terms[e] = cur
+            if len(terms) > MAX_TERMS:
+                raise PolySyntaxError(
+                    "%d terms are above the limit of %d" % (len(terms), MAX_TERMS), pos
+                )
+            if self.numeric:
+                for e in rhs.terms:
+                    c = terms.get(e)
+                    if c is not None and _bound(c) >= _DIGITS_BOUND:
+                        raise PolySyntaxError(
+                            "a coefficient is above the limit of %d digits" % MAX_DIGITS, pos
+                        )
+            kind, text, _ = self.peek()
+        return MultiPoly(self.ring, self.vars, terms)
 
     def term(self):
         result = self.factor()

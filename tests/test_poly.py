@@ -19,7 +19,7 @@ from regulus import (
     partial_derivative,
     triangular_divide,
 )
-from regulus import poly
+from regulus import jobfile, poly
 from regulus.poly import (
     MAX_DEGREE,
     MAX_DIGITS,
@@ -242,12 +242,13 @@ def test_parse_digit_limit():
 
 
 def _parse_outcome(parse, text, vars, ring):
-    """The polynomial with its coefficient types, or (message, offset)."""
+    """The polynomial's terms in insertion order, with their coefficient
+    types, or (message, offset)."""
     try:
         f = parse(text, vars, ring)
     except PolySyntaxError as exc:
         return exc.message, exc.position
-    return sorted((e, type(c), c) for e, c in f.terms.items())
+    return [(e, type(c), c) for e, c in f.terms.items()]
 
 
 def _random_atom(rng, ring):
@@ -539,6 +540,45 @@ def test_parse_work_limit(monkeypatch):
         parse_job(job % "(x + 1)*(x + 2)*(x + 3), (x + 1)*(x + 2)*(x + 3)")
     # and a job that failed leaves no count behind
     P("(x + 1)*(x + 2)*(x + 3)", vars)
+
+
+PARSE_WORK_CHARGES = [
+    # flat sums multiply nothing out
+    ("QQ", "3*x^2*y - 2*x*y + 7", 0),
+    ("QQ", "-x^1999*y + 1/2*x*y - 9", 0),
+    ("GF(7)", "3*x^2*y - 2*x*y + 7", 0),
+    # a term is a polynomial from its first parenthesis on: 2*2 + 4*1
+    ("QQ", "(x + 1)*(y + 1)*x", 8),
+    # the square 2*2, then the run 2*x times 3 terms, then 3 terms times y
+    ("ZZ", "2*x*(x^3 + 1)^2*y", 10),
+    ("QQ", "(x - 1/2)^40", 705),
+    ("GF(7)", "(x - 1)^40", 235),  # binomial coefficients that vanish mod 7
+    ("QQ", "x*y*(x + y)^3 - (2*x - 1)*3*(y + 1)^2*y", 32),
+    ("ZZ", "(2^300*x + 1)*(y + 1)*2^300", 20),  # 1 + 602 // 256 per product
+    ("GF(7)", "(2^300*x + 1)*(y + 1)*2^300", 8),
+    ("QQ", "x*(x + 1)^2*3^200*(y - 1)", 25),
+    ("GF(7)", "((x + 1)^2*y + 1)^3", 59),
+]
+
+
+@pytest.mark.parametrize("base, text, work", PARSE_WORK_CHARGES)
+def test_parse_work_charges(monkeypatch, base, text, work):
+    # the job-wide count after each polynomial of a job: the relation's
+    # charge, then nothing for the two flat generators
+    counts = []
+
+    def parse_and_count(*args):
+        f = parse_poly(*args)
+        counts.append(poly._parse_work.get()[0])
+        return f
+
+    monkeypatch.setattr(jobfile, "parse_poly", parse_and_count)
+    prime = "prime = 7\n" if base == "ZZ" else ""
+    parse_job(
+        "[ring]\nvars = x, y\nbase = %s\nrelations = %s\n[point]\n%s"
+        "generators = x - 1, y - 1\n[task]\nkind = check\n" % (base, text, prime)
+    )
+    assert counts == [work] * 3
 
 
 def test_division_trips_the_digit_limit_like_the_reference():
