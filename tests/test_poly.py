@@ -554,7 +554,8 @@ PARSE_WORK_CHARGES = [
     ("QQ", "(x - 1/2)^40", 705),
     ("GF(7)", "(x - 1)^40", 235),  # binomial coefficients that vanish mod 7
     ("QQ", "x*y*(x + y)^3 - (2*x - 1)*3*(y + 1)^2*y", 32),
-    ("ZZ", "(2^300*x + 1)*(y + 1)*2^300", 20),  # 1 + 602 // 256 per product
+    # 2*2 and 4*1 units, weighed 1 + b // 256 for bounds of b = 303 and 603 bits
+    ("ZZ", "(2^300*x + 1)*(y + 1)*2^300", 20),
     ("GF(7)", "(2^300*x + 1)*(y + 1)*2^300", 8),
     ("QQ", "x*(x + 1)^2*3^200*(y - 1)", 25),
     ("GF(7)", "((x + 1)^2*y + 1)^3", 59),
