@@ -56,7 +56,7 @@ ORACLE_GLOBAL = "oracle-global-dimension"
 # The derivative identity forms r*n(n+1)/2 tower products for r relations
 # in n variables, and the generator matrix's rank, run only on towers not
 # proven a field, up to n^3.  The (r + n)*n^2 charge is kept as it was, so
-# the same jobs are refused, until ROADMAP item 3 re-derives it: a job over
+# the same jobs are refused, until ROADMAP item 4 re-derives it: a job over
 # the limit is refused before any division, and a job file before any
 # polynomial is parsed.
 MAX_RANK_WORK = 600_000

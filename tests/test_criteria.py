@@ -380,6 +380,16 @@ def test_special_fiber_rejects_fiber_point_off_variety():
         special_fiber_verdict(X, point, [off], ramified=True)
 
 
+@pytest.mark.parametrize("ring", [PrimeField(3), QQ], ids=["GF3", "QQ"])
+def test_special_fiber_rejects_a_fiber_point_not_over_gf_p(ring):
+    X, point = hyperbola_fixture()
+    vars = ("x", "y")
+    fiber_point = TriangularPoint((parse_poly("x", vars, ring), parse_poly("y", vars, ring)))
+    message = r"^fiber points must be given over GF\(2\), the residue field of the prime$"
+    with pytest.raises(InvalidPoint, match=message):
+        special_fiber_verdict(X, point, [fiber_point], ramified=True)
+
+
 @pytest.mark.parametrize(
     "ramified, dim_override, dimension_calls",
     [(True, None, 1), (False, None, 1), (True, 2, 0), (False, 2, 0)],

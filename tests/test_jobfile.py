@@ -322,6 +322,17 @@ def test_run_job_is_deterministic():
     assert run_job(job1) == run_job(job2)
 
 
+def test_unknown_task_is_an_internal_consistency_error():
+    # parse_job admits only the four tasks, so only a Job built in code
+    # reaches this branch
+    job = parse_job(CROSSCHECK_JOB)
+    job.task = "bogus"
+    assert run_job(job) == (
+        {"error": {"kind": "internal-consistency", "message": "unhandled task 'bogus'"}},
+        2,
+    )
+
+
 # ---- math rejections surface as documents ------------------------------
 
 

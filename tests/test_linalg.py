@@ -61,6 +61,12 @@ def test_solve_examples():
     assert FieldMatrix(tower, [[tower.zero(), tower.zero()]]).solve([one]) is None
 
 
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    tower = gf9()
+    with pytest.raises(ValueError, match="^right-hand side length mismatch$"):
+        FieldMatrix(tower, [[tower.one()], [tower.zero()]]).solve([tower.one()])
+
+
 def test_solve_prefers_zero_free_variables():
     tower = gf9()
     sol = FieldMatrix(tower, [[tower.one(), tower.one()]]).solve([tower.from_int(2)])

@@ -117,6 +117,14 @@ def test_oracle_rejects_relation_off_the_point():
         cotangent_dimension(point, [parse("x + 1", vars, F)])
 
 
+def test_oracle_rejects_a_relation_in_other_variables_or_ring():
+    vars = ("x", "y")
+    point = TriangularPoint((parse("x - 2", vars), parse("y - 1", vars)))
+    for f in (parse("x - 2", ("x", "z")), parse("x - 2", vars, PrimeField(5))):
+        with pytest.raises(ValueError, match="^relation and point disagree on variables or ring$"):
+            cotangent_dimension(point, [f])
+
+
 def test_oracle_variable_guard():
     vars = ("x", "y", "z", "w", "v")
     F = PrimeField(3)

@@ -106,6 +106,11 @@ def test_zero_coefficients_are_dropped():
     assert f.terms == {(0,): QQ.one()}
 
 
+def test_exponent_tuples_must_match_the_variables():
+    with pytest.raises(ValueError, match="^exponent tuple has wrong length$"):
+        MultiPoly(QQ, ("x", "y"), {(1,): QQ.one()})
+
+
 # ---- display and parsing ----------------------------------------------
 
 
@@ -348,6 +353,12 @@ def test_derivative_examples():
     assert partial_derivative(g, 1) == P("2*x*y", ("x", "y"))
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_derivative_rejects_an_index_out_of_range(index):
+    with pytest.raises(ValueError, match="^variable index %d out of range$" % index):
+        partial_derivative(P("x*y", ("x", "y")), index)
+
+
 def test_derivative_rules_random():
     rng = random.Random(31)
     for _ in range(150):
@@ -403,6 +414,15 @@ def test_point_validation_arithmetic():
         TriangularPoint((g,))
 
 
+def test_point_validation_rejects_no_generators_and_mixed_generators():
+    vars = ("x", "y")
+    with pytest.raises(InvalidPoint, match="^a point needs at least one generator$"):
+        TriangularPoint(())
+    for second in (P("y - 1", ("z", "y")), P("y - 1", vars, PrimeField(5))):
+        with pytest.raises(InvalidPoint, match="^generators disagree on variables or ring$"):
+            TriangularPoint((P("x - 1", vars), second))
+
+
 def test_divide_exactness_random():
     rng = random.Random(47)
     for _ in range(520):
@@ -431,6 +451,13 @@ def test_divide_is_deterministic():
     point = TriangularPoint((P("x^2 - 2", vars), P("y^2 - x", vars)))
     f = P("y^4 + x*y^2 + 3", vars)
     assert triangular_divide(f, point) == triangular_divide(f, point)
+
+
+def test_divide_rejects_a_point_in_other_variables_or_ring():
+    point = TriangularPoint((P("x^2 - 2", ("x", "y")), P("y - x", ("x", "y"))))
+    for f in (P("x", ("x", "z")), P("x", ("x", "y"), PrimeField(5))):
+        with pytest.raises(ValueError, match="^polynomial and point disagree on variables or ring$"):
+            triangular_divide(f, point)
 
 
 def _random_monic_generators(ring, vars, rng):
@@ -660,4 +687,8 @@ def test_reduce_and_lift():
     assert reduce_mod(f, F) == parse_poly("x^2 + 2*y", vars, F)
     g = parse_poly("2*x + 1", vars, F)
     assert reduce_mod(lift_int(g), F) == g
+    with pytest.raises(ValueError, match="^reduce_mod expects an integer polynomial$"):
+        reduce_mod(P("x", vars), F)
+    with pytest.raises(ValueError, match="^lift_int expects a prime-field polynomial$"):
+        lift_int(P("x", vars, ZZ))
     assert rationalize(P("x - 2", vars, ZZ)) == P("x - 2", vars)

@@ -1,8 +1,10 @@
 import os
 import pickle
+import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,10 @@ def test_prime_field_coerce_and_str():
     assert str(F.from_int(-1)) == "2"
     assert F.is_field
 
+    for c in ("2", 1.5, Fraction(1, 2), True):
+        with pytest.raises(TypeError, match=r"^cannot coerce %s into GF\(3\)$" % re.escape(repr(c))):
+            F.coerce(c)
+
 
 @pytest.mark.parametrize("ring", [PrimeField(7)], ids=["GF7"])
 def test_modular_coefficients_are_canonical(ring):
@@ -130,6 +136,9 @@ def test_rationals():
     assert QQ.elem_str(half) == "1/2"
     assert QQ.elem_str(QQ.from_int(-3)) == "-3"
     assert QQ.coerce(2) == QQ.from_int(2)
+    for c in ("2", 1.5, True):
+        with pytest.raises(TypeError, match="^cannot coerce %s into QQ$" % re.escape(repr(c))):
+            QQ.coerce(c)
     with pytest.raises(ZeroDivisionError):
         QQ.inv(QQ.zero())
 

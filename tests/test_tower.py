@@ -28,6 +28,7 @@ from regulus.tower import MAX_RESIDUE_DEGREE, ResidueTower, TowerElem
 
 from helpers import (
     VAR_POOL,
+    IntegersMod,
     ReferenceTower,
     enumerate_tower_elements,
     evaluate,
@@ -301,6 +302,12 @@ def test_reduce_rejects_a_prime_field_other_than_the_base():
     assert tower_reduce(parse("1/2*x^2", vars), qq) == qq.one()
 
 
+def test_reduce_rejects_an_unsupported_ring():
+    ring = IntegersMod(9)
+    with pytest.raises(ValueError, match="^unsupported coefficient ring %s$" % re.escape(repr(ring))):
+        tower_reduce(MultiPoly(ring, ("x", "y"), {(1, 0): 1}), residue_field(quartic_point()))
+
+
 def test_build_tower_reduces_tails():
     vars = ("x", "y")
     F = PrimeField(5)
@@ -329,6 +336,15 @@ def test_coerce_accepts_base_scalars():
     assert tower.coerce(QQ.fraction(3, 4)) == tower.from_int(3) * tower.coerce(QQ.fraction(1, 4))
     gf9 = residue_field(gf9_point())
     assert gf9.coerce(PrimeField(3).from_int(2)) == gf9.from_int(2)
+
+
+def test_elements_of_another_tower_are_rejected():
+    tower, gf9 = residue_field(quartic_point()), residue_field(gf9_point())
+    with pytest.raises(TypeError, match="^element belongs to a different tower$"):
+        tower.coerce(gf9.one())
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError, match="^mixed towers in arithmetic$"):
+            op(tower.one(), gf9.one())
 
 
 def test_negative_exponent_raises():
