@@ -8,9 +8,10 @@ step 3:
    divided once through the triangular system, f_i = sum_j h_ij g_j + r_i.
    The relation vanishes at x when r_i = 0 (field base) or every
    coefficient of r_i is divisible by p (over ZZ, where r_i = p*w_i).  The
-   generators' derivative matrix must be invertible at the point, so the g_i
-   cut out m_x/m_x^2 independently; it is ranked unless the tower is proven
-   a field, where it is triangular with separable derivatives on the diagonal.
+   generators' derivative matrix G must be invertible at the point, so the g_i
+   cut out m_x/m_x^2 independently.  G is lower triangular, a proven level's
+   diagonal entry is a unit (a separable derivative), and eliminating its
+   column clears only below it: the unproven levels' block alone is ranked.
 2. reduce: the h_ij reduced into the residue field form the
    derivative-with-respect-to-generators matrix J, and the w_i form the
    extra column.
@@ -54,11 +55,10 @@ USER_SUPPLIED = "user-supplied"
 ORACLE_GLOBAL = "oracle-global-dimension"
 
 # The derivative identity forms r*n(n+1)/2 tower products for r relations
-# in n variables, and the generator matrix's rank, run only on towers not
-# proven a field, up to n^3.  The (r + n)*n^2 charge is kept as it was, so
-# the same jobs are refused, until ROADMAP item 4 re-derives it: a job over
-# the limit is refused before any division, and a job file before any
-# polynomial is parsed.
+# in n variables, and the rank of the generators' unproven block up to
+# (n - proven)^3.  The (r + n)*n^2 charge is kept, so the same jobs are
+# refused, until ROADMAP item 4 re-derives it: a job over the limit is
+# refused before any division, and a job file before any polynomial is parsed.
 MAX_RANK_WORK = 600_000
 
 
@@ -159,16 +159,16 @@ def generalized_jacobian(X: PresentedVariety, point: TriangularPoint):
         [tower_reduce(partial_derivative(g, j), tower) if j <= k else tower.zero() for j in range(n)]
         for k, g in enumerate(point.generators)
     ]
-    if tower.proven < n and FieldMatrix(tower, gmat).rank() < n:
+    proven = tower.proven  # a proven level's diagonal entry is a unit (step 1)
+    if any(gmat[k][k].is_zero() for k in range(proven)):
+        raise InternalConsistencyError(
+            "the generators' derivative matrix is singular over a proven residue field"
+        )
+    if FieldMatrix(tower, [row[proven:] for row in gmat[proven:]]).rank() < n - proven:
         raise GeneratorsNotIndependent(
             "the generators' derivative matrix is singular at the point, so "
             "they are dependent modulo the square of the ideal; choose "
             "different generators"
-        )
-    if tower.proven == n and any(gmat[k][k].is_zero() for k in range(n)):
-        # each level is separable over the proven field below it
-        raise InternalConsistencyError(
-            "the generators' derivative matrix is singular over a proven residue field"
         )
     p = point.prime
     rows = []

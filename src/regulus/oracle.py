@@ -75,17 +75,17 @@ from itertools import product as _iterproduct
 from math import gcd, lcm
 
 from .errors import InternalConsistencyError, OracleResourceError, PointNotOnVariety
+from .groebner import MAX_VARIABLES
 from .poly import TriangularPoint, _divide, _level
 
 # The count forms r*d_t rows of (n + 1)*d_t entries for r relations, n
 # variables and residue degree d_t; its memory grows as d_t^2 and its time
 # as d_t^3, so the matrix is bounded before any of it is formed.  Over ZZ it
 # is charged (r + n)*d_t rows, as when it also formed the rows of each
-# p*g_j, so the bound refuses the same jobs.  A field point has at most MAX_FIELD_VARIABLES
-# variables, the Groebner dimension supplier's bound too, so a field job's
-# variable limit does not depend on whether it supplies dim.
+# p*g_j, so the bound refuses the same jobs.  A field point has at most the
+# Groebner engine's MAX_VARIABLES variables, whether or not its job has dim.
 MAX_ORACLE_ENTRIES = 10**6
-MAX_FIELD_VARIABLES = 4
+MAX_FIELD_VARIABLES = MAX_VARIABLES
 
 
 def _mod(terms, m):

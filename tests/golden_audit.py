@@ -15,9 +15,10 @@ from any directory, and exits 1 naming every check that failed.
   fiber points too (relations mod p), the oracle must count n - rank, plus
   1 over ZZ.  Only points above an oracle bound are skipped; at least 1,200
   ZZ points keep the arithmetic count covered.
-- certificate: every residue tower must be proven a field.  An unproven one
-  inverts without the norm and ranks the generators, which changes no
-  report, only slows the benchmark, so this check fails instead.
+- certificate: every residue tower must be proven a field.  An unproven
+  level inverts without the norm and has its block of the generators'
+  derivative matrix ranked, which changes no report, only slows the
+  benchmark, so this check fails instead.
 """
 
 import collections, contextlib, io, os, pathlib, sys, tempfile

@@ -15,7 +15,9 @@ from operator import add, le, sub
 
 from regulus import (
     FieldMatrix,
+    GeneratorsNotIndependent,
     IdealNotMaximal,
+    InternalConsistencyError,
     MultiPoly,
     PrimeField,
     QQ,
@@ -23,6 +25,7 @@ from regulus import (
     ZZ,
     groebner_basis,
     parse_poly,
+    partial_derivative,
 )
 from regulus.oracle import _canonical_monomials
 from regulus.errors import JobFileError, PolySyntaxError
@@ -562,6 +565,66 @@ def random_rational_tower(rng):
         ]
     point = TriangularPoint(tuple(gens))
     return point, residue_field(point)
+
+
+def random_scalar(field, rng):
+    if field is QQ:
+        return Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, 5)))
+    return field.from_int(rng.randrange(field.modulus))
+
+
+def split_level_point(field, rng, top=3):
+    """Triangular point of 2 to 4 levels of degree 1 to ``top``, residue
+    degree at most 12, whose coefficients are random polynomials in the earlier
+    variables.  About a third of the levels of degree 2 or 3 are built
+    reducible, as (x_i - a) times a random monic factor; the factors
+    x_i - a come back too, so that multiples of them are zero divisors."""
+    n = rng.randrange(2, 5)
+    vars = VAR_POOL[:n]
+    gens, degrees, factors = [], [], []
+
+    def below(i, d):
+        terms = {tuple(j if k == i else rng.randrange(2) if k < i else 0 for k in range(n)):
+                 random_scalar(field, rng) for j in range(d) for _ in range(rng.randrange(1, 3))}
+        return MultiPoly(field, vars, terms)
+
+    def monic(i, d):
+        return MultiPoly(field, vars, {tuple(d if k == i else 0 for k in range(n)): field.one()})
+
+    for i in range(n):
+        d = rng.choice((1, 2, 2, top)) if i else rng.choice((2, top))
+        while d > 1 and math.prod(degrees) * d > 12:
+            d -= 1
+        if d > 1 and rng.randrange(3) == 0:
+            factor = monic(i, 1) - below(i, 1)
+            gens.append(factor * (monic(i, d - 1) + below(i, d - 1)))
+            factors.append(factor)
+        else:
+            gens.append(monic(i, d) + below(i, d))
+        degrees.append(d)
+    return TriangularPoint(tuple(gens)), degrees, factors
+
+
+def reference_generator_check(point):
+    """The generator check by the rank of the whole derivative matrix G, the
+    route the block check replaced: G is ranked unless every level is proven
+    a field, and then its diagonal must have no zero."""
+    tower = residue_field(point)
+    n = len(point.generators)
+    gmat = [
+        [tower_reduce(partial_derivative(g, j), tower) if j <= k else tower.zero() for j in range(n)]
+        for k, g in enumerate(point.generators)
+    ]
+    if tower.proven < n and FieldMatrix(tower, gmat).rank() < n:
+        raise GeneratorsNotIndependent(
+            "the generators' derivative matrix is singular at the point, so "
+            "they are dependent modulo the square of the ideal; choose "
+            "different generators"
+        )
+    if tower.proven == n and any(gmat[k][k].is_zero() for k in range(n)):
+        raise InternalConsistencyError(
+            "the generators' derivative matrix is singular over a proven residue field"
+        )
 
 
 def random_tower_element(tower, rng, depth=2):

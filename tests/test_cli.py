@@ -634,6 +634,32 @@ dim = 0
     )
 
 
+def test_dependent_generators_above_a_proven_level_exit_2(tmp_path):
+    # x^2 + 1 is proven over GF(3); d/dy(y^3 - x) = 3*y^2 vanishes mod 3
+    text = """\
+[ring]
+vars = x, y
+base = ZZ
+relations = x^2 + 1
+
+[point]
+prime = 3
+generators = x^2 + 1, y^3 - x
+
+[task]
+kind = check
+dim = 1
+"""
+    result = run_cli([write_job(tmp_path, text)])
+    assert result.returncode == 2
+    assert result.stdout == (
+        '{"error":{"kind":"generators-not-independent","message":"the '
+        "generators' derivative matrix is singular at the point, so they are "
+        "dependent modulo the square of the ideal; choose different "
+        'generators"}}\n'
+    )
+
+
 def test_exit_code_3_for_resource_guard(tmp_path):
     path = write_job(tmp_path, GUARD_JOB)
     result = run_cli([path])

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -6,6 +7,8 @@ from regulus import (
     DimensionMismatch,
     FieldMatrix,
     GeneratorsNotIndependent,
+    IdealNotMaximal,
+    InternalConsistencyError,
     InvalidPoint,
     MultiPoly,
     PointNotOnVariety,
@@ -22,12 +25,14 @@ from regulus import (
     ideal_dimension,
     parse_poly,
     partial_derivative,
+    residue_field,
     special_fiber_verdict,
     tower_reduce,
     triangular_divide,
 )
 from regulus.groebner import MAX_INPUT_DEGREE
 from regulus.poly import reduce_mod
+from regulus.tower import ResidueTower
 
 from helpers import (
     VAR_POOL,
@@ -38,6 +43,8 @@ from helpers import (
     random_coeff,
     random_member,
     random_point,
+    reference_generator_check,
+    split_level_point,
 )
 
 
@@ -103,6 +110,72 @@ def test_jacobian_validation_rejects_dependent_generators():
     X = PresentedVariety(("x",), F, ())
     with pytest.raises(GeneratorsNotIndependent):
         generalized_jacobian(X, TriangularPoint((parse_poly("x^2 + 1", ("x",), F),)))
+
+
+def _counting_inverses(monkeypatch):
+    """The list that every ResidueTower.inv call appends its argument to."""
+    inv, calls = ResidueTower.inv, []
+
+    def counted(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(ResidueTower, "inv", counted)
+    return calls
+
+
+def test_dependent_generators_above_a_proven_level_need_no_inverse(monkeypatch):
+    # x^2 + 1 is proven over GF(3), y^3 - x is not, and d/dy(y^3 - x) = 0:
+    # G = [[2a, 0], [-1, 0]].  Ranking all of G inverts 2a to clear the -1;
+    # the unproven block [[0]] is singular without an inverse
+    F = PrimeField(3)
+    vars = ("x", "y")
+    point = TriangularPoint((parse_poly("x^2 + 1", vars, F), parse_poly("y^3 - x", vars, F)))
+    assert residue_field(point).proven == 1
+    calls = _counting_inverses(monkeypatch)
+    with pytest.raises(GeneratorsNotIndependent) as expected:
+        reference_generator_check(point)
+    assert [str(a) for a in calls] == ["2*a"]
+    calls.clear()
+    with pytest.raises(GeneratorsNotIndependent) as got:
+        generalized_jacobian(PresentedVariety(vars, F, ()), point)
+    assert calls == []
+    assert got.value.message == expected.value.message
+
+
+def test_generator_check_agrees_with_the_full_matrix_rank(monkeypatch):
+    # the proven levels' diagonal plus the rank of the unproven block must
+    # give the outcome, message and witness of ranking all of G, with no
+    # more inverses, on towers with reducible and inseparable levels
+    calls = _counting_inverses(monkeypatch)
+
+    def outcome(check, *args):
+        calls.clear()
+        try:
+            check(*args)
+            return ("pass",), len(calls)
+        except (GeneratorsNotIndependent, IdealNotMaximal, InternalConsistencyError) as exc:
+            return tuple(exc.as_document().values()), len(calls)
+
+    fields = (QQ,) + tuple(PrimeField(p) for p in (2, 3, 5, 7, 101))
+    rng = random.Random(337)
+    seen, inverses = collections.Counter(), [0, 0]
+    for _ in range(1500):
+        field = rng.choice(fields)
+        point, degrees, _ = split_level_point(field, rng)
+        expected, reference_calls = outcome(reference_generator_check, point)
+        got, block_calls = outcome(generalized_jacobian, PresentedVariety(point.vars, field, ()), point)
+        assert got == expected
+        assert block_calls <= reference_calls
+        inverses[0] += reference_calls
+        inverses[1] += block_calls
+        seen[got[0]] += 1
+        seen["partially proven"] += 0 < residue_field(point).proven < len(degrees)
+    assert seen["partially proven"] >= 100
+    assert seen["generators-not-independent"] >= 50
+    assert seen["ideal-not-maximal"] >= 100
+    assert seen["pass"] >= 500
+    assert inverses[1] < inverses[0]
 
 
 def test_generalized_jacobian_carries_the_extra_column_over_zz():

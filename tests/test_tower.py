@@ -41,6 +41,8 @@ from helpers import (
     random_tower_element,
     reference_build_tower,
     reference_fold,
+    random_scalar,
+    split_level_point,
     tower_size,
     parse,
 )
@@ -382,24 +384,18 @@ def _random_level_point(field, rng, deep=False):
         for j in range(d):
             for _ in range(rng.randrange(3)):
                 e = tuple(j if k == i else rng.randrange(3) if k < i else 0 for k in range(n))
-                terms[e] = _scalar(field, rng)
+                terms[e] = random_scalar(field, rng)
         gens.append(MultiPoly(field, vars, terms))
         degrees.append(d)
     return TriangularPoint(tuple(gens)), degrees
 
 
-def _scalar(field, rng):
-    if field is QQ:
-        return Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, 5)))
-    return field.from_int(rng.randrange(field.modulus))
-
-
 def _random_element_poly(field, vars, degrees, rng):
     """Dense below the level degrees, plus a few terms that need reducing."""
     ranges = [range(d) for d in degrees]
-    terms = {e: _scalar(field, rng) for e in itertools.product(*ranges) if rng.randrange(4)}
+    terms = {e: random_scalar(field, rng) for e in itertools.product(*ranges) if rng.randrange(4)}
     for _ in range(2):
-        terms[tuple(rng.randrange(d + 2) for d in degrees)] = _scalar(field, rng)
+        terms[tuple(rng.randrange(d + 2) for d in degrees)] = random_scalar(field, rng)
     return MultiPoly(field, vars, terms)
 
 
@@ -765,7 +761,7 @@ def test_table_reduction_matches_evaluate():
         rational_tails += any(c[1] > 1 for lv in tower.levels for c in lv.tail)
         for _ in range(4):
             terms = {
-                tuple(rng.randrange(3 * d + 1) for d in degrees): _scalar(field, rng)
+                tuple(rng.randrange(3 * d + 1) for d in degrees): random_scalar(field, rng)
                 for _ in range(rng.randrange(1, 9))
             }
             f = MultiPoly(field, point.vars, terms)
@@ -814,38 +810,6 @@ def test_table_meets_the_same_first_oversized_power(text):
 # ---- the field certificate and the norm route --------------------------
 
 
-def _split_level_point(field, rng, top=3):
-    """Triangular point of 2 to 4 levels of degree 1 to ``top``, residue
-    degree at most 12, whose coefficients are random polynomials in the earlier
-    variables.  About a third of the levels of degree 2 or 3 are built
-    reducible, as (x_i - a) times a random monic factor; the factors
-    x_i - a come back too, so that multiples of them are zero divisors."""
-    n = rng.randrange(2, 5)
-    vars = VAR_POOL[:n]
-    gens, degrees, factors = [], [], []
-
-    def below(i, d):
-        terms = {tuple(j if k == i else rng.randrange(2) if k < i else 0 for k in range(n)):
-                 _scalar(field, rng) for j in range(d) for _ in range(rng.randrange(1, 3))}
-        return MultiPoly(field, vars, terms)
-
-    def monic(i, d):
-        return MultiPoly(field, vars, {tuple(d if k == i else 0 for k in range(n)): field.one()})
-
-    for i in range(n):
-        d = rng.choice((1, 2, 2, top)) if i else rng.choice((2, top))
-        while d > 1 and math.prod(degrees) * d > 12:
-            d -= 1
-        if d > 1 and rng.randrange(3) == 0:
-            factor = monic(i, 1) - below(i, 1)
-            gens.append(factor * (monic(i, d - 1) + below(i, d - 1)))
-            factors.append(factor)
-        else:
-            gens.append(monic(i, d) + below(i, d))
-        degrees.append(d)
-    return TriangularPoint(tuple(gens)), degrees, factors
-
-
 def _inverse_outcome(tower, u, proven):
     """The inverse of u with the proven-level count set to ``proven``: its
     data, or the error it raises, as comparable values."""
@@ -870,7 +834,7 @@ def test_norm_route_matches_euclid(p):
     rng = random.Random(281 + (p or 0))
     outcomes, norm_routes, fallbacks = [], 0, 0
     while len(outcomes) < 240:
-        point, degrees, factors = _split_level_point(field, rng)
+        point, degrees, factors = split_level_point(field, rng)
         tower = residue_field(point)
         rel_norm, norms = tower._rel_norm, []
 
@@ -935,7 +899,7 @@ def test_certificate_over_prime_fields_matches_a_root_search():
     for _ in range(400):
         field = PrimeField(rng.choice((2, 3, 5, 7)))
         if rng.randrange(4):
-            point, degrees, _ = _split_level_point(field, rng, rng.choice((2, 2, 3)))
+            point, degrees, _ = split_level_point(field, rng, rng.choice((2, 2, 3)))
         else:
             point, degrees = _random_level_point(field, rng)
         tower = residue_field(point)
