@@ -15,8 +15,9 @@ step 3:
 2. reduce: the h_ij reduced into the residue field form the
    derivative-with-respect-to-generators matrix J, and the w_i form the
    extra column.
-3. rank: regularity is rank J = n - dim (field base) or rank of the
-   augmented matrix = n + 1 - dim (over ZZ at a prime).
+3. rank: the point is regular when the matrix's width minus its rank is
+   dim.  The matrix is J (width n) over a field base, and J with the extra
+   column appended (width n + 1) over ZZ at a prime.
 
 Every computed matrix is re-checked against its defining property
 (d f_i/d t_j)(x) = J * (d g_i/d t_j)(x) before it is used, so a division
@@ -164,7 +165,7 @@ def generalized_jacobian(X: PresentedVariety, point: TriangularPoint):
         raise InternalConsistencyError(
             "the generators' derivative matrix is singular over a proven residue field"
         )
-    if FieldMatrix(tower, [row[proven:] for row in gmat[proven:]]).rank() < n - proven:
+    if FieldMatrix(tower, [row[proven:] for row in gmat[proven:]], n - proven).rank() < n - proven:
         raise GeneratorsNotIndependent(
             "the generators' derivative matrix is singular at the point, so "
             "they are dependent modulo the square of the ideal; choose "
@@ -189,7 +190,7 @@ def generalized_jacobian(X: PresentedVariety, point: TriangularPoint):
                     % (f, j + 1)
                 )
         rows.append(row)
-    return FieldMatrix(tower, rows), extra
+    return FieldMatrix(tower, rows, n), extra
 
 
 # ---- dimension supplier -----------------------------------------------
@@ -216,12 +217,11 @@ def _check(X, point, dim, provenance=USER_SUPPLIED):
     ZZ, and compare the cotangent dimension with the local dimension (the
     default dimension when dim is None)."""
     jac, extra = generalized_jacobian(X, point)
-    if extra is None:
-        rank = jac.rank()
-        cotangent = X.n - rank
-    else:
-        rank = FieldMatrix(jac.field, [row + [e] for row, e in zip(jac.rows, extra)]).rank()
-        cotangent = X.n + 1 - rank
+    matrix = jac if extra is None else FieldMatrix(
+        jac.field, [row + [e] for row, e in zip(jac.rows, extra)], X.n + 1
+    )
+    rank = matrix.rank()
+    cotangent = matrix.ncols - rank
     if dim is None:
         dim, provenance = default_dimension(X, point), ORACLE_GLOBAL
     elif dim < 0:

@@ -84,9 +84,8 @@ class EmptyVariety(RegulusError):
 
 
 class OracleResourceError(RegulusError):
-    """Resource guard tripped: too many variables or relations, degree too
-    high, the pair budget ran out, a derived number passed its digit limit,
-    or the residue degree or the oracle's matrix is above its bound."""
+    """Resource guard tripped.  README's exit-code table names every guard
+    in its row for code 3."""
 
     kind = "oracle-resource"
     exit_code = 3

@@ -7,6 +7,9 @@ GF(p) elements are plain ints whose operators do not reduce; the field's
 is_zero and inv reduce what they read, so elimination is exact there, but
 entries are left unreduced.
 
+The caller supplies the width, so a matrix with no rows keeps its columns,
+and ``solve`` returns one coordinate per column.
+
 Pivot inverses are computed lazily: ``rank`` inverts a pivot only when a
 nonzero entry below it actually has to be cleared.  Over a residue tower the
 inversion itself is the maximality check, so rank computations surface
@@ -22,24 +25,19 @@ from .errors import InternalConsistencyError
 class FieldMatrix:
     __slots__ = ("field", "rows", "nrows", "ncols")
 
-    def __init__(self, field, rows):
+    def __init__(self, field, rows, ncols):
         rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            for r in rows:
-                if len(r) != width:
-                    raise ValueError("ragged matrix rows")
-        else:
-            width = 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged matrix rows")
         self.field = field
         self.rows = rows
         self.nrows = len(rows)
-        self.ncols = width
+        self.ncols = ncols
 
     def __eq__(self, other):
         if other.__class__ is not FieldMatrix:
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return (self.field, self.ncols, self.rows) == (other.field, other.ncols, other.rows)
 
     __hash__ = None  # the rows are mutable lists
 

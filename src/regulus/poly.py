@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 A polynomial is a map from exponent tuples to nonzero coefficients, tagged
-with its coefficient ring and an ordered tuple of variable names.  Terms are
-displayed and iterated in graded lexicographic order, largest first, so
-printing is canonical and ``parse(str(f)) == f``.
+with its coefficient ring and an ordered tuple of variable names.  ``terms``
+keeps insertion order; ``sorted_terms`` and printing are in graded
+lexicographic order, largest first, so ``parse(str(f)) == f``.
 
 The module also holds the triangular machinery: ``TriangularPoint`` describes
 a general closed point by a triangular system (g_1, ..., g_n), each g_i monic

@@ -175,7 +175,6 @@ class ResidueTower:
             sizes.append(sizes[-1] * d)
             ext_sizes.append(width * (2 * d - 1))
             self._start_table()
-        self.degree_over_base = sizes[-1]
         self._sig = (base.name, tuple((lv.var, lv.degree, lv.tail) for lv in self.levels))
         self.proven = self._certify()
 
@@ -449,6 +448,8 @@ class ResidueTower:
         return self._is_zero(a.data)
 
     def inv(self, a):
+        """The inverse of a.  Raises IdealNotMaximal with a witness factor
+        when the extended gcd finds one, ZeroDivisionError on zero."""
         return TowerElem(self, self._inv(len(self.levels), a.data))
 
     def _bounded(self, a):
@@ -606,11 +607,6 @@ class TowerElem:
 
     def __pow__(self, n: int):
         return _power(self, n, TowerElem.__mul__) if n else self.tower.one()
-
-    def inverse(self):
-        """Raises IdealNotMaximal with a witness factor when the extended
-        gcd finds one, ZeroDivisionError on zero."""
-        return self.tower.inv(self)
 
     def is_zero(self) -> bool:
         return self.tower.is_zero(self)

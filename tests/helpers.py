@@ -276,7 +276,7 @@ def convert(f, ring, coeff_map):
 
 
 def transpose(m):
-    return FieldMatrix(m.field, [list(col) for col in zip(*m.rows)])
+    return FieldMatrix(m.field, [list(col) for col in zip(*m.rows)], m.nrows)
 
 
 def rationalize(f):
@@ -615,7 +615,7 @@ def reference_generator_check(point):
         [tower_reduce(partial_derivative(g, j), tower) if j <= k else tower.zero() for j in range(n)]
         for k, g in enumerate(point.generators)
     ]
-    if tower.proven < n and FieldMatrix(tower, gmat).rank() < n:
+    if tower.proven < n and FieldMatrix(tower, gmat, n).rank() < n:
         raise GeneratorsNotIndependent(
             "the generators' derivative matrix is singular at the point, so "
             "they are dependent modulo the square of the ideal; choose "

@@ -144,7 +144,7 @@ def test_criterion_05_arithmetic_oracle_agreement():
         )
         X = PresentedVariety(vars, ZZ, rels)
         J, extra = generalized_jacobian(X, point)
-        aug = FieldMatrix(J.field, [row + [e] for row, e in zip(J.rows, extra)])
+        aug = FieldMatrix(J.field, [row + [e] for row, e in zip(J.rows, extra)], n + 1)
         assert n + 1 - aug.rank() == cotangent_dimension(point, list(rels))
         count += 1
     elapsed = time.monotonic() - start
@@ -268,7 +268,7 @@ def test_criterion_08_elliptic_curve_closed_point():
         row = [at(fx, a, yv), at(fy, a, yv)]
         assert row[0] == tower.from_int(-5)
         assert row[1] == tower.from_int(2) * yv
-        assert FieldMatrix(tower, [row]).rank() == 1
+        assert FieldMatrix(tower, [row], 2).rank() == 1
     print(
         "criterion 8 PASS: closed point has rank 1 and both rational points "
         "over the degree-4 field have classical rank 1"

@@ -660,6 +660,36 @@ dim = 1
     )
 
 
+def test_ramified_base_change_with_no_relations_names_a_witness_per_variable(tmp_path):
+    # the Jacobian of no relations is 0 x 2, so J v = () is solved by (0, 0)
+    text = """\
+[ring]
+vars = x, y
+base = ZZ
+relations =
+
+[point]
+prime = 3
+generators = x, y
+
+[task]
+kind = base-change
+ramified = true
+"""
+    result = run_cli([write_job(tmp_path, text)])
+    assert result.returncode == 0
+    assert result.stdout == (
+        '{"task":"base-change","ring":{"base":"ZZ","vars":["x","y"],"relations":[]},'
+        '"point":{"prime":3,"generators":["x","y"]},"residue_field":"GF(3)",'
+        '"jacobian":[],"extra_column":[],"rank":0,"dimension":3,'
+        '"dimension_provenance":"oracle-global-dimension","regular":true,'
+        '"base_change":{"ramified":true,"solvable":true,"witness":["0","0"],'
+        '"fiber_regular":true},"warnings":["dimension defaulted to the '
+        "variety's global ideal dimension; if the component through the point "
+        'has smaller dimension, supply dim to override"]}\n'
+    )
+
+
 def test_exit_code_3_for_resource_guard(tmp_path):
     path = write_job(tmp_path, GUARD_JOB)
     result = run_cli([path])

@@ -186,6 +186,20 @@ def test_generalized_jacobian_carries_the_extra_column_over_zz():
     assert [str(e) for e in extra] == ["1"]
 
 
+def test_a_variety_with_no_relations_keeps_the_jacobian_width():
+    # ZZ at 3, no relations, the point (3, x, y): J has no rows but n columns,
+    # and the ranked matrix the extra column as well
+    vars = ("x", "y")
+    X = PresentedVariety(vars, ZZ, ())
+    point = TriangularPoint((parse("x", vars, ZZ), parse("y", vars, ZZ)), prime=3)
+    J, extra = generalized_jacobian(X, point)
+    assert (J.nrows, J.ncols, extra) == (0, 2, [])
+    report = check_point(X, point, dim_override=3)
+    assert (report.jacobian, report.rank, report.regular) == (J, 0, True)
+    verdict = base_change_verdict(X, point, ramified=True)
+    assert verdict.witness == [J.field.zero(), J.field.zero()]
+
+
 def test_check_point_rejects_a_zz_point_without_a_prime():
     vars = ("x",)
     X = PresentedVariety(vars, ZZ, (parse("x^2 + 1", vars, ZZ),))

@@ -82,7 +82,7 @@ def test_fiber_route_is_checked_against_the_direct_route(monkeypatch):
 def test_solve_re_verifies_its_solution(monkeypatch):
     F = PrimeField(5)
     tower = residue_field(TriangularPoint((parse_poly("x - 1", ("x",), F),)))
-    matrix = FieldMatrix(tower, [[tower.from_int(3)]])
+    matrix = FieldMatrix(tower, [[tower.from_int(3)]], 1)
     assert matrix.solve([tower.from_int(1)]) == [tower.from_int(2)]
     # every pivot "inverse" is the pivot itself
     monkeypatch.setattr(ResidueTower, "inv", lambda self, a: a)

@@ -18,6 +18,7 @@ def random_matrix(tower, rows, cols, rng):
     return FieldMatrix(
         tower,
         [[random_tower_element(tower, rng, depth=0) for _ in range(cols)] for _ in range(rows)],
+        cols,
     )
 
 
@@ -42,10 +43,10 @@ def gf9():
 def test_rank_examples():
     tower = gf9()
     a = tower.gen(0)
-    assert FieldMatrix(tower, [[a, tower.one()]]).rank() == 1
-    assert FieldMatrix(tower, [[a, tower.one()], [a + a, tower.from_int(2)]]).rank() == 1
-    assert FieldMatrix(tower, [[tower.zero(), tower.zero()]]).rank() == 0
-    assert FieldMatrix(tower, []).rank() == 0
+    assert FieldMatrix(tower, [[a, tower.one()]], 2).rank() == 1
+    assert FieldMatrix(tower, [[a, tower.one()], [a + a, tower.from_int(2)]], 2).rank() == 1
+    assert FieldMatrix(tower, [[tower.zero(), tower.zero()]], 2).rank() == 0
+    assert FieldMatrix(tower, [], 0).rank() == 0
 
 
 def test_solve_examples():
@@ -53,23 +54,23 @@ def test_solve_examples():
     a = tower.gen(0)
     one = tower.one()
     # over GF(9): a * v = 1 has the witness v = -a = 2a
-    sol = FieldMatrix(tower, [[a]]).solve([one])
+    sol = FieldMatrix(tower, [[a]], 1).solve([one])
     assert sol is not None
     assert (a * sol[0] - one).is_zero()
     assert sol[0] == tower.from_int(2) * a
     # inconsistent: 0 * v = 1
-    assert FieldMatrix(tower, [[tower.zero(), tower.zero()]]).solve([one]) is None
+    assert FieldMatrix(tower, [[tower.zero(), tower.zero()]], 2).solve([one]) is None
 
 
 def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
     tower = gf9()
     with pytest.raises(ValueError, match="^right-hand side length mismatch$"):
-        FieldMatrix(tower, [[tower.one()], [tower.zero()]]).solve([tower.one()])
+        FieldMatrix(tower, [[tower.one()], [tower.zero()]], 1).solve([tower.one()])
 
 
 def test_solve_prefers_zero_free_variables():
     tower = gf9()
-    sol = FieldMatrix(tower, [[tower.one(), tower.one()]]).solve([tower.from_int(2)])
+    sol = FieldMatrix(tower, [[tower.one(), tower.one()]], 2).solve([tower.from_int(2)])
     assert sol == [tower.from_int(2), tower.zero()]
 
 
@@ -78,10 +79,10 @@ def test_rank_forces_inversion_only_when_needed():
     # nonzero entry never needs an inverse, so it succeeds
     bad = residue_field(TriangularPoint((parse("x^2 - 4", ("x",)),)))
     elem = bad.gen(0) - bad.from_int(2)
-    assert FieldMatrix(bad, [[elem]]).rank() == 1
+    assert FieldMatrix(bad, [[elem]], 1).rank() == 1
     # a second row forces elimination, which needs 1/(x - 2) and fails
     with pytest.raises(IdealNotMaximal) as info:
-        FieldMatrix(bad, [[elem], [bad.one()]]).rank()
+        FieldMatrix(bad, [[elem], [bad.one()]], 1).rank()
     assert info.value.witness == "x - 2"
 
 
@@ -128,7 +129,7 @@ def test_augmented_rank_dichotomy():
         m = random_matrix(tower, rows, cols, rng)
         b = [random_tower_element(tower, rng, depth=0) for _ in range(rows)]
         r = m.rank()
-        aug = FieldMatrix(tower, [row + [x] for row, x in zip(m.rows, b)])
+        aug = FieldMatrix(tower, [row + [x] for row, x in zip(m.rows, b)], cols + 1)
         ra = aug.rank()
         assert ra in (r, r + 1)
         assert (m.solve(b) is not None) == (ra == r)
@@ -157,6 +158,7 @@ def test_rank_over_rationals():
             [QQ.from_int(2), QQ.from_int(4)],
             [QQ.from_int(0), QQ.from_int(1)],
         ],
+        2,
     )
     assert m.rank() == 2
     assert transpose(m).rank() == 2
@@ -164,5 +166,20 @@ def test_rank_over_rationals():
 
 def test_rectangular_validation():
     tower = gf9()
-    with pytest.raises(ValueError):
-        FieldMatrix(tower, [[tower.one()], [tower.one(), tower.zero()]])
+    with pytest.raises(ValueError, match="^ragged matrix rows$"):
+        FieldMatrix(tower, [[tower.one()], [tower.one(), tower.zero()]], 1)
+    # every row is checked against the width, the first one too
+    with pytest.raises(ValueError, match="^ragged matrix rows$"):
+        FieldMatrix(tower, [[tower.one()]], 2)
+    with pytest.raises(ValueError, match="^ragged matrix rows$"):
+        FieldMatrix(tower, [[tower.one(), tower.zero()], [tower.one(), tower.zero()]], 3)
+
+
+def test_a_matrix_with_no_rows_keeps_its_width():
+    tower = gf9()
+    empty = FieldMatrix(tower, [], 2)
+    assert (empty.nrows, empty.ncols) == (0, 2)
+    assert empty.rank() == 0
+    assert empty.solve([]) == [tower.zero(), tower.zero()]
+    assert empty != FieldMatrix(tower, [], 1)
+    assert empty == FieldMatrix(tower, [], 2)

@@ -226,7 +226,7 @@ def test_arithmetic_agreement_random():
         rels = tuple(random_arithmetic_relation(fiber, p, rng) for _ in range(rng.randrange(3)))
         X = PresentedVariety(vars, ZZ, rels)
         J, extra = generalized_jacobian(X, point)
-        aug = FieldMatrix(J.field, [row + [e] for row, e in zip(J.rows, extra)])
+        aug = FieldMatrix(J.field, [row + [e] for row, e in zip(J.rows, extra)], n + 1)
         rank = aug.rank()
         assert n + 1 - rank == cotangent_dimension(point, list(rels))
 
@@ -241,7 +241,7 @@ def test_unit_sweep_modulo_p_is_the_field_rank():
         b = [[rng.randrange(-p, 2 * p) for _ in range(ncols)] for _ in range(inner)]
         rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] for r in a]
         field = PrimeField(p)
-        expected = FieldMatrix(field, [[field.from_int(x) for x in r] for r in rows]).rank()
+        expected = FieldMatrix(field, [[field.from_int(x) for x in r] for r in rows], ncols).rank()
         assert _unit_sweep(rows, p) == expected
 
 
@@ -535,7 +535,7 @@ def test_the_count_divides_only_the_generators_and_each_relation(monkeypatch):
         X = PresentedVariety(point.vars, point.ring, tuple(rels))
         J, extra = generalized_jacobian(X, point)
         if point.prime:
-            J = FieldMatrix(J.field, [row + [e] for row, e in zip(J.rows, extra)])
+            J = FieldMatrix(J.field, [row + [e] for row, e in zip(J.rows, extra)], J.ncols + 1)
         assert count == ambient - J.rank()
 
 
